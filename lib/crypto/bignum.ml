@@ -285,13 +285,13 @@ let mod_pow_classic b e m =
     !result
   end
 
-(* Montgomery-form modular arithmetic (REDC), the audit-side hot path
-   behind RSA (DESIGN.md §12). A context precomputes, per odd modulus
-   m of k limbs: n0' = -m^{-1} mod 2^26 and R^2 mod m where R = 2^(26k).
-   [mul_into] computes REDC(a*b) = a*b*R^{-1} mod m with one schoolbook
-   product and one reduction sweep — no Knuth long division — into
-   caller-provided scratch, so a whole exponentiation allocates only a
-   handful of k-limb arrays up front. *)
+(* Montgomery-form modular arithmetic, the hot path behind RSA signing
+   and verification (DESIGN.md §12, §17). A context precomputes, per
+   odd modulus m of k limbs: n0' = -m^{-1} mod 2^26 and R^2 mod m where
+   R = 2^(26k). Every product of every exponentiation goes through one
+   product-scanning kernel ([mul_mont]/[sqr_mont]) computing
+   REDC(a*b) = a*b*R^{-1} mod m in a single pass — no Knuth long
+   division, no double-width temporary — into caller-provided scratch. *)
 module Mont = struct
   type nonrec ctx = {
     m : t; (* modulus, normalized, length k *)
@@ -301,6 +301,12 @@ module Mont = struct
   }
 
   let modulus c = c.m
+
+  (* A column of [mul_mont]/[sqr_mont] sums up to 2k limb products
+     (each < 2^52) in one 63-bit int; 500 limbs keeps that under 2^62.
+     Wider moduli (over 13,000 bits) get no context and take the
+     classic ladder. *)
+  let max_limbs = 500
 
   (* Inverse of the odd low limb mod 2^26 by Newton iteration
      (x := x * (2 - m0*x) doubles the number of correct low bits;
@@ -319,87 +325,30 @@ module Mont = struct
     r
 
   let make m =
-    if Array.length m < 2 || is_even m then None
+    let k = Array.length m in
+    if k < 2 || k > max_limbs || is_even m then None
     else begin
-      let k = Array.length m in
       let r2 = rem (shift_left one (2 * k * bits_per_limb)) m in
       Some { m; k; n0' = neg_inv_limb m.(0); r2 = pad k r2 }
     end
 
-  (* REDC of the double-width product sitting in [t] (2k+1 limbs):
-     k sweeps each cancelling the lowest live limb, then
-     dest <- t[k..2k-1] (- m if the result reached it). Shared tail of
-     [mul_into] and [sqr_into]. *)
-  let reduce_into ctx ~t ~dest =
-    let k = ctx.k and n = ctx.m and n0' = ctx.n0' in
-    for i = 0 to k - 1 do
-      let mi = Array.unsafe_get t i * n0' land limb_mask in
-      if mi <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k - 1 do
-          let x = Array.unsafe_get t (i + j) + (mi * Array.unsafe_get n j) + !carry in
-          Array.unsafe_set t (i + j) (x land limb_mask);
-          carry := x lsr bits_per_limb
-        done;
-        let idx = ref (i + k) in
-        while !carry <> 0 do
-          let x = Array.unsafe_get t !idx + !carry in
-          Array.unsafe_set t !idx (x land limb_mask);
-          carry := x lsr bits_per_limb;
-          incr idx
-        done
-      end
-    done;
-    let ge =
-      if t.((2 * k)) <> 0 then true
-      else begin
-        let rec cmp i =
-          if i < 0 then true
-          else begin
-            let ti = Array.unsafe_get t (k + i) and ni = Array.unsafe_get n i in
-            if ti <> ni then ti > ni else cmp (i - 1)
-          end
-        in
-        cmp (k - 1)
-      end
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for i = 0 to k - 1 do
-        let d = Array.unsafe_get t (k + i) - Array.unsafe_get n i - !borrow in
-        if d < 0 then begin
-          Array.unsafe_set dest i (d + base);
-          borrow := 1
-        end
-        else begin
-          Array.unsafe_set dest i d;
-          borrow := 0
-        end
-      done
-    end
-    else Array.blit t k dest 0 k
+  (* Working storage for exponentiations under one context, allocated
+     once and reusable across a whole batch of them (DESIGN.md §17). *)
+  type scratch = {
+    s_q : int array; (* per-column reduction quotients *)
+    s_acc : int array; (* the accumulator *)
+    s_base : int array; (* the plain base, padded to k limbs *)
+    s_bm : int array; (* the base in Montgomery form *)
+  }
 
-  (* dest <- REDC(a * b). [a], [b], [dest] have k limbs with values
-     < m; [t] is scratch of 2k+1 limbs. [dest] may alias [a] and/or
-     [b]: both operands are fully consumed (into [t]) before [dest] is
-     written. *)
-  let mul_into ctx ~t ~dest a b =
+  let scratch ctx =
     let k = ctx.k in
-    Array.fill t 0 ((2 * k) + 1) 0;
-    (* t = a * b *)
-    for i = 0 to k - 1 do
-      let ai = Array.unsafe_get a i in
-      if ai <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k - 1 do
-          let x = Array.unsafe_get t (i + j) + (ai * Array.unsafe_get b j) + !carry in
-          Array.unsafe_set t (i + j) (x land limb_mask);
-          carry := x lsr bits_per_limb
-        done;
-        Array.unsafe_set t (i + k) !carry
-      end
-    done;
-    reduce_into ctx ~t ~dest
+    {
+      s_q = Array.make k 0;
+      s_acc = Array.make k 0;
+      s_base = Array.make k 0;
+      s_bm = Array.make k 0;
+    }
 
   (* Final step shared by the product-scanning routines below: [dest]
      holds (x + q*m)/R < 2m split across k limbs plus an overflow bit
@@ -433,97 +382,27 @@ module Mont = struct
       done
     end
 
-  (* base^exp mod m: plain left-to-right binary for short exponents,
-     4-bit windows (15 precomputed odd-and-even powers) when the table
-     cost amortizes — a 768-bit private exponent does ~206 multiplies
-     instead of ~384. *)
-  let pow ctx b e =
-    let k = ctx.k in
-    if is_zero e then rem one ctx.m
-    else begin
-      let b = rem b ctx.m in
-      let t = Array.make ((2 * k) + 1) 0 in
-      let bm = Array.make k 0 in
-      mul_into ctx ~t ~dest:bm (pad k b) ctx.r2;
-      let acc = Array.make k 0 in
-      let nbits = bit_length e in
-      if nbits <= 64 then begin
-        Array.blit bm 0 acc 0 k;
-        for i = nbits - 2 downto 0 do
-          mul_into ctx ~t ~dest:acc acc acc;
-          if testbit e i then mul_into ctx ~t ~dest:acc acc bm
-        done
-      end
-      else begin
-        let tbl = Array.init 16 (fun _ -> Array.make k 0) in
-        Array.blit bm 0 tbl.(1) 0 k;
-        for i = 2 to 15 do
-          mul_into ctx ~t ~dest:tbl.(i) tbl.(i - 1) bm
-        done;
-        let nwin = (nbits + 3) / 4 in
-        let started = ref false in
-        for wdx = nwin - 1 downto 0 do
-          if !started then
-            for _ = 1 to 4 do
-              mul_into ctx ~t ~dest:acc acc acc
-            done;
-          let lo = 4 * wdx in
-          let nib =
-            (if testbit e (lo + 3) then 8 else 0)
-            lor (if testbit e (lo + 2) then 4 else 0)
-            lor (if testbit e (lo + 1) then 2 else 0)
-            lor if testbit e lo then 1 else 0
-          in
-          if nib <> 0 then begin
-            if !started then mul_into ctx ~t ~dest:acc acc tbl.(nib)
-            else begin
-              Array.blit tbl.(nib) 0 acc 0 k;
-              started := true
-            end
-          end
-        done
-      end;
-      (* Leave Montgomery form: REDC(acc * 1). *)
-      let one_limbs = Array.make k 0 in
-      one_limbs.(0) <- 1;
-      mul_into ctx ~t ~dest:acc acc one_limbs;
-      normalize acc
-    end
-
-  (* Scratch for a run of exponentiations under one context: the REDC
-     temporary, the Montgomery-form base, the accumulator and a
-     one-in-limbs constant, allocated once and reused across a whole
-     batch of signatures (DESIGN.md §17). *)
-  type scratch = {
-    s_q : int array; (* per-column reduction quotients, k limbs *)
-    s_acc : int array;
-    s_base : int array; (* base, padded to k limbs *)
-  }
-
-  let scratch ctx =
-    let k = ctx.k in
-    { s_q = Array.make k 0; s_acc = Array.make k 0; s_base = Array.make k 0 }
-
   (* Product-scanning (Comba) Montgomery multiply: one pass over the
      2k-1 columns of a*b, interleaving the reduction — each low column
      fixes its quotient limb q_col and is cancelled on the spot, each
      high column emits a result limb. The running column sum lives in
-     one machine word (26-bit limbs leave ~2^10 headroom over the
-     worst-case 2k products of 2^52 per column), so unlike [mul_into]
-     there is no double-width temporary to fill, re-read and re-write.
-     [dest] may alias [a] or [b]: limb [col-k] is dead in every later
-     column by the time it is overwritten. *)
+     one machine word (see [max_limbs]), so there is no double-width
+     temporary to fill, re-read and re-write; a*b and q*m share their
+     index range in every column and are summed in one loop. [a], [b]
+     and [dest] have k limbs, [a], [b] < m. [dest] may alias [a] or
+     [b]: limb [col-k] is dead in every later column by the time it is
+     overwritten. *)
   let mul_mont ctx s ~dest a b =
     let k = ctx.k and n = ctx.m and n0' = ctx.n0' in
     let q = s.s_q in
     let acc = ref 0 in
     for col = 0 to k - 1 do
-      let sum = ref !acc in
-      for i = 0 to col do
-        sum := !sum + (Array.unsafe_get a i * Array.unsafe_get b (col - i))
-      done;
-      for j = 0 to col - 1 do
-        sum := !sum + (Array.unsafe_get q j * Array.unsafe_get n (col - j))
+      let sum = ref (!acc + (Array.unsafe_get a col * Array.unsafe_get b 0)) in
+      for i = 0 to col - 1 do
+        sum :=
+          !sum
+          + (Array.unsafe_get a i * Array.unsafe_get b (col - i))
+          + (Array.unsafe_get q i * Array.unsafe_get n (col - i))
       done;
       let qc = !sum * n0' land limb_mask in
       Array.unsafe_set q col qc;
@@ -532,10 +411,10 @@ module Mont = struct
     for col = k to (2 * k) - 2 do
       let sum = ref !acc in
       for i = col - k + 1 to k - 1 do
-        sum := !sum + (Array.unsafe_get a i * Array.unsafe_get b (col - i))
-      done;
-      for j = col - k + 1 to k - 1 do
-        sum := !sum + (Array.unsafe_get q j * Array.unsafe_get n (col - j))
+        sum :=
+          !sum
+          + (Array.unsafe_get a i * Array.unsafe_get b (col - i))
+          + (Array.unsafe_get q i * Array.unsafe_get n (col - i))
       done;
       Array.unsafe_set dest (col - k) (!sum land limb_mask);
       acc := !sum lsr bits_per_limb
@@ -546,8 +425,7 @@ module Mont = struct
   (* Product-scanning Montgomery squaring: as [mul_mont], but each
      column sums only the distinct cross products a_i*a_j (i < j),
      doubled in-register, plus the diagonal term — about half the
-     multiply work. The 16 squarings of an e=65537 exponentiation all
-     land here. *)
+     multiply work. Most of an exponentiation's products land here. *)
   let sqr_mont ctx s ~dest a =
     let k = ctx.k and n = ctx.m and n0' = ctx.n0' in
     let q = s.s_q in
@@ -589,29 +467,80 @@ module Mont = struct
     Array.unsafe_set dest (k - 1) (!acc land limb_mask);
     final_sub ctx ~dest (!acc lsr bits_per_limb)
 
-  (* [b]^65537 mod m for [b < m], through caller-owned scratch: the
-     fixed 2^16 + 1 exponent is one to-Montgomery conversion, sixteen
-     dedicated squarings ([sqr_mont]), and one closing multiply by the
-     *plain* base — REDC(b^(2^16)*R * b) = b^(2^16+1) mod m, so the
-     final multiply and the conversion out of Montgomery form collapse
-     into a single step. No window table, no testbit walk, and no
-     allocation beyond the normalized result. This is the whole
-     per-signature cost of an RSA verification once the context and
-     scratch are amortized across a batch. *)
-  let pow_e65537 ctx s b =
+  (* base^exp mod m, left to right over sliding windows: each window is
+     a run of at most [w] exponent bits ending in a set bit, so it
+     names an odd power of the base. Exponents up to 64 bits use w = 1
+     (square-and-multiply, no table); longer ones w = 5 (16 odd powers
+     precomputed) — a 384-bit CRT half-exponent then costs ~384
+     squarings and ~64 multiplies. When the last step multiplies by the
+     base itself it multiplies by the *plain* base instead:
+     REDC(x*R * b) = x*b mod m, so that one product also leaves
+     Montgomery form, and e = 65537 costs one conversion in, sixteen
+     squarings and one multiply. *)
+  let pow ?scratch:s ctx b e =
     let k = ctx.k in
-    Array.fill s.s_base 0 k 0;
-    Array.blit b 0 s.s_base 0 (Array.length b);
-    mul_mont ctx s ~dest:s.s_acc s.s_base ctx.r2;
-    for _ = 1 to 16 do
-      sqr_mont ctx s ~dest:s.s_acc s.s_acc
-    done;
-    mul_mont ctx s ~dest:s.s_acc s.s_acc s.s_base;
-    let n = ref k in
-    while !n > 0 && s.s_acc.(!n - 1) = 0 do
-      decr n
-    done;
-    Array.sub s.s_acc 0 !n
+    if is_zero e then one
+    else begin
+      let s = match s with Some s -> s | None -> scratch ctx in
+      let b = rem b ctx.m in
+      Array.fill s.s_base 0 k 0;
+      Array.blit b 0 s.s_base 0 (Array.length b);
+      mul_mont ctx s ~dest:s.s_bm s.s_base ctx.r2;
+      let nbits = bit_length e in
+      let w = if nbits <= 64 then 1 else 5 in
+      let odd = Array.make (1 lsl (w - 1)) s.s_bm in
+      if w > 1 then begin
+        let b2 = Array.make k 0 in
+        sqr_mont ctx s ~dest:b2 s.s_bm;
+        for j = 1 to Array.length odd - 1 do
+          let d = Array.make k 0 in
+          mul_mont ctx s ~dest:d odd.(j - 1) b2;
+          odd.(j) <- d
+        done
+      end;
+      let acc = s.s_acc in
+      let started = ref false and plain = ref false in
+      let i = ref (nbits - 1) in
+      while !i >= 0 do
+        if not (testbit e !i) then begin
+          (* [acc] is live: bit nbits-1 is set, so a window came first. *)
+          sqr_mont ctx s ~dest:acc acc;
+          decr i
+        end
+        else begin
+          let j = ref (max 0 (!i - w + 1)) in
+          while not (testbit e !j) do
+            incr j
+          done;
+          let v = ref 0 in
+          for bit = !i downto !j do
+            v := (!v lsl 1) lor if testbit e bit then 1 else 0;
+            if !started then sqr_mont ctx s ~dest:acc acc
+          done;
+          if not !started then begin
+            Array.blit odd.(!v lsr 1) 0 acc 0 k;
+            started := true
+          end
+          else if !j = 0 && !v = 1 then begin
+            mul_mont ctx s ~dest:acc acc s.s_base;
+            plain := true
+          end
+          else mul_mont ctx s ~dest:acc acc odd.(!v lsr 1);
+          i := !j - 1
+        end
+      done;
+      if not !plain then begin
+        (* Leave Montgomery form: REDC(acc * 1). *)
+        Array.fill s.s_base 0 k 0;
+        s.s_base.(0) <- 1;
+        mul_mont ctx s ~dest:acc acc s.s_base
+      end;
+      let n = ref k in
+      while !n > 0 && acc.(!n - 1) = 0 do
+        decr n
+      done;
+      Array.sub acc 0 !n
+    end
 end
 
 let mod_pow b e m =

@@ -57,9 +57,9 @@ val testbit : t -> int -> bool
 val is_even : t -> bool
 
 val mod_pow : t -> t -> t -> t
-(** [mod_pow base exp m] is [base^exp mod m]. Odd moduli of at least
-    two limbs go through {!Mont} (REDC with a 4-bit window); everything
-    else falls back to {!mod_pow_classic}.
+(** [mod_pow base exp m] is [base^exp mod m]. Odd moduli {!Mont.make}
+    accepts go through {!Mont.pow}; everything else falls back to
+    {!mod_pow_classic}.
     @raise Division_by_zero if [m] is zero. *)
 
 val mod_pow_classic : t -> t -> t -> t
@@ -70,34 +70,36 @@ val mod_pow_classic : t -> t -> t -> t
 (** Montgomery-form modular exponentiation. A context precomputes
     [-m^-1 mod 2^26] and [R^2 mod m] for one odd modulus; callers that
     verify or sign repeatedly under the same key cache the context
-    (see {!Rsa}) so each exponentiation pays no division at all. *)
+    (see {!Crypto_backend.mont_of}) so each exponentiation pays no
+    division at all. Every product runs through one single-pass
+    product-scanning multiply/square kernel. *)
 module Mont : sig
   type ctx
-  (** Precomputed state for one odd modulus of >= 2 limbs. *)
+  (** Precomputed state for one odd modulus of 2 to 500 limbs. *)
 
   val make : t -> ctx option
-  (** [make m] is [None] when [m] is even or fits in a single limb
-      (callers should use {!mod_pow_classic} there). *)
+  (** [make m] is [None] when [m] is even, fits in a single limb, or is
+      wider than 500 limbs (13,000 bits), where the kernel's one-word
+      column sums could overflow (callers should use
+      {!mod_pow_classic} there). *)
 
   val modulus : ctx -> t
   (** The modulus the context was built for. *)
 
-  val pow : ctx -> t -> t -> t
-  (** [pow ctx base exp] is [base^exp mod (modulus ctx)]. *)
-
   type scratch
   (** Reusable working storage for a run of exponentiations under one
-      context: the REDC temporary and the Montgomery-form operands,
-      allocated once per batch instead of once per call. *)
+      context: the reduction quotients and the operands, allocated once
+      per batch instead of once per call. *)
 
   val scratch : ctx -> scratch
 
-  val pow_e65537 : ctx -> scratch -> t -> t
-  (** [pow_e65537 ctx s b] is [b^65537 mod (modulus ctx)] for
-      [b < modulus ctx], via the fixed 2{^16}+1 addition chain
-      (sixteen squarings and one multiply) with all intermediates in
-      caller-owned scratch — the amortized inner loop of
-      {!Rsa.verify_batch}. *)
+  val pow : ?scratch:scratch -> ctx -> t -> t -> t
+  (** [pow ctx base exp] is [base^exp mod (modulus ctx)], by sliding
+      windows (square-and-multiply up to 64-bit exponents, so
+      e = 65537 costs sixteen squarings and one multiply). With
+      [~scratch] the intermediates live in that storage, which must
+      come from [scratch ctx] and must not be shared between domains;
+      otherwise a fresh one is allocated. *)
 end
 
 val mod_inv : t -> t -> t option

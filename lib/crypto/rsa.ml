@@ -159,11 +159,9 @@ let verify (key : public_key) ~msg ~signature =
 (* Verifying a chunk's signatures together amortizes everything that
    [verify] pays per call: the Montgomery context and fingerprint
    lookups are hoisted per group of triples sharing a modulus (probed
-   by physical identity, as in {!Crypto_backend.mont_of}), one
-   [Bignum.Mont.scratch] allocation serves the whole group, and keys
-   with e = 65537 — every key this codebase generates — take the fixed
-   addition-chain exponentiation [Bignum.Mont.pow_e65537] instead of
-   the windowed general path. Each signature is still verified
+   by physical identity, as in {!Crypto_backend.mont_of}), and one
+   [Bignum.Mont.scratch] allocation serves every exponentiation of the
+   group. Each signature is still verified
    individually (a combined product check would be unsound without
    random blinding: two wrong signatures can cancel), so the result
    vector is byte-for-byte what per-signature [verify] returns and a
@@ -212,9 +210,7 @@ let verify_batch (items : (public_key * string * string) array) =
         let len = (Bignum.bit_length modulus + 7) / 8 in
         let buf = em_buf_for len in
         let ctx = Crypto_backend.mont_of modulus in
-        let scratch =
-          match ctx with Some c -> Some (Bignum.Mont.scratch c) | None -> None
-        in
+        let scratch = Option.map Bignum.Mont.scratch ctx in
         List.iter
           (fun (i, (key : public_key), digest, fp) ->
             let _, _, signature = Array.unsafe_get items i in
@@ -222,11 +218,9 @@ let verify_batch (items : (public_key * string * string) array) =
             if Bignum.compare s modulus < 0 then begin
               Metrics.incr "crypto.rsa_verifies";
               let m =
-                match (ctx, scratch) with
-                | Some c, Some sc when Bignum.equal key.e e_value ->
-                  Bignum.Mont.pow_e65537 c sc s
-                | Some c, _ -> Bignum.Mont.pow c s key.e
-                | _ -> Bignum.mod_pow s key.e modulus
+                match ctx with
+                | Some c -> Bignum.Mont.pow ?scratch c s key.e
+                | None -> Bignum.mod_pow s key.e modulus
               in
               if em_matches buf ~len ~digest m then begin
                 results.(i) <- true;

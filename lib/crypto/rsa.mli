@@ -47,9 +47,8 @@ val verify_batch : (public_key * string * string) array -> bool array
     signature is verified individually (a combined product check is
     unsound without random blinding) — but amortizes the per-call
     setup across triples sharing a modulus: one Montgomery context and
-    fingerprint lookup, one REDC scratch allocation, one output buffer
-    per group, and the fixed e = 65537 addition chain
-    ({!Bignum.Mont.pow_e65537}). {!Sigcache} hits are honored before
+    fingerprint lookup, one {!Bignum.Mont.scratch} allocation and one
+    output buffer per group. {!Sigcache} hits are honored before
     any exponentiation, and successes are remembered, as in {!verify}.
     Under a non-default {!Crypto_backend} every element falls back to
     plain {!verify}. *)

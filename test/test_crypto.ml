@@ -288,8 +288,8 @@ let prop_mont_matches_classic =
       let e = Bignum.random_bits rng ebits in
       Bignum.equal (Bignum.mod_pow b e m) (Bignum.mod_pow_classic b e m))
 
-let prop_mont_pow_e65537 =
-  qtest ~count:60 "bignum: pow_e65537 = classic b^65537"
+let prop_mont_pow_scratch =
+  qtest ~count:60 "bignum: Mont.pow reused scratch"
     QCheck2.Gen.(pair (int_range 60 512) (int_range 0 1_000_000))
     (fun (mbits, seed) ->
       let rng = Rng.create (Int64.of_int ((mbits * 999_983) + seed)) in
@@ -300,13 +300,18 @@ let prop_mont_pow_e65537 =
       match Bignum.Mont.make m with
       | None -> QCheck2.assume_fail ()
       | Some ctx ->
-        let s = Bignum.Mont.scratch ctx in
+        let scratch = Bignum.Mont.scratch ctx in
         let e = Bignum.of_int 65537 in
-        (* Run twice through the same scratch: reuse must not leak
-           state between exponentiations. *)
+        (* Several bases through the same scratch, interleaved with a
+           windowed exponent: reuse must not leak state between
+           exponentiations. *)
+        let long_e = Bignum.random_bits rng 200 in
         List.for_all
           (fun b ->
-            Bignum.equal (Bignum.Mont.pow_e65537 ctx s b) (Bignum.mod_pow_classic b e m))
+            Bignum.equal (Bignum.Mont.pow ~scratch ctx b e) (Bignum.mod_pow_classic b e m)
+            && Bignum.equal
+                 (Bignum.Mont.pow ~scratch ctx b long_e)
+                 (Bignum.mod_pow_classic b long_e m))
           [ Bignum.random_below rng m; Bignum.random_below rng m; Bignum.zero; Bignum.one ])
 
 let test_mont_make_guards () =
@@ -315,6 +320,19 @@ let test_mont_make_guards () =
   Alcotest.(check bool) "even rejected" true (Bignum.Mont.make even = None);
   Alcotest.(check bool) "single limb rejected" true
     (Bignum.Mont.make (Bignum.of_int 1_000_003) = None);
+  (* Past 500 limbs a kernel column sum could overflow a native int,
+     so such moduli get no context and mod_pow takes the classic
+     ladder instead. *)
+  let wide = Bignum.add_int (Bignum.shift_left Bignum.one (501 * 26)) 1 in
+  Alcotest.(check bool) "over-wide rejected" true (Bignum.Mont.make wide = None);
+  let widest = Bignum.sub_int (Bignum.shift_left Bignum.one (500 * 26)) 1 in
+  (match Bignum.Mont.make widest with
+  | None -> Alcotest.fail "500-limb modulus rejected"
+  | Some c ->
+    (* All-ones limbs: the widest columns the kernel accepts. *)
+    let b = Bignum.sub_int widest 2 and e = Bignum.of_int 3 in
+    Alcotest.(check bool) "widest pow matches classic" true
+      (Bignum.equal (Bignum.Mont.pow c b e) (Bignum.mod_pow_classic b e widest)));
   match Bignum.Mont.make odd with
   | None -> Alcotest.fail "odd wide modulus accepted"
   | Some c ->
@@ -368,7 +386,17 @@ let test_rsa_crt_consistency () =
   let em = Bignum.to_bytes_be ~len:64 m in
   Alcotest.(check bool) "padding prefix" true (String.sub em 0 2 = "\x00\x01");
   Alcotest.(check string) "digest tail" (Sha256.digest msg)
-    (String.sub em (64 - 32) 32)
+    (String.sub em (64 - 32) 32);
+  (* And the two windowed half-exponentiations must equal the plain
+     m^d mod n of the classic ladder, message after message. *)
+  for i = 1 to 8 do
+    let msg = Printf.sprintf "crt check %d" i in
+    let s = Bignum.of_bytes_be (Rsa.sign priv msg) in
+    let m = Bignum.mod_pow s kp.Rsa.public.Rsa.e priv.Rsa.n in
+    Alcotest.(check string) (Printf.sprintf "m^d, message %d" i)
+      (Bignum.to_hex (Bignum.mod_pow_classic m priv.Rsa.d priv.Rsa.n))
+      (Bignum.to_hex s)
+  done
 
 let test_rsa_public_key_roundtrip () =
   let rng = Rng.create 61L in
@@ -749,7 +777,7 @@ let () =
         [
           Alcotest.test_case "make guards" `Quick test_mont_make_guards;
           prop_mont_matches_classic;
-          prop_mont_pow_e65537;
+          prop_mont_pow_scratch;
         ] );
       ( "rsa",
         [
