@@ -3,7 +3,7 @@
 # observability smoke (record, audit with --metrics, assert counters),
 # and the fault-vs-verdict sweep.
 
-.PHONY: verify build test bench-smoke bench obs-smoke fault-smoke crypto-smoke backend-crosscheck fleet-smoke fleet-bench dedup-smoke dedup-bench service-smoke service-bench equiv-smoke equiv-bench bench-check clean
+.PHONY: verify build test bench-smoke bench obs-smoke fault-smoke crypto-smoke backend-crosscheck fleet-smoke fleet-bench dedup-smoke dedup-bench service-smoke service-bench equiv-smoke equiv-bench bench-check loc clean
 
 verify: build test bench-smoke obs-smoke fault-smoke crypto-smoke backend-crosscheck fleet-smoke dedup-smoke service-smoke equiv-smoke bench-check
 
@@ -15,7 +15,9 @@ test:
 
 # Two passes: sequential and 4-way parallel. The bench exits non-zero
 # (failing this target) whenever any verdict cross-check — list vs
-# segment, sequential vs parallel, honest vs tampered — mismatches.
+# segment, sequential vs parallel syntactic pass, honest vs tampered —
+# mismatches. The semantic pass is one sequential replay at any job
+# count, so only the syntactic pass has a parallel arm to time.
 # Smoke artifacts land under _build/ so an interrupted run never
 # strands a stray file in the repo root.
 bench-smoke:
@@ -134,6 +136,11 @@ equiv-bench:
 # carry its required keys with nonzero rates.
 bench-check:
 	dune exec bin/avm_bench_check.exe
+
+# Source size ROADMAP tracks: .ml + .mli line totals of lib/ and lib/core.
+loc:
+	@printf 'lib/      %6d\n' $$(cat $$(find lib -name '*.ml' -o -name '*.mli') | wc -l)
+	@printf 'lib/core  %6d\n' $$(cat lib/core/*.ml lib/core/*.mli | wc -l)
 
 clean:
 	dune clean

@@ -8,9 +8,9 @@
      streamed segment-by-segment off the compressed store;
    - semantic entries/sec: deterministic replay via
      Replay.replay_chunks over the same segment feed;
-   - the same two passes with a --jobs N domain pool (parallel
-     syntactic over sealed segments, snapshot-partitioned parallel
-     replay), reported as speedups over the sequential pass;
+   - the syntactic pass with a --jobs N domain pool (one stream per
+     sealed segment, stitched), reported as a speedup over the
+     sequential pass;
    - the at-rest compression ratio of the audited log;
 
    and cross-checks that (a) the segment-driven audit reaches the same
@@ -185,13 +185,12 @@ let () =
     exit 1
   end;
 
-  (* Parallel cross-check, honest session: the parallel audit (and its
-     snapshot-partitioned semantic pass) must reproduce the sequential
-     report exactly — same counters, same failures, same verdict. *)
-  let snapshots = Avmm.snapshots avmm in
+  (* Parallel cross-check, honest session: the parallel audit must
+     reproduce the sequential report exactly — same counters, same
+     failures, same verdict. *)
   let full_par =
     Audit.full_of_log ~ctx ~image:guest_image ~mem_words:4096 ~peers:peers_b ~log
-      ~snapshots ~par:(Audit.parallel jobs) ()
+      ~par:(Audit.parallel jobs) ()
   in
   if
     not
@@ -266,37 +265,20 @@ let () =
           Printf.eprintf "FATAL: honest log diverged: %s\n" d.Replay.detail;
           exit 1)
   in
-  let syntactic_rate_par, semantic_rate_par =
-    if jobs = 1 then (syntactic_rate, semantic_rate)
+  let syntactic_rate_par =
+    if jobs = 1 then syntactic_rate
     else
       Avm_util.Domain_pool.with_pool ~jobs (fun pool ->
           let par = Audit.parallel ~pool jobs in
-          let syn =
-            rate ~min_seconds ~units:n (fun () ->
-                ignore (Audit.syntactic_of_log ~ctx ~log ~par ()))
-          in
-          let sem =
-            rate ~min_seconds ~units:n (fun () ->
-                authenticate_inputs ();
-                match
-                  Spot_check.parallel_replay ~par ~image:guest_image ~mem_words:4096
-                    ~snapshots ~log ~peers:peers_b ()
-                with
-                | Replay.Verified _ -> ()
-                | Replay.Diverged d ->
-                  Printf.eprintf "FATAL: honest log diverged in parallel replay: %s\n"
-                    d.Replay.detail;
-                  exit 1)
-          in
-          (syn, sem))
+          rate ~min_seconds ~units:n (fun () ->
+              ignore (Audit.syntactic_of_log ~ctx ~log ~par ())))
   in
   let syntactic_speedup = syntactic_rate_par /. syntactic_rate in
-  let semantic_speedup = semantic_rate_par /. semantic_rate in
   let ratio = Log.compression_ratio log in
   Printf.printf "syntactic: %.0f entries/sec (x%.2f at %d jobs; %.1f MB/s hashed, %.0f rsa verifies/s)\n%!"
     syntactic_rate syntactic_speedup jobs syn_hash_mb syn_rsa_verifies;
-  Printf.printf "semantic:  %.0f entries/sec (x%.2f at %d jobs; %.1f MB/s hashed, %.0f rsa verifies/s)\n%!"
-    semantic_rate semantic_speedup jobs sem_hash_mb sem_rsa_verifies;
+  Printf.printf "semantic:  %.0f entries/sec (%.1f MB/s hashed, %.0f rsa verifies/s)\n%!"
+    semantic_rate sem_hash_mb sem_rsa_verifies;
   Printf.printf "compression: %.2fx (%d -> %d bytes at rest)\n%!" ratio (Log.byte_size log)
     (Log.stored_bytes log);
   let net_retransmissions = lossy_retransmissions ~virtual_seconds:(if !smoke then 1.0 else 3.0) in
@@ -322,7 +304,6 @@ let () =
     \  \"semantic_rsa_verifies_per_sec\": %.1f,\n\
     \  \"parallel_jobs\": %d,\n\
     \  \"syntactic_speedup\": %.3f,\n\
-    \  \"semantic_speedup\": %.3f,\n\
     \  \"log_bytes\": %d,\n\
     \  \"stored_bytes\": %d,\n\
     \  \"compression_ratio\": %.3f,\n\
@@ -331,7 +312,7 @@ let () =
     \  \"metrics\": %s\n\
      }\n"
     !slices n nsegs syntactic_rate syn_hash_mb syn_rsa_verifies semantic_rate sem_hash_mb
-    sem_rsa_verifies jobs syntactic_speedup semantic_speedup
+    sem_rsa_verifies jobs syntactic_speedup
     (Log.byte_size log) (Log.stored_bytes log) ratio verdict_match net_retransmissions metrics;
   close_out oc;
   Printf.printf "wrote %s\n%!" !out

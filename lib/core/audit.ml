@@ -27,15 +27,6 @@ type syntactic_report = {
   failures : string list;
 }
 
-(* Both the streaming fold and the parallel stitcher account through
-   here, so the [audit.*] counters agree with the report whichever
-   path produced it. *)
-let record_syntactic_metrics r =
-  Metrics.incr ~by:r.entries_checked "audit.entries_checked";
-  Metrics.incr ~by:r.auths_matched "audit.auths_matched";
-  Metrics.incr ~by:r.recv_signatures_verified "audit.recv_signatures_verified";
-  Metrics.incr ~by:(List.length r.failures) "audit.failures"
-
 (* The syntactic check as an incremental stream: all five checks
    (hash chain, authenticator matching, RECV sender signatures, send
    acknowledgement, input-stream cross-references) run against one
@@ -44,15 +35,26 @@ let record_syntactic_metrics r =
    arrive and read failures mid-stream. Only the collected
    authenticators — a set far smaller than the log — are pre-indexed
    up front; obligations that can only be settled once the cut point
-   is known (unacked sends) are resolved by [syn_finish]. *)
-(* A failure-stream cell: either a finished message or the positional
-   placeholder of a deferred RECV signature check. Deferring lets the
-   stream hand whole batches to [Rsa.verify_batch]; a placeholder that
-   verifies is dropped at flush time, one that fails becomes its
-   message in exactly the position an immediate check would have put
-   it, so the resolved failure list is byte-identical to the old
-   entry-at-a-time stream. *)
-type syn_cell = Cell_msg of string | Cell_sig of int  (* index into the pending batch *)
+   is known (unacked sends) are resolved by [syn_finish].
+
+   The parallel pass runs the very same stream over each chunk of the
+   log and stitches the chunk streams (see [stitch]); a chunk stream
+   differs only in leaving two facts that cross a chunk boundary to
+   the stitcher, as cells of its failure list. *)
+type syn_cell =
+  | Cell_msg of string
+  | Cell_sig of int
+      (* a deferred RECV signature check, index into the pending batch:
+         one that verifies is dropped at flush time, one that fails
+         becomes its message in exactly the position an immediate check
+         would have put it *)
+  | Cell_chain of string
+      (* a chain failure; the stitcher drops it when an earlier chunk
+         already broke, reproducing the single "first break only" flag *)
+  | Cell_xref of int * int
+      (* (entry seq, msg seq): an rx read of an entry that is not a RECV
+         of this chunk — the stitcher resolves it against the RECVs of
+         earlier chunks *)
 
 (* Flush once this many signature checks are queued; bounds both the
    placeholder scan and the batch array. *)
@@ -63,6 +65,7 @@ type syn_stream = {
   ss_peer_certs : (string * Avm_crypto.Identity.certificate) list;
   ss_ack_grace : int;
   ss_auth_by_seq : (int, Auth.t) Hashtbl.t;
+  ss_defer_xrefs : bool; (* a chunk stream after the first chunk *)
   mutable ss_failures : syn_cell list; (* newest first *)
   mutable ss_nfail : int; (* resolved failures only *)
   mutable ss_entries_checked : int;
@@ -85,12 +88,12 @@ type syn_stream = {
   mutable ss_pending_sends : int list;
 }
 
-let syn_fail s fmt =
-  Printf.ksprintf
-    (fun m ->
-      s.ss_failures <- Cell_msg m :: s.ss_failures;
-      s.ss_nfail <- s.ss_nfail + 1)
-    fmt
+let push_cell s c =
+  s.ss_failures <- c :: s.ss_failures;
+  s.ss_nfail <- s.ss_nfail + 1
+
+let syn_fail s fmt = Printf.ksprintf (fun m -> push_cell s (Cell_msg m)) fmt
+let xref_failure seq msg = Printf.sprintf "entry #%d: rx read references non-RECV entry %d" seq msg
 
 (* Resolve every queued signature check: one batched verification,
    then placeholders collapse in place. *)
@@ -106,7 +109,6 @@ let syn_flush s =
     s.ss_failures <-
       List.filter_map
         (function
-          | Cell_msg _ as c -> Some c
           | Cell_sig i ->
             if verdicts.(i) then begin
               s.ss_recv_sigs <- s.ss_recv_sigs + 1;
@@ -116,43 +118,69 @@ let syn_flush s =
               let seq, _, _, _ = pending.(i) in
               s.ss_nfail <- s.ss_nfail + 1;
               Some (Cell_msg (Printf.sprintf "entry #%d: forged RECV — sender signature invalid" seq))
-            end)
+            end
+          | c -> Some c)
         s.ss_failures
   end
 
-let syn_stream ~ctx:{ node_cert; peer_certs; auths; ack_grace } ~prev_hash =
-  let s =
-    {
-      ss_node = Avm_crypto.Identity.cert_name node_cert;
-      ss_peer_certs = peer_certs;
-      ss_ack_grace = ack_grace;
-      ss_auth_by_seq = Hashtbl.create 256;
-      ss_failures = [];
-      ss_nfail = 0;
-      ss_entries_checked = 0;
-      ss_auths_matched = 0;
-      ss_recv_sigs = 0;
-      ss_sig_pending = [];
-      ss_sig_npending = 0;
-      ss_prev = prev_hash;
-      ss_expected_seq = -1;
-      ss_chain_broken = false;
-      ss_first_seq = -1;
-      ss_last_seq = 0;
-      ss_recv_seqs = Hashtbl.create 256;
-      ss_acked = Hashtbl.create 64;
-      ss_pending_sends = [];
-    }
-  in
-  (* Authenticators: verify signatures — batched, they share the one
-     node key — and index by seq (not a pass over the entry stream). *)
-  let mine = Array.of_list (List.filter (fun (a : Auth.t) -> String.equal a.node s.ss_node) auths) in
+(* Authenticator signature checks share the one node key, so a slice
+   goes through one batched verification. The parallel pass verifies
+   slices on its pool; order is preserved so both the failure list and
+   the [Hashtbl.add] order (which [find_all] reflects) match a single
+   pass. *)
+let verify_auth_slice ~node ~node_cert slice =
+  let mine = Array.of_list (List.filter (fun (a : Auth.t) -> String.equal a.node node) slice) in
   let verdicts = Auth.verify_batch (Array.map (fun a -> (node_cert, a)) mine) in
+  let oks = ref [] in
+  let fails = ref [] in
   Array.iteri
     (fun i (a : Auth.t) ->
-      if verdicts.(i) then Hashtbl.add s.ss_auth_by_seq a.seq a
-      else syn_fail s "authenticator #%d: bad signature or inconsistent hash" a.seq)
+      if verdicts.(i) then oks := a :: !oks
+      else
+        fails :=
+          Printf.sprintf "authenticator #%d: bad signature or inconsistent hash" a.seq :: !fails)
     mine;
+  (List.rev !oks, List.rev !fails)
+
+let index_auths verified =
+  let tbl = Hashtbl.create 256 in
+  List.iter (fun (oks, _) -> List.iter (fun (a : Auth.t) -> Hashtbl.add tbl a.seq a) oks) verified;
+  tbl
+
+let make_stream ~(ctx : ctx) ~auth_by_seq ~defer_xrefs ~prev_hash ~expected_seq ~first_seq =
+  {
+    ss_node = Avm_crypto.Identity.cert_name ctx.node_cert;
+    ss_peer_certs = ctx.peer_certs;
+    ss_ack_grace = ctx.ack_grace;
+    ss_auth_by_seq = auth_by_seq;
+    ss_defer_xrefs = defer_xrefs;
+    ss_failures = [];
+    ss_nfail = 0;
+    ss_entries_checked = 0;
+    ss_auths_matched = 0;
+    ss_recv_sigs = 0;
+    ss_sig_pending = [];
+    ss_sig_npending = 0;
+    ss_prev = prev_hash;
+    ss_expected_seq = expected_seq;
+    ss_chain_broken = false;
+    ss_first_seq = first_seq;
+    ss_last_seq = 0;
+    ss_recv_seqs = Hashtbl.create 256;
+    ss_acked = Hashtbl.create 64;
+    ss_pending_sends = [];
+  }
+
+let syn_stream ~ctx ~prev_hash =
+  let node = Avm_crypto.Identity.cert_name ctx.node_cert in
+  let ((_, auth_failures) as verified) =
+    verify_auth_slice ~node ~node_cert:ctx.node_cert ctx.auths
+  in
+  let s =
+    make_stream ~ctx ~auth_by_seq:(index_auths [ verified ]) ~defer_xrefs:false ~prev_hash
+      ~expected_seq:(-1) ~first_seq:(-1)
+  in
+  List.iter (fun m -> push_cell s (Cell_msg m)) auth_failures;
   s
 
 (* [hash_derived] marks entries whose [hash] field was recomputed from
@@ -167,11 +195,13 @@ let syn_push_gen ~hash_derived s (e : Entry.t) =
   if not s.ss_chain_broken then begin
     if s.ss_expected_seq >= 0 && e.seq <> s.ss_expected_seq then begin
       s.ss_chain_broken <- true;
-      syn_fail s "chain: sequence gap: expected %d, found %d" s.ss_expected_seq e.seq
+      push_cell s
+        (Cell_chain
+           (Printf.sprintf "chain: sequence gap: expected %d, found %d" s.ss_expected_seq e.seq))
     end
     else if (not hash_derived) && not (Entry.chain_ok ~prev:s.ss_prev e) then begin
       s.ss_chain_broken <- true;
-      syn_fail s "chain: hash chain broken at entry %d" e.seq
+      push_cell s (Cell_chain (Printf.sprintf "chain: hash chain broken at entry %d" e.seq))
     end
   end;
   s.ss_prev <- e.hash;
@@ -203,17 +233,26 @@ let syn_push_gen ~hash_derived s (e : Entry.t) =
   | Entry.Exec (Avm_machine.Event.Io_in { msg; _ }) when msg >= 0 ->
     if msg >= e.seq then syn_fail s "entry #%d: rx read references future entry %d" e.seq msg
     else if msg >= s.ss_first_seq && not (Hashtbl.mem s.ss_recv_seqs msg) then
-      syn_fail s "entry #%d: rx read references non-RECV entry %d" e.seq msg
-    (* references before this segment are validated by earlier audits *)
+      if s.ss_defer_xrefs then s.ss_failures <- Cell_xref (e.seq, msg) :: s.ss_failures
+      else push_cell s (Cell_msg (xref_failure e.seq msg))
+    (* references before the audited range are validated by earlier audits *)
   | _ -> ()
 
 let syn_push s e = syn_push_gen ~hash_derived:false s e
+
+(* A chunk backed by a compressed segment only pays the full hash check
+   on its first entry — the link into the chunk — because inflation
+   recomputed every hash inside it from that same chain. *)
+let push_chunk s ~derived entries =
+  List.iteri (fun i e -> syn_push_gen ~hash_derived:(derived && i > 0) s e) entries
 
 let syn_failure_count s =
   syn_flush s;
   s.ss_nfail
 
-let cell_msg = function Cell_msg m -> m | Cell_sig _ -> assert false (* flushed *)
+let cell_msg = function
+  | Cell_msg m | Cell_chain m -> m
+  | Cell_sig _ | Cell_xref _ -> assert false (* flushed; xrefs defer only in chunk streams *)
 
 let syn_failures s =
   syn_flush s;
@@ -237,42 +276,24 @@ let syn_finish s =
         syn_fail s "entry #%d: SEND was never acknowledged" seq)
     (List.sort compare s.ss_pending_sends);
   let report = syn_report s in
-  record_syntactic_metrics report;
+  Metrics.incr ~by:report.entries_checked "audit.entries_checked";
+  Metrics.incr ~by:report.auths_matched "audit.auths_matched";
+  Metrics.incr ~by:report.recv_signatures_verified "audit.recv_signatures_verified";
+  Metrics.incr ~by:(List.length report.failures) "audit.failures";
   report
-
-let syntactic_feed ~ctx ~prev_hash ~feed () =
-  let s = syn_stream ~ctx ~prev_hash in
-  feed (syn_push s);
-  syn_finish s
 
 (* --- parallel syntactic check ------------------------------------------- *)
 
 module Pool = Avm_util.Domain_pool
 
 (* The parallel pass splits the entry stream into chunks that workers
-   check independently, then stitches the per-chunk results back
-   together sequentially. Everything order- or history-sensitive is
-   carried as an *event*, replayed at stitch time in exact log order,
-   so the stitched report is bit-identical to the streaming fold's:
-
-   - [Ev_fail] is a finished failure message at its entry position.
-   - [Ev_chain] is a chain failure; the stitcher drops it when an
-     earlier chunk already broke, reproducing the single global
-     "first break only" flag. A worker can evaluate the chain checks
-     of a later chunk without knowing whether an earlier one broke,
-     because the sequential fold advances [prev]/[expected] from the
-     *stored* hashes regardless of validity — its state at a chunk
-     boundary is exactly the segment index's [prev_hash]/[from].
-   - [Ev_recv]/[Ev_xref] defer the "rx read references non-RECV
-     entry" membership test: the stitcher grows the recv-seq table in
-     event order and resolves each cross-reference against precisely
-     the RECVs the sequential fold would have seen at that point. *)
-type syn_event =
-  | Ev_fail of string
-  | Ev_chain of string
-  | Ev_recv of int
-  | Ev_xref of int * int  (* (entry seq, referenced msg seq) *)
-
+   check with ordinary chunk streams, then stitches them in log order
+   into one stream whose [syn_finish] yields a report bit-identical to
+   the single pass's. A worker can run the chain checks of a later
+   chunk without knowing whether an earlier one broke, because the
+   single pass advances [prev]/[expected] from the *stored* hashes
+   regardless of validity — its state at a chunk boundary is exactly
+   the segment index's [prev_hash]/[from]. *)
 type syn_chunk = {
   sc_prev_hash : string;  (* chain hash just before the chunk *)
   sc_expected_first : int;  (* expected first seq; -1 = no check (first chunk) *)
@@ -280,124 +301,37 @@ type syn_chunk = {
   sc_load : unit -> Entry.t list;
 }
 
-type chunk_pass = {
-  cp_events : syn_event list;  (* entry order *)
-  cp_sends : int list;
-  cp_acked : int list;
-  cp_entries : int;
-  cp_auths : int;
-  cp_recv_sigs : int;
-  cp_broke : bool;
-  cp_last : int;  (* seq of the chunk's last entry *)
-}
-
-(* A chunk-pass event cell: a finished event or a deferred RECV
-   signature check, resolved by one batched verification at the end of
-   the chunk — the chunk-local form of [syn_cell]. *)
-type chunk_cell = C_ev of syn_event | C_sig of int
-
-(* One worker's pass over one chunk: the same five checks as
-   [syntactic_feed], emitting events instead of final failures. With
-   [derived] (compressed-backed chunk) the per-entry hash comparison is
-   skipped except on the first entry, which still ties the chunk to the
-   chain hash carried in from outside the inflation. *)
-let run_chunk_pass ~node ~peer_certs ~auth_by_seq ~first_seq ~prev_hash ~expected_first
-    ~derived entries =
-  let cells = ref [] in
-  let ev e = cells := C_ev e :: !cells in
-  let failf fmt = Printf.ksprintf (fun m -> ev (Ev_fail m)) fmt in
-  let sig_pending = ref [] in
-  let sig_npending = ref 0 in
-  let entries_checked = ref 0 in
-  let auths_matched = ref 0 in
-  let recv_sigs = ref 0 in
-  let prev = ref prev_hash in
-  let expected_seq = ref expected_first in
-  let chain_broken = ref false in
-  let sends = ref [] in
-  let acked = ref [] in
-  let last_seq = ref 0 in
+let stitch ~ctx ~auth_failures streams =
+  let out =
+    make_stream ~ctx ~auth_by_seq:(Hashtbl.create 1) ~defer_xrefs:false ~prev_hash:""
+      ~expected_seq:(-1) ~first_seq:(-1)
+  in
+  List.iter (fun m -> push_cell out (Cell_msg m)) auth_failures;
+  let broke = ref false in
   List.iter
-    (fun (e : Entry.t) ->
-      let first_entry = !entries_checked = 0 in
-      incr entries_checked;
-      last_seq := e.seq;
-      if not !chain_broken then begin
-        if !expected_seq >= 0 && e.seq <> !expected_seq then begin
-          chain_broken := true;
-          ev
-            (Ev_chain
-               (Printf.sprintf "chain: sequence gap: expected %d, found %d" !expected_seq
-                  e.seq))
-        end
-        else if
-          ((not derived) || first_entry) && not (Entry.chain_ok ~prev:!prev e)
-        then begin
-          chain_broken := true;
-          ev (Ev_chain (Printf.sprintf "chain: hash chain broken at entry %d" e.seq))
-        end
-      end;
-      prev := e.hash;
-      expected_seq := e.seq + 1;
+    (fun s ->
+      syn_flush s;
       List.iter
-        (fun (a : Auth.t) ->
-          if Auth.matches_entry a e then incr auths_matched
-          else
-            failf "authenticator #%d does not match the log (forked or rewritten log)"
-              a.seq)
-        (Hashtbl.find_all auth_by_seq e.seq);
-      match e.content with
-      | Entry.Recv { src; nonce; payload; signature } ->
-        ev (Ev_recv e.seq);
-        if signature <> "" then begin
-          match List.assoc_opt src peer_certs with
-          | None -> failf "entry #%d: no certificate for sender %s" e.seq src
-          | Some cert ->
-            let body = Wireformat.message_body ~src ~dest:node ~nonce ~payload in
-            cells := C_sig !sig_npending :: !cells;
-            sig_pending := (e.seq, cert, body, signature) :: !sig_pending;
-            incr sig_npending
-        end
-      | Entry.Ack { acked_seq; _ } -> acked := acked_seq :: !acked
-      | Entry.Send _ -> sends := e.seq :: !sends
-      | Entry.Exec (Avm_machine.Event.Io_in { msg; _ }) when msg >= 0 ->
-        if msg >= e.seq then failf "entry #%d: rx read references future entry %d" e.seq msg
-        else if msg >= first_seq then ev (Ev_xref (e.seq, msg))
-      | _ -> ())
-    entries;
-  (* Resolve the chunk's deferred signature checks in one batch. *)
-  let pending = Array.of_list (List.rev !sig_pending) in
-  let verdicts =
-    Avm_crypto.Identity.verify_batch
-      (Array.map (fun (_, cert, body, signature) -> (cert, body, signature)) pending)
-  in
-  let events =
-    List.fold_left
-      (fun acc cell ->
-        match cell with
-        | C_ev e -> e :: acc
-        | C_sig i ->
-          if verdicts.(i) then begin
-            incr recv_sigs;
-            acc
-          end
-          else begin
-            let seq, _, _, _ = pending.(i) in
-            Ev_fail (Printf.sprintf "entry #%d: forged RECV — sender signature invalid" seq)
-            :: acc
-          end)
-      [] !cells
-  in
-  {
-    cp_events = events;
-    cp_sends = !sends;
-    cp_acked = !acked;
-    cp_entries = !entries_checked;
-    cp_auths = !auths_matched;
-    cp_recv_sigs = !recv_sigs;
-    cp_broke = !chain_broken;
-    cp_last = !last_seq;
-  }
+        (function
+          | Cell_chain _ when !broke -> ()
+          | Cell_xref (seq, msg) ->
+            if not (Hashtbl.mem out.ss_recv_seqs msg) then
+              push_cell out (Cell_msg (xref_failure seq msg))
+          | c -> push_cell out c)
+        (List.rev s.ss_failures);
+      broke := !broke || s.ss_chain_broken;
+      Hashtbl.iter (Hashtbl.replace out.ss_recv_seqs) s.ss_recv_seqs;
+      Hashtbl.iter (Hashtbl.replace out.ss_acked) s.ss_acked;
+      out.ss_pending_sends <- s.ss_pending_sends @ out.ss_pending_sends;
+      out.ss_entries_checked <- out.ss_entries_checked + s.ss_entries_checked;
+      out.ss_auths_matched <- out.ss_auths_matched + s.ss_auths_matched;
+      out.ss_recv_sigs <- out.ss_recv_sigs + s.ss_recv_sigs;
+      out.ss_last_seq <- s.ss_last_seq)
+    streams;
+  syn_finish out
+
+let chunk_span i f =
+  Trace.with_span ~name:"audit.chunk" ~attrs:[ ("chunk", string_of_int i) ] f
 
 (* Split [xs] into at most [n] contiguous slices, preserving order. *)
 let slice_list n xs =
@@ -415,87 +349,28 @@ let slice_list n xs =
     go 0 [] [] xs
   end
 
-(* Authenticator signature checks are embarrassingly parallel; slice
-   order is preserved so both the failure list and the [Hashtbl.add]
-   order (which [find_all] reflects) match the sequential pre-pass.
-   Within a slice the signatures go through one batched verification —
-   they all share the node key. *)
-let verify_auth_slice ~node ~node_cert slice =
-  let mine = Array.of_list (List.filter (fun (a : Auth.t) -> String.equal a.node node) slice) in
-  let verdicts = Auth.verify_batch (Array.map (fun a -> (node_cert, a)) mine) in
-  let oks = ref [] in
-  let fails = ref [] in
-  Array.iteri
-    (fun i (a : Auth.t) ->
-      if verdicts.(i) then oks := a :: !oks
-      else
-        fails :=
-          Printf.sprintf "authenticator #%d: bad signature or inconsistent hash" a.seq
-          :: !fails)
-    mine;
-  (List.rev !oks, List.rev !fails)
-
-let stitch ~ack_grace ~auth_failures passes =
-  let failures = ref [] in
-  let push m = failures := m :: !failures in
-  List.iter push auth_failures;
-  let recv_seqs = Hashtbl.create 256 in
-  let broke = ref false in
-  List.iter
-    (fun cp ->
-      List.iter
-        (function
-          | Ev_fail m -> push m
-          | Ev_chain m -> if not !broke then push m
-          | Ev_recv s -> Hashtbl.replace recv_seqs s ()
-          | Ev_xref (seq, msg) ->
-            if not (Hashtbl.mem recv_seqs msg) then
-              push (Printf.sprintf "entry #%d: rx read references non-RECV entry %d" seq msg))
-        cp.cp_events;
-      if cp.cp_broke then broke := true)
-    passes;
-  let acked = Hashtbl.create 64 in
-  List.iter (fun cp -> List.iter (fun s -> Hashtbl.replace acked s ()) cp.cp_acked) passes;
-  let last_seq = List.fold_left (fun _ cp -> cp.cp_last) 0 passes in
-  List.iter
-    (fun seq ->
-      if seq <= last_seq - ack_grace && not (Hashtbl.mem acked seq) then
-        push (Printf.sprintf "entry #%d: SEND was never acknowledged" seq))
-    (List.sort compare (List.concat_map (fun cp -> cp.cp_sends) passes));
-  let report =
-    {
-      entries_checked = List.fold_left (fun n cp -> n + cp.cp_entries) 0 passes;
-      auths_matched = List.fold_left (fun n cp -> n + cp.cp_auths) 0 passes;
-      recv_signatures_verified = List.fold_left (fun n cp -> n + cp.cp_recv_sigs) 0 passes;
-      failures = List.rev !failures;
-    }
-  in
-  record_syntactic_metrics report;
-  report
-
-let chunk_span i f =
-  Trace.with_span ~name:"audit.chunk" ~attrs:[ ("chunk", string_of_int i) ] f
-
-let syntactic_parallel ~pool ~node_cert ~peer_certs ~auths ~ack_grace ~first_seq chunks =
-  let node = Avm_crypto.Identity.cert_name node_cert in
+let syntactic_parallel ~pool ~ctx ~first_seq chunks =
+  let node = Avm_crypto.Identity.cert_name ctx.node_cert in
   let verified =
-    Pool.map_list pool (verify_auth_slice ~node ~node_cert) (slice_list (Pool.jobs pool) auths)
+    Pool.map_list pool
+      (verify_auth_slice ~node ~node_cert:ctx.node_cert)
+      (slice_list (Pool.jobs pool) ctx.auths)
   in
-  let auth_by_seq = Hashtbl.create 256 in
-  List.iter
-    (fun (oks, _) -> List.iter (fun (a : Auth.t) -> Hashtbl.add auth_by_seq a.seq a) oks)
-    verified;
-  let auth_failures = List.concat_map snd verified in
-  let passes =
+  let auth_by_seq = index_auths verified in
+  let streams =
     Pool.map_list pool
       (fun (i, c) ->
         chunk_span i (fun () ->
-            run_chunk_pass ~node ~peer_certs ~auth_by_seq ~first_seq
-              ~prev_hash:c.sc_prev_hash ~expected_first:c.sc_expected_first
-              ~derived:c.sc_derived (c.sc_load ())))
+            let s =
+              make_stream ~ctx ~auth_by_seq ~defer_xrefs:(i > 0) ~prev_hash:c.sc_prev_hash
+                ~expected_seq:c.sc_expected_first ~first_seq
+            in
+            push_chunk s ~derived:c.sc_derived (c.sc_load ());
+            syn_flush s;
+            s))
       (List.mapi (fun i c -> (i, c)) chunks)
   in
-  stitch ~ack_grace ~auth_failures passes
+  stitch ~ctx ~auth_failures:(List.concat_map snd verified) streams
 
 (* Chunking a materialized list: contiguous near-equal slices, several
    per pool lane so the work-stealing scheduler can rebalance uneven
@@ -543,17 +418,16 @@ let log_chunks log ~from ~upto =
 let syntactic ~ctx ~prev_hash ~entries ?par () =
   let sequential () =
     chunk_span 0 (fun () ->
-        syntactic_feed ~ctx ~prev_hash ~feed:(fun f -> List.iter f entries) ())
+        let s = syn_stream ~ctx ~prev_hash in
+        List.iter (syn_push s) entries;
+        syn_finish s)
   in
   Audit_ctx.with_parallelism ?par (fun p ->
       match p with
       | Some pool -> (
         match list_chunks ~prev_hash ~lanes:(Pool.jobs pool) entries with
         | [] | [ _ ] -> sequential ()
-        | chunks ->
-          syntactic_parallel ~pool ~node_cert:ctx.node_cert ~peer_certs:ctx.peer_certs
-            ~auths:ctx.auths ~ack_grace:ctx.ack_grace
-            ~first_seq:(List.hd entries).Entry.seq chunks)
+        | chunks -> syntactic_parallel ~pool ~ctx ~first_seq:(List.hd entries).Entry.seq chunks)
       | None -> sequential ())
 
 let syntactic_of_log ~ctx ~log ?(from = 1) ?upto ?par () =
@@ -561,24 +435,13 @@ let syntactic_of_log ~ctx ~log ?(from = 1) ?upto ?par () =
   (* The sequential stream walks the same per-segment chunk specs the
      parallel pass fans out over (their concatenation is exactly
      [iter_range from..upto]), so both paths record one [audit.chunk]
-     span per sealed segment. A derived (compressed-backed) chunk only
-     pays the full hash check on its first entry — the link into the
-     chunk — because inflation recomputed every hash inside it from
-     that same chain. *)
+     span per sealed segment. *)
   let sequential () =
     let st = syn_stream ~ctx ~prev_hash:(Log.prev_hash log from) in
     List.iteri
       (fun i (spec : Log.chunk_spec) ->
         chunk_span i (fun () ->
-            let first = ref true in
-            List.iter
-              (fun e ->
-                if !first || not spec.Log.spec_derived then begin
-                  first := false;
-                  syn_push st e
-                end
-                else syn_push_gen ~hash_derived:true st e)
-              (spec.Log.spec_load ())))
+            push_chunk st ~derived:spec.Log.spec_derived (spec.Log.spec_load ())))
       (Log.chunk_specs log ~from ~upto);
     syn_finish st
   in
@@ -587,9 +450,7 @@ let syntactic_of_log ~ctx ~log ?(from = 1) ?upto ?par () =
       | Some pool -> (
         match log_chunks log ~from ~upto with
         | [] | [ _ ] -> sequential ()
-        | chunks ->
-          syntactic_parallel ~pool ~node_cert:ctx.node_cert ~peer_certs:ctx.peer_certs
-            ~auths:ctx.auths ~ack_grace:ctx.ack_grace ~first_seq:(max 1 from) chunks)
+        | chunks -> syntactic_parallel ~pool ~ctx ~first_seq:(max 1 from) chunks)
       | None -> sequential ())
 
 (* --- the unified outcome ------------------------------------------------- *)
@@ -680,8 +541,8 @@ let full ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~prev_hash ~entries ?
         ~semantic:(fun () ->
           Replay.replay ~image ?mem_words ?start ?fuel ~peers ?cache ~entries ()))
 
-let full_of_log ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~log ?(from = 1) ?upto
-    ?snapshots ?par () =
+let full_of_log ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~log ?(from = 1) ?upto ?par
+    () =
   let upto = match upto with Some u -> u | None -> Log.length log in
   Audit_ctx.with_parallelism ?par (fun p ->
       let par = { jobs = 1; pool = p } in
@@ -691,22 +552,13 @@ let full_of_log ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~log ?(from = 
             syntactic_of_log ~ctx ~log ~from ~upto ~par ())
       in
       let t1 = Clock.now_s () in
-      (* The semantic pass partitions at snapshot boundaries only when
-         it owns the whole run: a caller-supplied start state or a
-         partial range keeps the plain streaming replay. *)
-      let semantic () =
-        match (p, snapshots, start) with
-        | Some pool, Some snaps, None when from = 1 ->
-          Spot_check.parallel_replay ~par:{ jobs = Pool.jobs pool; pool = Some pool } ?cache
-            ~image ?mem_words ?fuel ~snapshots:snaps ~log ~peers ~upto ()
-        | _ ->
-          Replay.replay_chunks ~image ?mem_words ?start ?fuel ~peers ?cache
-            ~chunks:(Log.chunk_seq log ~from ~upto) ()
-      in
       conclude ~ctx ~syn
         ~prev_hash:(Log.prev_hash log from)
         ~segment:(fun () -> Log.segment log ~from ~upto)
-        ~t0 ~t1 ~semantic)
+        ~t0 ~t1
+        ~semantic:(fun () ->
+          Replay.replay_chunks ~image ?mem_words ?start ?fuel ~peers ?cache
+            ~chunks:(Log.chunk_seq log ~from ~upto) ()))
 
 let check_evidence (ev : Evidence.t) ~ctx ~image ?mem_words ?start ?fuel ~peers () =
   if not (String.equal (Avm_crypto.Identity.cert_name ctx.node_cert) ev.accused) then false

@@ -5,9 +5,9 @@
     verifies the sender signatures inside RECV entries, checks that
     sends were acknowledged, and sanity-checks the cross-references
     from the input stream into the message stream. All five checks run
-    in a {e single pass} over the entry stream ({!syntactic_feed}), so
-    a segmented log is audited one sealed segment at a time without
-    ever materializing the whole log.
+    in a {e single pass} over the entry stream ({!syn_stream}), so a
+    segmented log is audited one sealed segment at a time without ever
+    materializing the whole log.
 
     The {b semantic} check is {!Replay.replay}: deterministic replay
     of the segment against the reference image. {!full_of_log} streams
@@ -23,12 +23,12 @@
     whose signatures appear in its log, the collected authenticators,
     the ack grace window — see {!ctx}) and [?par] (worker count or a
     borrowed {!Avm_util.Domain_pool.t} — see {!parallelism}). With
-    more than one lane the syntactic pass fans out one worker per
-    sealed segment and the semantic pass replays snapshot-delimited
-    pieces concurrently ({!Spot_check.parallel_replay}). The parallel
-    passes are stitched so that the outcome — verdict, counters and
-    the failure list, byte for byte — is identical to the sequential
-    pass; the default [par] runs the original sequential code.
+    more than one lane the syntactic pass runs one ordinary stream per
+    sealed segment on the pool and stitches them, so that the outcome
+    — verdict, counters and the failure list, byte for byte — is
+    identical to the sequential pass; the default [par] runs the
+    single stream. The semantic pass is always one sequential replay
+    (DESIGN.md §19).
 
     {b Observability.} Timing fields are monotonic wall-clock
     ({!Avm_obs.Clock}), correct under parallelism. Each pass bumps
@@ -78,8 +78,8 @@ type syntactic_report = {
     The single-pass core as a long-lived value: a session pushes
     entries as they arrive (possibly over minutes of wall clock) and
     reads failures mid-stream — what {!Online_audit} and the service
-    daemon run per session. {!syntactic_feed} drives the same
-    machinery over one complete segment. *)
+    daemon run per session; {!syntactic} and {!syntactic_of_log} drive
+    the same machinery over a complete segment. *)
 
 type syn_stream
 
@@ -118,13 +118,6 @@ val syn_finish : syn_stream -> syntactic_report
     grace window must be acknowledged), record the [audit.*] metrics,
     and return the final report. *)
 
-val syntactic_feed :
-  ctx:ctx -> prev_hash:string -> feed:((Avm_tamperlog.Entry.t -> unit) -> unit) -> unit ->
-  syntactic_report
-(** The streaming core over one segment: [feed push] must call [push]
-    exactly once per entry, in log order — {!syn_stream}, [feed]
-    every entry through {!syn_push}, {!syn_finish}. *)
-
 val syntactic :
   ctx:ctx ->
   prev_hash:string ->
@@ -132,7 +125,7 @@ val syntactic :
   ?par:parallelism ->
   unit ->
   syntactic_report
-(** {!syntactic_feed} over a materialized list. With more than one
+(** The single stream over a materialized list. With more than one
     lane, the list is cut into several contiguous chunks per lane
     (finer than one-per-lane so work stealing can rebalance uneven
     chunks) and checked in parallel, with a report identical to the
@@ -146,7 +139,7 @@ val syntactic_of_log :
   ?par:parallelism ->
   unit ->
   syntactic_report
-(** {!syntactic_feed} over a segment store: streams [from..upto]
+(** The single stream over a segment store: streams [from..upto]
     (default: the whole log) segment by segment, inflating compressed
     segments one at a time. [prev_hash] is taken from the log's own
     index. With more than one lane, sealed segments are checked
@@ -187,8 +180,7 @@ val full :
   outcome
 (** Complete audit of one log segment. The semantic check runs only if
     the syntactic check passes (a broken chain is already evidence).
-    [par] parallelizes the syntactic pass; the semantic replay of a
-    bare entry list has no snapshot boundaries to cut at and stays
+    [par] parallelizes the syntactic pass; the semantic replay is
     sequential. [cache] memoizes the semantic pass fleet-wide
     ({!Replay_cache}); verdicts are identical cache-on vs cache-off. *)
 
@@ -203,7 +195,6 @@ val full_of_log :
   log:Avm_tamperlog.Log.t ->
   ?from:int ->
   ?upto:int ->
-  ?snapshots:Avm_machine.Snapshot.t list ->
   ?par:parallelism ->
   unit ->
   outcome
@@ -213,13 +204,8 @@ val full_of_log :
     pass via {!Replay.replay_chunks} — with identical verdicts to
     {!full} on the materialized entry list. The log segment is
     materialized into {!outcome.evidence} only when the audit fails.
-
     With more than one lane the syntactic pass runs one worker per
-    sealed segment, and — when [snapshots] are supplied, [from = 1]
-    and no [start] state overrides the boot image — the semantic pass
-    becomes {!Spot_check.parallel_replay}, cutting the log at snapshot
-    boundaries and replaying the pieces concurrently from
-    authenticated downloaded state. *)
+    sealed segment. *)
 
 val check_evidence :
   Evidence.t ->

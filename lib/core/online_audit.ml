@@ -52,10 +52,9 @@ module Session = struct
     mutable c_n : int;
     c_unfed : Entry.t Queue.t;  (* buffered but not yet fed to the engine *)
     mutable c_fed : int;
-    mutable c_end : (int * string * int) option;
-        (* closing (snapshot_seq, digest, at_icount); None = still open *)
-    mutable c_print : Replay_cache.print option;
-    mutable c_spot : Replay_cache.cached option;  (* hit designated for spot re-replay *)
+    mutable c_end : (Spot_check.boundary * string) option;
+        (* closing boundary and its logged digest; None = still open *)
+    mutable c_lookup : Replay_cache.lookup option;  (* None = not looked up *)
     mutable c_emitted : bool;  (* replay emitted guest packets (peers-sensitive) *)
     mutable c_start_instr : int;  (* engine icount delta base for this chunk *)
   }
@@ -64,13 +63,11 @@ module Session = struct
      the head chunk's replay point, or — after a cache hit skipped a
      chunk — a boundary whose state must be materialized from
      downloaded snapshots before replay can resume. *)
-  type resume =
-    | R_engine of Replay.engine
-    | R_boundary of { snapshot_seq : int; digest : string; at_icount : int; entry_seq : int }
+  type resume = R_engine of Replay.engine | R_boundary of (Spot_check.boundary * string)
 
-  (* Chain-only syntactic mode for sessions opened without a ctx (the
-     wrapper path): the full stream would false-flag honest logs whose
-     peer certificates the caller never supplied. *)
+  (* Chain-only syntactic mode for sessions opened without a ctx: the
+     full stream would false-flag honest logs whose peer certificates
+     the caller never supplied. *)
   type syn =
     | Syn_full of Audit.syn_stream
     | Syn_chain of { mutable prev : string; mutable expected : int }
@@ -112,8 +109,7 @@ module Session = struct
       c_unfed = Queue.create ();
       c_fed = 0;
       c_end = None;
-      c_print = None;
-      c_spot = None;
+      c_lookup = None;
       c_emitted = false;
       c_start_instr = 0;
     }
@@ -130,7 +126,8 @@ module Session = struct
       | None -> high_watermark / 2
     in
     let e = Replay.engine ~image ?mem_words ~peers () in
-    let pre_state = Replay.state_digest (Replay.engine_machine e) in
+    let m = Replay.engine_machine e in
+    let pre_state = Replay.state_digest ~at_icount:(Machine.icount m) m in
     let syn =
       match ctx with
       | Some c -> Syn_full (Audit.syn_stream ~ctx:c ~prev_hash)
@@ -242,7 +239,7 @@ module Session = struct
       Queue.push e c.c_unfed;
       match e.Entry.content with
       | Entry.Snapshot_ref { digest; snapshot_seq; at_icount } ->
-        c.c_end <- Some (snapshot_seq, digest, at_icount);
+        c.c_end <- Some ({ Spot_check.entry_seq = e.Entry.seq; snapshot_seq; at_icount }, digest);
         let tail =
           new_chunk ~from:(e.Entry.seq + 1) ~pre_state:digest ~prev_hash:e.Entry.hash
         in
@@ -297,67 +294,37 @@ module Session = struct
     Replay_cache.fingerprint ~image:t.image ?mem_words:t.mem_words ~peers:t.peers
       ~pre_state:c.c_pre_state (List.rev c.c_all_rev)
 
-  (* A cache hit strands the engine (the skipped chunk's end state was
-     never computed), so hits are only taken when downloaded snapshots
-     can re-seat replay at the boundary. *)
-  let hits_usable t =
-    t.cache <> None && t.snapshot_of <> None && Replay_cache.is_enabled ()
-
   let retire_chunk t c =
     t.retired <- t.retired + c.c_n;
     t.n_chunks_retired <- t.n_chunks_retired + 1;
     ignore (Queue.pop t.chunks);
     Metrics.incr "online_audit.chunks_retired"
 
+  (* A cache hit strands the engine (the skipped chunk's end state was
+     never computed): replay resumes from the downloaded state at the
+     chunk's closing boundary. *)
   let retire_hit t c =
     (match t.resume with
     | R_engine e -> t.instr_base <- t.instr_base + Replay.replayed_instructions e
     | R_boundary _ -> ());
-    let snapshot_seq, digest, at_icount = Option.get c.c_end in
-    t.resume <- R_boundary { snapshot_seq; digest; at_icount; entry_seq = c.c_upto };
+    t.resume <- R_boundary (Option.get c.c_end);
     t.n_cache_hits <- t.n_cache_hits + 1;
     retire_chunk t c
 
-  (* Materialize the downloaded state at a boundary and authenticate it
-     against the logged digest — the Spot_check state-transfer step. A
-     forged snapshot is a divergence; a missing one is a stall (the
+  (* A forged snapshot is a divergence; a missing one is a stall (the
      producer may simply not have shipped it yet). *)
-  let reseat t (b : [ `B of int * string * int * int ]) =
-    let (`B (snapshot_seq, digest, at_icount, entry_seq)) = b in
-    let snaps = (Option.get t.snapshot_of) () in
-    let chain = Snapshot.chain_upto snaps snapshot_seq in
-    if not (List.exists (fun s -> s.Snapshot.seq = snapshot_seq) chain) then `Stall
-    else begin
-      let machine = Snapshot.materialize ?mem_words:t.mem_words ~image:t.image chain in
-      let recomputed =
-        Avm_crypto.Sha256.digest_list
-          [
-            Machine.serialize_meta machine;
-            Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine);
-            string_of_int at_icount;
-          ]
-      in
-      if not (String.equal recomputed digest) then
-        `Fault
-          {
-            Replay.kind = Replay.Snapshot_mismatch;
-            at = Machine.landmark machine;
-            entry_seq = Some entry_seq;
-            detail = "downloaded snapshot does not match the logged digest";
-          }
-      else
-        `Ok (Replay.engine ~image:t.image ?mem_words:t.mem_words ~start:machine ~peers:t.peers ())
-    end
-
   let ensure_engine t =
     match t.resume with
     | R_engine e -> `Ok e
-    | R_boundary { snapshot_seq; digest; at_icount; entry_seq } -> (
-      match reseat t (`B (snapshot_seq, digest, at_icount, entry_seq)) with
-      | `Ok e ->
+    | R_boundary (b, digest) -> (
+      let chain = Snapshot.chain_upto ((Option.get t.snapshot_of) ()) b.Spot_check.snapshot_seq in
+      match Spot_check.authenticate ~image:t.image ?mem_words:t.mem_words ~chain ~digest b with
+      | Spot_check.Verified start ->
+        let e = Replay.engine ~image:t.image ?mem_words:t.mem_words ~start ~peers:t.peers () in
         t.resume <- R_engine e;
         `Ok e
-      | (`Fault _ | `Stall) as r -> r)
+      | Spot_check.Forged d -> `Fault d
+      | Spot_check.Unavailable _ -> `Stall)
 
   let feed_unfed c e =
     while not (Queue.is_empty c.c_unfed) do
@@ -365,26 +332,24 @@ module Session = struct
       c.c_fed <- c.c_fed + 1
     done
 
-  (* The head chunk replayed to completion: settle its cache protocol
-     (confirm a spot-designated hit, or remember a fresh outcome) and
-     retire it. The engine stays — it is already positioned at the next
-     chunk's start. *)
+  (* The head chunk replayed to completion: settle its cache lookup
+     (confirm a spot-designated hit, or remember a fresh outcome — a
+     chunk never looked up, because hits were unusable, still seeds
+     the cache for the rest of the fleet) and retire it. The engine
+     stays — it is already positioned at the next chunk's start. *)
   let complete_chunk t c e =
-    (match t.cache with
-    | Some cache when Replay_cache.is_enabled () && c.c_end <> None ->
-      let instr = Replay.replayed_instructions e - c.c_start_instr in
-      let p = match c.c_print with Some p -> p | None -> fingerprint t c in
-      (match c.c_spot with
-      | Some cached ->
-        let matched =
-          cached.Replay_cache.instructions = instr
-          && cached.Replay_cache.entries_consumed = c.c_n
-        in
-        Replay_cache.confirm_spot cache p ~matched
-      | None ->
-        Replay_cache.remember cache p ~peers_sensitive:c.c_emitted ~instructions:instr
-          ~entries_consumed:c.c_n ())
-    | _ -> ());
+    if c.c_end <> None then begin
+      let l =
+        match (c.c_lookup, t.cache) with
+        | Some l, _ -> l
+        | None, Some cache when Replay_cache.is_enabled () ->
+          Replay_cache.Miss (cache, fingerprint t c)
+        | None, _ -> Replay_cache.Off
+      in
+      let instructions = Replay.replayed_instructions e - c.c_start_instr in
+      Replay_cache.settle l ~emitted:c.c_emitted
+        (Some { Replay_cache.instructions; entries_consumed = c.c_n })
+    end;
     retire_chunk t c
 
   let rec drive t remaining =
@@ -394,14 +359,14 @@ module Session = struct
       | Some c ->
         (* Cache decision point: a closed head chunk nothing has been
            fed from yet can be fingerprinted and looked up before any
-           replay is spent on it. *)
-        if c.c_end <> None && c.c_fed = 0 && c.c_print = None && hits_usable t then begin
-          let p = fingerprint t c in
-          c.c_print <- Some p;
-          match Replay_cache.find (Option.get t.cache) ~fuel:Replay.default_fuel p with
-          | `Hit _ -> retire_hit t c
-          | `Spot cached -> c.c_spot <- Some cached
-          | `Miss -> ()
+           replay is spent on it — when downloaded snapshots can
+           re-seat replay after a hit. *)
+        if c.c_end <> None && c.c_fed = 0 && Option.is_none c.c_lookup && t.snapshot_of <> None
+        then begin
+          let print () = fingerprint t c in
+          match Replay_cache.lookup t.cache ~fuel:Replay.default_fuel print with
+          | Replay_cache.Hit _ -> retire_hit t c
+          | l -> c.c_lookup <- Some l
         end;
         let head_changed =
           match Queue.peek_opt t.chunks with Some c' -> c' != c | None -> true
@@ -543,33 +508,3 @@ module Session = struct
               };
         }
 end
-
-(* --- the pre-session surface, kept where tests pin it ---------------- *)
-
-type t = Session.t
-
-let create ~image ?mem_words ?replay_rate ?(par = Audit_ctx.sequential) ~peers () =
-  (* The chain pre-verification [par] used to buy is now inline and
-     always on; extra lanes have nothing left to parallelize here. *)
-  ignore par.Audit_ctx.jobs;
-  Session.open_session ~image ?mem_words ?replay_rate ~peers ()
-
-let observe_log t log = ignore (Session.ingest t log)
-
-let advance t ~budget_instructions =
-  match Session.step t ~budget_instructions with
-  | Some (Diverged d) -> `Fault d
-  | Some (Tampered _ | Equivocated _) | None -> `Ok
-
-let lag_entries t = Session.lag_entries t
-let replayed_instructions t = Session.total_instructions t
-
-let fault t =
-  match (Session.status t).verdict with Some (Diverged d) -> Some d | _ -> None
-
-let tamper_detected t =
-  match (Session.status t).verdict with
-  | Some (Tampered { reason; _ }) -> Some reason
-  | _ -> None
-
-let close t = ignore (Session.close t)

@@ -83,11 +83,12 @@ module Session : sig
       set, polled lazily) enable the fleet-wide memo protocol: a cache
       hit retires a whole chunk, and replay re-seats itself from the
       downloaded state at the chunk's end boundary — authenticated
-      against the logged digest exactly as {!Spot_check} does, so a
-      forged snapshot is a [Diverged] verdict, not a silent skip. Hits
-      are never taken without [snapshot_of] (there would be no state to
-      resume from); verified misses are still remembered for the rest
-      of the fleet.
+      by {!Spot_check.authenticate}, exactly as a spot check is, so a
+      forged snapshot is a [Diverged] verdict, not a silent skip, and a
+      snapshot not yet shipped stalls replay (no verdict) until
+      [snapshot_of] returns it. Hits are never taken without
+      [snapshot_of] (there would be no state to resume from); verified
+      misses are still remembered for the rest of the fleet.
 
       [replay_rate] (default 0.955) scales the budget each {!step}
       gets, modeling replay running a few percent slower than the
@@ -145,36 +146,3 @@ module Session : sig
       chunk holding the offending entry. [None] while the session is
       clean, or when the session was opened without [ctx]. *)
 end
-
-(** {1 The pre-session surface}
-
-    Thin wrappers over {!Session}, kept because tests and Figure 8 pin
-    them. [par] is accepted and ignored: the chain pre-verification it
-    used to enable is now inline and always on. *)
-
-type t = Session.t
-
-val create :
-  image:int array ->
-  ?mem_words:int ->
-  ?replay_rate:float ->
-  ?par:Audit_ctx.parallelism ->
-  peers:(int * string) list ->
-  unit ->
-  t
-
-val observe_log : t -> Avm_tamperlog.Log.t -> unit
-(** [Session.ingest] discarding the backpressure signal (the default
-    watermark is high enough that a hand-driven auditor never hits
-    it). *)
-
-val advance : t -> budget_instructions:int -> [ `Ok | `Fault of Replay.divergence ]
-(** [Session.step], mapping a [Diverged] verdict to [`Fault]. A
-    [Tampered] verdict surfaces through {!tamper_detected}, as the old
-    parallel chain pre-verification did. *)
-
-val lag_entries : t -> int
-val replayed_instructions : t -> int
-val fault : t -> Replay.divergence option
-val tamper_detected : t -> string option
-val close : t -> unit

@@ -58,7 +58,8 @@ type engine = {
   mutable active : Entry.t array; (* growable queue of active entries *)
   mutable len : int;
   mutable pos : int;
-  recvs : (int, int array) Hashtbl.t; (* RECV entry seq -> payload words *)
+  recvs : (int, int array option) Hashtbl.t;
+      (* RECV entry seq -> payload words; [None] if not word-aligned *)
   rx_read : (int, int) Hashtbl.t; (* RECV entry seq -> words consumed *)
   mutable fed : int; (* total entries fed, incl. passive *)
   mutable first_seq : int; (* seq of the first fed entry; -1 before any *)
@@ -86,7 +87,12 @@ let feed_entry e (entry : Entry.t) =
   if e.first_seq < 0 then e.first_seq <- entry.Entry.seq;
   (match entry.content with
   | Entry.Recv { payload; _ } ->
-    Hashtbl.replace e.recvs entry.seq (Wireformat.words_of_payload payload)
+    (* A payload no AVMM could have injected is only a fault once the
+       guest reads it, like any other RECV it disagrees with. *)
+    let words =
+      try Some (Wireformat.words_of_payload payload) with Avm_util.Wire.Malformed _ -> None
+    in
+    Hashtbl.replace e.recvs entry.seq words
   | _ -> ());
   if is_active entry then push_active e entry
 
@@ -107,7 +113,17 @@ let crossref_check e ~entry_seq ~msg ~value at =
              entry_seq = Some entry_seq;
              detail = Printf.sprintf "rx read references entry %d which is not a RECV" msg;
            })
-  | Some words ->
+  | Some None ->
+    raise
+      (Fault_exn
+         {
+           kind = Crossref_mismatch;
+           at;
+           entry_seq = Some entry_seq;
+           detail =
+             Printf.sprintf "rx read of message %d whose RECV payload is not word-aligned" msg;
+         })
+  | Some (Some words) ->
     let idx = Option.value ~default:0 (Hashtbl.find_opt e.rx_read msg) in
     Hashtbl.replace e.rx_read msg (idx + 1);
     let expected = if idx < Array.length words then words.(idx) else 0 in
@@ -250,6 +266,17 @@ let engine ~image ?mem_words ?start ?(strict_landmarks = true) ~peers () =
   in
   e
 
+(* The digest a Snapshot_ref seals: the one place it is computed, for
+   replayed state here, downloaded state in [Spot_check.authenticate]
+   and the pre-state half of a [Replay_cache] fingerprint. *)
+let state_digest ~at_icount machine =
+  Avm_crypto.Sha256.digest_list
+    [
+      Machine.serialize_meta machine;
+      Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine);
+      string_of_int at_icount;
+    ]
+
 (* Verify any due snapshot digests at the current instruction count. *)
 let check_snapshots e =
   let continue = ref true in
@@ -266,9 +293,7 @@ let check_snapshots e =
                entry_seq = Some seq;
                detail = Printf.sprintf "snapshot %d was due at icount %d" snapshot_seq at_icount;
              });
-      let meta = Machine.serialize_meta e.machine in
-      let root = Avm_crypto.Merkle.root (Snapshot.merkle_of_machine e.machine) in
-      let recomputed = Avm_crypto.Sha256.digest_list [ meta; root; string_of_int at_icount ] in
+      let recomputed = state_digest ~at_icount e.machine in
       if not (String.equal recomputed digest) then
         raise
           (Fault_exn
@@ -335,48 +360,10 @@ let crank e ~fuel =
 
 let default_fuel = 200_000_000
 
-(* The state digest replay itself seals into Snapshot_ref entries and
-   checks in [check_snapshots] — also the pre-state half of a
-   [Replay_cache] fingerprint. *)
-let state_digest machine =
-  let meta = Machine.serialize_meta machine in
-  let root = Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine) in
-  Avm_crypto.Sha256.digest_list [ meta; root; string_of_int (Machine.icount machine) ]
-
-(* The memoization protocol shared by every cached replay path (here,
-   Spot_check, and through them Audit/Witness): on a hit the exact
-   Verified payload of the original replay is reconstructed, so the
-   outcome — and every verdict derived from it — is byte-identical
-   cache-on vs cache-off; a spot-designated hit replays anyway and
-   reports disagreement as a poisoned entry; only verified outcomes
-   are remembered. *)
-let with_cache ?cache ~fuel ~print ~replay () =
-  match cache with
-  | Some c when Replay_cache.is_enabled () -> (
-    let p = print () in
-    match Replay_cache.find c ~fuel p with
-    | `Hit { Replay_cache.instructions; entries_consumed } ->
-      Verified { instructions; entries_consumed }
-    | `Spot cached ->
-      let o = replay () in
-      let matched =
-        match o with
-        | Verified { instructions; entries_consumed } ->
-          instructions = cached.Replay_cache.instructions
-          && entries_consumed = cached.Replay_cache.entries_consumed
-        | Diverged _ -> false
-      in
-      Replay_cache.confirm_spot c p ~matched;
-      o
-    | `Miss ->
-      let o, emitted = Replay_cache.measure_replay replay in
-      (match o with
-      | Verified { instructions; entries_consumed } ->
-        Replay_cache.remember c p ~peers_sensitive:emitted ~instructions
-          ~entries_consumed ()
-      | Diverged _ -> ());
-      o)
-  | _ -> replay ()
+let verified = function
+  | Verified { instructions; entries_consumed } ->
+    Some { Replay_cache.instructions; entries_consumed }
+  | Diverged _ -> None
 
 (* Drive an engine over a lazy stream of log chunks. Compressed
    segments inflate only when the replay actually reaches them: each
@@ -438,26 +425,37 @@ let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_la
    log index instead. *)
 let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks ~peers
     ?cache ~chunks () =
-  match cache with
-  | Some _ when Replay_cache.is_enabled () ->
-    let entries = List.concat (List.of_seq chunks) in
-    let machine =
-      match start with
+  let entries = lazy (List.concat (List.of_seq chunks)) in
+  let machine =
+    lazy
+      (match start with
       | Some m -> m
       | None -> (
         match mem_words with
         | Some w -> Machine.create ~mem_words:w image
-        | None -> Machine.create image)
+        | None -> Machine.create image))
+  in
+  let print () =
+    let m = Lazy.force machine in
+    Replay_cache.fingerprint ~image ?mem_words ?strict_landmarks ~peers
+      ~pre_state:(state_digest ~at_icount:(Machine.icount m) m)
+      (Lazy.force entries)
+  in
+  match Replay_cache.lookup cache ~fuel print with
+  | Replay_cache.Off ->
+    replay_chunks_raw ~image ?mem_words ?start ~fuel ?strict_landmarks ~peers ~chunks ()
+  | Replay_cache.Hit { instructions; entries_consumed } ->
+    Verified { instructions; entries_consumed }
+  | l ->
+    let o, emitted =
+      Replay_cache.measure_replay (fun () ->
+          replay_chunks_raw ~image ?mem_words ~start:(Lazy.force machine) ~fuel
+            ?strict_landmarks ~peers
+            ~chunks:(Seq.return (Lazy.force entries))
+            ())
     in
-    with_cache ?cache ~fuel
-      ~print:(fun () ->
-        Replay_cache.fingerprint ~image ?mem_words ?strict_landmarks ~peers
-          ~pre_state:(state_digest machine) entries)
-      ~replay:(fun () ->
-        replay_chunks_raw ~image ?mem_words ~start:machine ~fuel ?strict_landmarks ~peers
-          ~chunks:(Seq.return entries) ())
-      ()
-  | _ -> replay_chunks_raw ~image ?mem_words ?start ~fuel ?strict_landmarks ~peers ~chunks ()
+    Replay_cache.settle l ~emitted (verified o);
+    o
 
 let replay ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ?cache ~entries () =
   replay_chunks ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ?cache

@@ -48,10 +48,16 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val default_fuel : int
 (** 200M instructions — the default replay budget. *)
 
-val state_digest : Avm_machine.Machine.t -> string
-(** The digest a Snapshot_ref taken {e now} would seal: SHA-256 over
-    (serialized meta, memory Merkle root, icount). The pre-state half
-    of a {!Replay_cache} fingerprint. *)
+val state_digest : at_icount:int -> Avm_machine.Machine.t -> string
+(** The digest a Snapshot_ref taken at instruction count [at_icount]
+    seals: SHA-256 over (serialized meta, memory Merkle root,
+    [at_icount]). Replayed state, authenticated downloaded state
+    ({!Spot_check.authenticate}) and the pre-state half of a
+    {!Replay_cache} fingerprint are all digested here. *)
+
+val verified : outcome -> Replay_cache.cached option
+(** The counts a [Verified] outcome settles a {!Replay_cache.lookup}
+    with; [None] for a divergence. *)
 
 val replay :
   image:int array ->
@@ -94,25 +100,10 @@ val replay_chunks :
 
     With [cache] (and the {!Replay_cache} kill-switch on) the stream
     is forced up front, fingerprinted against the start state, and the
-    memo protocol applies: a hit returns the original replay's
-    [Verified] payload without executing an instruction, a
-    spot-designated or missing fingerprint replays fully, and only
-    verified outcomes are remembered. *)
-
-val with_cache :
-  ?cache:Replay_cache.t ->
-  fuel:int ->
-  print:(unit -> Replay_cache.print) ->
-  replay:(unit -> outcome) ->
-  unit ->
-  outcome
-(** The memo protocol itself, for callers (e.g. {!Spot_check}) that
-    fingerprint without materializing entries: [print] is forced only
-    when a cache is present and enabled; [replay] only on miss or
-    spot-check. Guarantees the outcome equals what [replay ()] would
-    return, except against a poisoned cache entry on a non-designated
-    fingerprint — the window {!Replay_cache}'s seeded spot checks
-    bound. *)
+    {!Replay_cache.lookup} / {!Replay_cache.settle} protocol applies:
+    a hit returns the original replay's [Verified] payload without
+    executing an instruction, a spot-designated or missing fingerprint
+    replays fully, and only verified outcomes are remembered. *)
 
 (** {1 Incremental engine}
 

@@ -271,37 +271,34 @@ let miss t =
   `Miss
 
 let find t ~fuel (p : print) =
-  if not (Atomic.get enabled) then `Miss
-  else begin
-    let found = with_stripe t p.key (fun s -> Hashtbl.find_opt s.tbl p.key) in
-    match found with
-    | Some { s_peers; s_peers_sensitive; s_post; s_outputs; s_counts = c }
-      when String.equal s_post p.post_state
-           && String.equal s_outputs p.outputs
-           && ((not s_peers_sensitive) || String.equal s_peers p.peers)
-           && c.instructions <= fuel ->
-      if spot_due t p then begin
-        Atomic.incr t.c_spots;
-        Metrics.incr "replay.cache_spot_checks";
-        `Spot c
-      end
-      else begin
-        Atomic.incr t.c_hits;
-        ignore (Atomic.fetch_and_add t.c_bytes p.bytes);
-        ignore (Atomic.fetch_and_add t.c_instr c.instructions);
-        Metrics.incr "replay.cache_hits";
-        Metrics.incr ~by:p.bytes "replay.cache_bytes_saved";
-        `Hit c
-      end
-    | Some _ ->
-      (* Fingerprint collision with different claims: the canonical
-         cheat shape. Full replay will produce the honest claims and
-         diverge from this chunk's forged ones. *)
-      Atomic.incr t.c_mismatches;
-      Metrics.incr "replay.cache_claim_mismatches";
-      miss t
-    | None -> miss t
-  end
+  let found = with_stripe t p.key (fun s -> Hashtbl.find_opt s.tbl p.key) in
+  match found with
+  | Some { s_peers; s_peers_sensitive; s_post; s_outputs; s_counts = c }
+    when String.equal s_post p.post_state
+         && String.equal s_outputs p.outputs
+         && ((not s_peers_sensitive) || String.equal s_peers p.peers)
+         && c.instructions <= fuel ->
+    if spot_due t p then begin
+      Atomic.incr t.c_spots;
+      Metrics.incr "replay.cache_spot_checks";
+      `Spot c
+    end
+    else begin
+      Atomic.incr t.c_hits;
+      ignore (Atomic.fetch_and_add t.c_bytes p.bytes);
+      ignore (Atomic.fetch_and_add t.c_instr c.instructions);
+      Metrics.incr "replay.cache_hits";
+      Metrics.incr ~by:p.bytes "replay.cache_bytes_saved";
+      `Hit c
+    end
+  | Some _ ->
+    (* Fingerprint collision with different claims: the canonical
+       cheat shape. Full replay will produce the honest claims and
+       diverge from this chunk's forged ones. *)
+    Atomic.incr t.c_mismatches;
+    Metrics.incr "replay.cache_claim_mismatches";
+    miss t
+  | None -> miss t
 
 let remember t (p : print) ?(peers_sensitive = true) ~instructions ~entries_consumed () =
   if Atomic.get enabled then
@@ -342,3 +339,26 @@ let confirm_spot t (p : print) ~matched =
     Metrics.incr "replay.cache_poisoned";
     with_stripe t p.key (fun s -> Hashtbl.remove s.tbl p.key)
   end
+
+(* --- the one protocol every cached replay path runs ---------------------- *)
+
+type lookup = Off | Hit of cached | Spot of t * print * cached | Miss of t * print
+
+let lookup cache ~fuel print =
+  match cache with
+  | Some t when Atomic.get enabled -> (
+    let p = print () in
+    match find t ~fuel p with
+    | `Hit c -> Hit c
+    | `Spot c -> Spot (t, p, c)
+    | `Miss -> Miss (t, p))
+  | _ -> Off
+
+(* A spot-designated hit must reproduce the cached counts exactly; a
+   miss is remembered only when its replay verified. *)
+let settle l ~emitted verified =
+  match (l, verified) with
+  | Spot (t, p, cached), _ -> confirm_spot t p ~matched:(verified = Some cached)
+  | Miss (t, p), Some { instructions; entries_consumed } ->
+    remember t p ~peers_sensitive:emitted ~instructions ~entries_consumed ()
+  | (Off | Hit _ | Miss _), _ -> ()

@@ -48,7 +48,7 @@ val create : ?capacity:int -> ?stripes:int -> ?spot_rate:int -> ?seed:int64 -> u
 
 val set_enabled : bool -> unit
 (** Global kill-switch (all caches, every domain). Off by one
-    [Atomic.set]: every lookup misses, every store is skipped, and
+    [Atomic.set]: every lookup is [Off], every store is skipped, and
     audits behave exactly as if no cache were threaded through. *)
 
 val is_enabled : unit -> bool
@@ -104,27 +104,53 @@ val chunk_bytes : print -> int
 (** Total {!Avm_tamperlog.Entry.wire_size} of the fingerprinted chunk —
     what a hit saves re-walking at instruction level. *)
 
-(** {1 The memo protocol} *)
+(** {1 The memo protocol}
+
+    The one protocol every cached replay path runs — batch replay
+    ({!Replay.replay_chunks}), spot checks ({!Spot_check.check_chunk})
+    and online sessions ({!Online_audit.Session}): {!lookup} once per
+    chunk; on [Hit] the chunk is verified; otherwise replay it (under
+    {!measure_replay}) and {!settle} with the result. A hit
+    reconstructs the original replay's counts, so every verdict is
+    byte-identical cache-on vs cache-off, except against a poisoned
+    entry on a fingerprint that is not spot-designated — the window
+    the seeded spot checks bound. *)
 
 type cached = { instructions : int; entries_consumed : int }
 (** What the original verified replay measured — a hit reconstructs
     the exact [Replay.Verified] payload, so verdict vectors are
     byte-identical cache-on vs cache-off. *)
 
-val find : t -> fuel:int -> print -> [ `Hit of cached | `Spot of cached | `Miss ]
-(** [`Hit c]: fingerprint present and {e both} claim digests equal the
-    cached ones — the chunk is verified without replay. [`Spot c]:
-    same, but this fingerprint is designated for spot-check replay;
-    the caller must replay fully and then {!confirm_spot}. [`Miss]:
+type lookup =
+  | Off  (** no cache, or the kill switch is off: replay, settle nothing *)
+  | Hit of cached  (** verified without replay *)
+  | Spot of t * print * cached  (** designated: replay fully, then {!settle} *)
+  | Miss of t * print  (** replay, then {!settle} *)
+
+val lookup : t option -> fuel:int -> (unit -> print) -> lookup
+(** Fingerprint the chunk (the thunk is forced only when a cache is
+    present and enabled) and look it up. [Hit c]: fingerprint present
+    and {e both} claim digests equal the cached ones. [Spot]: same, but
+    this fingerprint is designated for spot-check replay. [Miss]:
     absent, claims differ (counted under
     [replay.cache_claim_mismatches]), or the cached replay needed more
     than [fuel] instructions. Bumps [replay.cache_hits] /
-    [replay.cache_misses] / [replay.cache_bytes_saved]. *)
+    [replay.cache_misses] / [replay.cache_spot_checks] /
+    [replay.cache_bytes_saved]. *)
+
+val settle : lookup -> emitted:bool -> cached option -> unit
+(** Report the replay of a [Spot] or [Miss] chunk: [Some counts] if it
+    verified, [None] if it diverged; [emitted] comes from
+    {!measure_replay}. A spot check whose replay does not reproduce the
+    cached counts means the table lied: the entry is evicted and
+    [replay.cache_poisoned] bumped. A verified miss is remembered. A
+    no-op on [Off] and [Hit]. *)
 
 val remember :
   t -> print -> ?peers_sensitive:bool -> instructions:int -> entries_consumed:int ->
   unit -> unit
-(** Store the result of a full {e verified} replay of [print]. Only
+(** Store the result of a full {e verified} replay of [print] — what
+    {!settle} does for a verified miss. Only
     verified outcomes may be remembered (divergences must re-replay
     everywhere — they are evidence, not overhead).
 
@@ -149,11 +175,6 @@ val measure_replay : (unit -> 'a) -> 'a * bool
     concurrent domains can only inflate the answer — pollution makes
     an entry peers-sensitive that needn't be, costing cross-peer hits
     but never soundness. *)
-
-val confirm_spot : t -> print -> matched:bool -> unit
-(** Report a spot-check replay's result against the cached entry.
-    [matched = false] means the table lied: the entry is evicted and
-    [replay.cache_poisoned] bumped. *)
 
 type stats = {
   hits : int;

@@ -29,10 +29,14 @@ let plan ~log ~snapshots =
 
 let plan_boundaries pl = Array.to_list pl.p_bounds
 
-let boundary_of pl i =
-  match Hashtbl.find_opt pl.p_by_snap i with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Spot_check: no snapshot %d in log" i)
+let chunk_bounds pl ~start_snapshot ~k =
+  let find s =
+    match Hashtbl.find_opt pl.p_by_snap s with
+    | Some b -> Ok b
+    | None -> Error (Printf.sprintf "no snapshot %d in log" s)
+  in
+  Result.bind (find start_snapshot) (fun b0 ->
+      Result.map (fun b1 -> (b0, b1)) (find (start_snapshot + k)))
 
 (* The pre-filtered chain for [Snapshot.materialize]: the prefix of the
    sorted snapshot array with seq <= s. *)
@@ -44,34 +48,26 @@ let chain_to pl s =
   done;
   Array.to_list (Array.sub pl.p_chain 0 !k)
 
-let has_snapshot pl s = Array.exists (fun (sn : Snapshot.t) -> sn.seq = s) pl.p_chain
+type authenticated =
+  | Verified of Machine.t
+  | Forged of Replay.divergence
+  | Unavailable of string
 
-(* Materialize the downloaded state at a boundary and authenticate it
-   against the logged digest; a forged download is itself evidence. *)
-let downloaded_state pl ~image ?mem_words ~log (b : boundary) =
-  let machine = Snapshot.materialize ?mem_words ~image (chain_to pl b.snapshot_seq) in
-  let logged_digest =
-    match (Log.entry log b.entry_seq).Entry.content with
-    | Entry.Snapshot_ref { digest; _ } -> digest
-    | _ -> assert false
-  in
-  let meta = Machine.serialize_meta machine in
-  let root = Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine) in
-  let recomputed =
-    Avm_crypto.Sha256.digest_list [ meta; root; string_of_int b.at_icount ]
-  in
-  let fault =
-    if String.equal recomputed logged_digest then None
+let authenticate ~image ?mem_words ~chain ~digest (b : boundary) =
+  match List.rev chain with
+  | last :: _ when last.Snapshot.seq = b.snapshot_seq ->
+    let machine = Snapshot.materialize ?mem_words ~image chain in
+    if String.equal (Replay.state_digest ~at_icount:b.at_icount machine) digest then
+      Verified machine
     else
-      Some
+      Forged
         {
           Replay.kind = Replay.Snapshot_mismatch;
           at = Machine.landmark machine;
           entry_seq = Some b.entry_seq;
           detail = "downloaded snapshot does not match the logged digest";
         }
-  in
-  (machine, fault)
+  | _ -> Unavailable (Printf.sprintf "snapshot %d not available" b.snapshot_seq)
 
 type chunk_report = {
   start_snapshot : int;
@@ -82,218 +78,93 @@ type chunk_report = {
   outcome : Replay.outcome;
 }
 
-(* The logged digest at a boundary — the pre-state half of a chunk
-   fingerprint. Using the *claimed* digest (not a materialized state's)
-   is what lets a cache hit skip the state download entirely, and it
-   is sound because entries are only remembered after the miss path's
-   [downloaded_state] authenticated that very claim: a forged claim
-   either misses (different fingerprint) or collides with an entry
-   whose execution was verified to start from the claimed state. *)
-let logged_digest log (b : boundary) =
-  match (Log.entry log b.entry_seq).Entry.content with
-  | Entry.Snapshot_ref { digest; _ } -> digest
-  | _ -> assert false
-
-(* Memoize one log range: fingerprint straight off the log (segment at
-   a time, no entry list materialized), then run the [Replay.with_cache]
-   protocol generalized to carry a report alongside the outcome. The
-   per-path wall clocks feed the dedup bench: spot-designated hits are
-   full replays of fingerprint-identical chunks, so
-   [cache_spot_seconds] / [cache_hit_seconds] is a like-for-like
-   measure of what each hit avoided. *)
-let with_range_cache ?cache ~fuel ~image ?mem_words ?strict_landmarks ~peers ~log
-    ~pre_state ~from ~upto ~(on_hit : Replay_cache.cached -> 'a) ~(full : unit -> 'a)
-    ~(outcome_of : 'a -> Replay.outcome) () =
-  match cache with
-  | Some c when Replay_cache.is_enabled () -> (
-    let t0 = Avm_obs.Clock.now_s () in
-    let f = Replay_cache.fp_create ~image ?mem_words ?strict_landmarks ~peers ~pre_state () in
-    Log.iter_range log ~from ~upto (Replay_cache.fp_feed f);
-    let p = Replay_cache.fp_finish f in
-    let clocked name r =
-      Avm_obs.Metrics.observe name (Avm_obs.Clock.now_s () -. t0);
-      r
-    in
-    let counts_match cached = function
-      | Replay.Verified { instructions; entries_consumed } ->
-        instructions = cached.Replay_cache.instructions
-        && entries_consumed = cached.Replay_cache.entries_consumed
-      | Replay.Diverged _ -> false
-    in
-    match Replay_cache.find c ~fuel p with
-    | `Hit cached -> clocked "spot_check.cache_hit_seconds" (on_hit cached)
-    | `Spot cached ->
-      let r = full () in
-      Replay_cache.confirm_spot c p ~matched:(counts_match cached (outcome_of r));
-      clocked "spot_check.cache_spot_seconds" r
-    | `Miss ->
-      let r, emitted = Replay_cache.measure_replay full in
-      (match outcome_of r with
-      | Replay.Verified { instructions; entries_consumed } ->
-        Replay_cache.remember c p ~peers_sensitive:emitted ~instructions
-          ~entries_consumed ()
-      | Replay.Diverged _ -> ());
-      clocked "spot_check.cache_miss_seconds" r)
-  | _ -> full ()
-
 let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_snapshot
     ~k () =
   Avm_obs.Trace.with_span ~name:"spot_check.chunk"
     ~attrs:[ ("start_snapshot", string_of_int start_snapshot); ("k", string_of_int k) ]
   @@ fun () ->
   let pl = match pl with Some pl -> pl | None -> plan ~log ~snapshots in
-  let start_b = boundary_of pl start_snapshot in
-  let end_b = boundary_of pl (start_snapshot + k) in
+  Result.bind (chunk_bounds pl ~start_snapshot ~k) @@ fun (start_b, end_b) ->
   let from = start_b.entry_seq + 1 and upto = end_b.entry_seq in
-  let full () =
-    (* Materialize the authenticated state at the chunk's first
-       snapshot; a forged download is itself the divergence. *)
-    let machine, digest_fault = downloaded_state pl ~image ~mem_words ~log start_b in
-    (* What the auditor transfers: the full state at the chunk start
-       (the paper's "memory + disk snapshots") plus the compressed
-       log. *)
-    let state_bytes =
-      String.length (Machine.serialize_meta machine)
-      + (Memory.page_count (Machine.mem machine) * Memory.page_size * 4)
-    in
-    let log_bytes_compressed = Log.transfer_bytes log ~from ~upto in
-    let outcome =
-      match digest_fault with
-      | Some d -> Replay.Diverged d
-      | None ->
-        Replay.replay_chunks ~image ~mem_words ~start:machine ~peers
-          ~chunks:(Log.chunk_seq log ~from ~upto) ()
-    in
-    let replay_instructions =
-      match outcome with
-      | Replay.Verified { instructions; _ } -> instructions
-      | Replay.Diverged _ -> Machine.icount machine - start_b.at_icount
-    in
-    Avm_obs.Metrics.incr ~by:state_bytes "spot_check.state_bytes";
-    Avm_obs.Metrics.incr ~by:log_bytes_compressed "spot_check.log_bytes_compressed";
-    Avm_obs.Metrics.incr ~by:replay_instructions "spot_check.replay_instructions";
+  (* The logged digest at the chunk start: what the downloaded state is
+     authenticated against, and the pre-state half of the fingerprint.
+     Fingerprinting the *claimed* digest (not a materialized state's)
+     is what lets a cache hit skip the download entirely; it is sound
+     because entries are only remembered after a miss authenticated
+     that very claim. *)
+  let digest =
+    match (Log.entry log start_b.entry_seq).Entry.content with
+    | Entry.Snapshot_ref { digest; _ } -> digest
+    | _ -> assert false (* the snapshot index only lists Snapshot_ref entries *)
+  in
+  let report ~state_bytes ~log_bytes_compressed ~replay_instructions outcome =
     { start_snapshot; k; state_bytes; log_bytes_compressed; replay_instructions; outcome }
   in
-  let report =
-    with_range_cache ?cache ~fuel:Replay.default_fuel ~image ~mem_words ~peers ~log
-      ~pre_state:(logged_digest log start_b) ~from ~upto
-      ~on_hit:(fun { Replay_cache.instructions; entries_consumed } ->
-        (* Nothing downloaded, nothing executed: the audit is the
-           three-digest compare, and the report says so. *)
-        {
-          start_snapshot;
-          k;
-          state_bytes = 0;
-          log_bytes_compressed = 0;
-          replay_instructions = 0;
-          outcome = Replay.Verified { instructions; entries_consumed };
-        })
-      ~full
-      ~outcome_of:(fun r -> r.outcome)
-      ()
+  (* What the auditor transfers on a replay: the full state at the
+     chunk start (the paper's "memory + disk snapshots") plus the
+     compressed log; a forged download is itself the divergence. *)
+  let full () =
+    let chain = chain_to pl start_b.snapshot_seq in
+    match authenticate ~image ~mem_words ~chain ~digest start_b with
+    | Unavailable msg -> Error msg
+    | Forged d ->
+      Ok
+        (report ~state_bytes:0 ~log_bytes_compressed:0 ~replay_instructions:0
+           (Replay.Diverged d))
+    | Verified machine ->
+      let state_bytes =
+        String.length (Machine.serialize_meta machine)
+        + (Memory.page_count (Machine.mem machine) * Memory.page_size * 4)
+      in
+      let log_bytes_compressed = Log.transfer_bytes log ~from ~upto in
+      let outcome =
+        Replay.replay_chunks ~image ~mem_words ~start:machine ~peers
+          ~chunks:(Log.chunk_seq log ~from ~upto) ()
+      in
+      let replay_instructions =
+        match outcome with
+        | Replay.Verified { instructions; _ } -> instructions
+        | Replay.Diverged _ -> Machine.icount machine - start_b.at_icount
+      in
+      Avm_obs.Metrics.incr ~by:state_bytes "spot_check.state_bytes";
+      Avm_obs.Metrics.incr ~by:log_bytes_compressed "spot_check.log_bytes_compressed";
+      Avm_obs.Metrics.incr ~by:replay_instructions "spot_check.replay_instructions";
+      Ok (report ~state_bytes ~log_bytes_compressed ~replay_instructions outcome)
   in
-  Avm_obs.Metrics.incr "spot_check.chunks_checked";
-  report
-
-let check_chunks ?par ?cache ~image ~mem_words ~snapshots ~log ~peers chunks =
-  let pl = plan ~log ~snapshots in
-  let job (start_snapshot, k) =
-    check_chunk ~plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_snapshot
-      ~k ()
+  (* The per-path wall clocks feed the dedup bench: spot-designated
+     hits are full replays of fingerprint-identical chunks, so
+     [cache_spot_seconds] / [cache_hit_seconds] is a like-for-like
+     measure of what each hit avoided. The fingerprint streams straight
+     off the log, a segment at a time. *)
+  let t0 = Avm_obs.Clock.now_s () in
+  let clocked name r =
+    Avm_obs.Metrics.observe name (Avm_obs.Clock.now_s () -. t0);
+    r
   in
-  Audit_ctx.with_parallelism ?par (fun p ->
-      match p with
-      | Some pool -> Avm_util.Domain_pool.map_list pool job chunks
-      | None -> List.map job chunks)
-
-(* --- snapshot-partitioned full replay (the parallel semantic audit) ------ *)
-
-(* The full log [1..upto] cut at every snapshot boundary whose state the
-   auditor can actually materialize. Each piece replays independently:
-   the first from the boot image, the rest from downloaded snapshot
-   state, exactly like a k=1 spot check. *)
-type piece = {
-  pc_start : [ `Fresh | `Boundary of boundary ];
-  pc_from : int;
-  pc_upto : int;
-}
-
-let pieces pl ~upto =
-  let cuts =
-    List.filter
-      (fun b -> b.entry_seq < upto && has_snapshot pl b.snapshot_seq)
-      (Array.to_list pl.p_bounds)
+  let l =
+    Replay_cache.lookup cache ~fuel:Replay.default_fuel (fun () ->
+        let f = Replay_cache.fp_create ~image ~mem_words ~peers ~pre_state:digest () in
+        Log.iter_range log ~from ~upto (Replay_cache.fp_feed f);
+        Replay_cache.fp_finish f)
   in
-  let rec go start from = function
-    | [] -> [ { pc_start = start; pc_from = from; pc_upto = upto } ]
-    | b :: rest ->
-      { pc_start = start; pc_from = from; pc_upto = b.entry_seq }
-      :: go (`Boundary b) (b.entry_seq + 1) rest
+  let result =
+    match l with
+    | Replay_cache.Off -> full ()
+    | Replay_cache.Hit { instructions; entries_consumed } ->
+      (* Nothing downloaded, nothing executed: the audit is the
+         three-digest compare, and the report says so. *)
+      clocked "spot_check.cache_hit_seconds"
+        (Ok
+           (report ~state_bytes:0 ~log_bytes_compressed:0 ~replay_instructions:0
+              (Replay.Verified { instructions; entries_consumed })))
+    | Replay_cache.Spot _ | Replay_cache.Miss _ ->
+      let r, emitted = Replay_cache.measure_replay full in
+      Result.iter (fun r -> Replay_cache.settle l ~emitted (Replay.verified r.outcome)) r;
+      clocked
+        (match l with
+        | Replay_cache.Spot _ -> "spot_check.cache_spot_seconds"
+        | _ -> "spot_check.cache_miss_seconds")
+        r
   in
-  go `Fresh 1 cuts
-
-let replay_piece pl ~image ?mem_words ?fuel ?cache ~peers ~log piece =
-  Avm_obs.Trace.with_span ~name:"replay.piece"
-    ~attrs:
-      [ ("from", string_of_int piece.pc_from); ("upto", string_of_int piece.pc_upto) ]
-  @@ fun () ->
-  Avm_obs.Metrics.incr "spot_check.pieces_replayed";
-  let replay start =
-    Replay.replay_chunks ~image ?mem_words ?start ?fuel ~peers
-      ~chunks:(Log.chunk_seq log ~from:piece.pc_from ~upto:piece.pc_upto)
-      ()
-  in
-  match piece.pc_start with
-  | `Fresh ->
-    (* The boot piece has no boundary claim to fingerprint against;
-       Replay computes the fresh machine's state digest itself. *)
-    Replay.replay_chunks ~image ?mem_words ?fuel ~peers ?cache
-      ~chunks:(Log.chunk_seq log ~from:piece.pc_from ~upto:piece.pc_upto)
-      ()
-  | `Boundary b ->
-    with_range_cache ?cache
-      ~fuel:(Option.value fuel ~default:Replay.default_fuel)
-      ~image ?mem_words ~peers ~log ~pre_state:(logged_digest log b) ~from:piece.pc_from
-      ~upto:piece.pc_upto
-      ~on_hit:(fun { Replay_cache.instructions; entries_consumed } ->
-        Replay.Verified { instructions; entries_consumed })
-      ~full:(fun () ->
-        match downloaded_state pl ~image ?mem_words ~log b with
-        | _, Some d -> Replay.Diverged d
-        | machine, None -> replay (Some machine))
-      ~outcome_of:Fun.id ()
-
-(* Merge per-piece outcomes in sequence order: the earliest diverged
-   piece wins (its replay saw exactly the states the sequential pass
-   would have seen there — see the mli), and an all-verified run sums
-   to the sequential totals because piece boundaries telescope. *)
-let merge_outcomes outcomes =
-  let rec go instructions fed = function
-    | [] -> Replay.Verified { instructions; entries_consumed = fed }
-    | Replay.Diverged d :: _ -> Replay.Diverged d
-    | Replay.Verified { instructions = i; entries_consumed = f } :: rest ->
-      go (instructions + i) (fed + f) rest
-  in
-  go 0 0 outcomes
-
-let parallel_replay ?par ?cache ~image ?mem_words ?fuel ~snapshots ~log ~peers ?upto () =
-  let upto = match upto with Some u -> u | None -> Log.length log in
-  let streaming () =
-    Replay.replay_chunks ~image ?mem_words ?fuel ~peers ?cache
-      ~chunks:(Log.chunk_seq log ~from:1 ~upto)
-      ()
-  in
-  Audit_ctx.with_parallelism ?par (fun p ->
-      match p with
-      | None -> streaming ()
-      | Some pool -> (
-        let pl = plan ~log ~snapshots in
-        match pieces pl ~upto with
-        | [ _ ] | [] ->
-          (* nothing to partition: plain streaming replay *)
-          streaming ()
-        | ps ->
-          merge_outcomes
-            (Avm_util.Domain_pool.map_list pool
-               (replay_piece pl ~image ?mem_words ?fuel ?cache ~peers ~log)
-               ps)))
+  if Result.is_ok result then Avm_obs.Metrics.incr "spot_check.chunks_checked";
+  result

@@ -1,18 +1,13 @@
 (** Spot checking: auditing k consecutive inter-snapshot segments
-    instead of the whole log (paper §3.5, §6.12) — and, built on the
-    same partition, the snapshot-parallel semantic audit.
+    instead of the whole log (paper §3.5, §6.12).
 
     The log is divided into {e segments} by its Snapshot_ref entries;
     [k] consecutive segments form a {e k-chunk}. To check a chunk the
     auditor downloads the machine state at the chunk's first snapshot
-    (authenticated against the logged digest), the compressed log
-    segment, and replays it. Cost is therefore a fixed part (state
-    transfer, decompression) plus a part linear in [k] — Figure 9.
-
-    Because chunks between snapshots are independently verifiable,
-    they are also independently {e replayable}: {!parallel_replay}
-    cuts the whole log at its snapshot boundaries and replays every
-    piece concurrently on a {!Avm_util.Domain_pool}. *)
+    (authenticated against the logged digest — {!authenticate}), the
+    compressed log segment, and replays it. Cost is therefore a fixed
+    part (state transfer, decompression) plus a part linear in [k] —
+    Figure 9. *)
 
 type boundary = { entry_seq : int; snapshot_seq : int; at_icount : int }
 
@@ -30,6 +25,39 @@ type plan
 
 val plan : log:Avm_tamperlog.Log.t -> snapshots:Avm_machine.Snapshot.t list -> plan
 val plan_boundaries : plan -> boundary list
+
+val chunk_bounds :
+  plan -> start_snapshot:int -> k:int -> (boundary * boundary, string) result
+(** The boundaries that open and close the k-chunk starting at
+    snapshot [start_snapshot]; [Error] names a snapshot the log does
+    not index. *)
+
+(** {1 Authenticating downloaded state} *)
+
+type authenticated =
+  | Verified of Avm_machine.Machine.t  (** the state the log committed to *)
+  | Forged of Replay.divergence
+      (** materialized state whose digest differs from the logged one —
+          a [Snapshot_mismatch] divergence, itself evidence *)
+  | Unavailable of string
+      (** the snapshot at the boundary was not supplied (yet): no
+          verdict either way *)
+
+val authenticate :
+  image:int array ->
+  ?mem_words:int ->
+  chain:Avm_machine.Snapshot.t list ->
+  digest:string ->
+  boundary ->
+  authenticated
+(** Materialize the state at boundary [b] from [chain] (ascending, as
+    {!Avm_machine.Snapshot.chain_upto} returns it; its last snapshot
+    must be [b.snapshot_seq]) and check it against [digest], the
+    Snapshot_ref digest logged at [b]. The one state-transfer check
+    shared by {!check_chunk} and {!Online_audit.Session}'s re-seating
+    after a cache hit. *)
+
+(** {1 Chunk checks} *)
 
 type chunk_report = {
   start_snapshot : int;
@@ -51,67 +79,20 @@ val check_chunk :
   start_snapshot:int ->
   k:int ->
   unit ->
-  chunk_report
+  (chunk_report, string) result
 (** [check_chunk ~start_snapshot ~k ...] audits the k-chunk beginning
-    at snapshot [start_snapshot]. The snapshot chain is verified
-    against the log's digest before replay; a forged snapshot is
-    reported as a divergence. Pass [?plan] (built once) when checking
-    many chunks of the same session — otherwise each call rebuilds the
-    boundary index and re-sorts the snapshot chain.
+    at snapshot [start_snapshot]: {!authenticate} the downloaded state,
+    then replay. A forged snapshot is reported as a [Snapshot_mismatch]
+    divergence. [Error] means the chunk could not be checked at all:
+    the log has no boundary at [start_snapshot] or [start_snapshot + k],
+    or [snapshots] lacks the state at the chunk start. Pass [?plan]
+    (built once) when checking many chunks of the same session —
+    otherwise each call rebuilds the boundary index and re-sorts the
+    snapshot chain.
 
     With [cache], the chunk is fingerprinted against the {e logged}
     boundary digest (no state materialized) and the {!Replay_cache}
-    memo protocol applies: a hit skips the state download and the
-    replay outright — the fleet dedup fast path — which is sound
-    because entries are only remembered after a miss-path
-    [downloaded_state] authenticated that same claimed digest.
-    @raise Invalid_argument if the chunk runs past the last snapshot. *)
-
-val check_chunks :
-  ?par:Audit_ctx.parallelism ->
-  ?cache:Replay_cache.t ->
-  image:int array ->
-  mem_words:int ->
-  snapshots:Avm_machine.Snapshot.t list ->
-  log:Avm_tamperlog.Log.t ->
-  peers:(int * string) list ->
-  (int * int) list ->
-  chunk_report list
-(** [check_chunks ... [(start, k); ...]] runs {!check_chunk} for every
-    [(start_snapshot, k)] pair against one shared {!plan} — in
-    parallel when [par] resolves to more than one lane
-    ({!Audit_ctx.parallelism}). Reports come back in input order. *)
-
-val parallel_replay :
-  ?par:Audit_ctx.parallelism ->
-  ?cache:Replay_cache.t ->
-  image:int array ->
-  ?mem_words:int ->
-  ?fuel:int ->
-  snapshots:Avm_machine.Snapshot.t list ->
-  log:Avm_tamperlog.Log.t ->
-  peers:(int * string) list ->
-  ?upto:int ->
-  unit ->
-  Replay.outcome
-(** The parallel semantic audit: cut [1..upto] (default: the whole
-    log) at every snapshot boundary whose state [snapshots] can
-    materialize, replay all pieces concurrently (each from its
-    authenticated downloaded state, the first from the boot image),
-    and merge outcomes in sequence order.
-
-    With a complete, honest snapshot set this returns exactly what the
-    sequential {!Replay.replay_chunks} over the whole log returns: an
-    earlier piece only verifies if its replayed state matches the
-    logged digest at its end boundary, so the next piece's
-    materialized start state is the state the sequential replay would
-    have carried there — the first divergence (and the all-verified
-    instruction/entry totals, which telescope across boundaries) is
-    identical. Differences are possible only where the designs
-    genuinely differ: a forged {e downloaded} snapshot is reported
-    here (kind [Snapshot_mismatch]) but invisible to a sequential
-    replay that never downloads state, and [fuel] bounds each piece
-    rather than the whole run.
-
-    When [par] resolves to a single lane the whole range is replayed
-    by the plain streaming pass (no pieces, no downloaded state). *)
+    lookup/settle protocol applies: a hit skips the state download and
+    the replay outright — the fleet dedup fast path — which is sound
+    because entries are only remembered after a miss authenticated
+    that same claimed digest. *)

@@ -68,27 +68,25 @@ type target_view = {
 
 type verdict = { job : job; ok : bool; detail : string }
 
-let boundary_for view ~snapshot_seq =
-  List.find_opt
-    (fun (b : Spot_check.boundary) -> b.Spot_check.snapshot_seq = snapshot_seq)
-    (Spot_check.boundaries view.log)
-
 let audit_job ?cache ~view ~auths (job : job) =
+  (* Epoch [e] is the 1-chunk between snapshots [e - 1] and [e]. *)
+  let pl = Spot_check.plan ~log:view.log ~snapshots:view.snapshots in
+  let failed detail = { job; ok = false; detail } in
   match job.mode with
   | Syntactic -> (
     (* The cheap per-epoch pass: hash chain over the epoch's sealed
        range, the witness's own collected authenticators matched
        against it, RECV signatures verified. *)
-    match (boundary_for view ~snapshot_seq:(job.epoch - 1), boundary_for view ~snapshot_seq:job.epoch) with
-    | Some b0, Some b1 ->
+    match Spot_check.chunk_bounds pl ~start_snapshot:(job.epoch - 1) ~k:1 with
+    | Error detail -> failed detail
+    | Ok (b0, b1) ->
       let ctx =
         Audit.ctx ~node_cert:view.node_cert ~peer_certs:view.peer_certs ~auths ()
       in
       let from = b0.Spot_check.entry_seq + 1 and upto = b1.Spot_check.entry_seq in
       let r = Audit.syntactic_of_log ~ctx ~log:view.log ~from ~upto () in
       if r.Audit.failures = [] then { job; ok = true; detail = "" }
-      else { job; ok = false; detail = List.hd r.Audit.failures }
-    | _ -> { job; ok = false; detail = "epoch boundary snapshot missing from log" })
+      else failed (List.hd r.Audit.failures))
   | Semantic -> (
     (* The designated witness replays the epoch from the authenticated
        state at its opening snapshot (paper §3.5 spot check, k = 1):
@@ -97,24 +95,27 @@ let audit_job ?cache ~view ~auths (job : job) =
        epoch chunk is fingerprinted first and an identical chunk
        already verified anywhere in the fleet resolves as a
        three-digest compare (DESIGN.md §14); the verdict is the same
-       either way. [witness.semantic_entries] / [witness.semantic_us]
-       accumulate the semantic throughput the dedup bench reports. *)
+       either way. A chunk that cannot be checked — a boundary missing
+       from the log, or state the target never handed over — fails the
+       job with a detail naming the snapshot.
+       [witness.semantic_entries] / [witness.semantic_us] accumulate
+       the semantic throughput the dedup bench reports. *)
     let t0 = Avm_obs.Clock.now_s () in
     match
-      Spot_check.check_chunk ?cache ~image:view.image ~mem_words:view.mem_words
+      Spot_check.check_chunk ~plan:pl ?cache ~image:view.image ~mem_words:view.mem_words
         ~snapshots:view.snapshots ~log:view.log ~peers:view.peers
         ~start_snapshot:(job.epoch - 1) ~k:1 ()
     with
-    | exception Invalid_argument msg -> { job; ok = false; detail = msg }
-    | report ->
+    | Error detail -> failed detail
+    | Ok report -> (
       Avm_obs.Metrics.incr
         ~by:(int_of_float ((Avm_obs.Clock.now_s () -. t0) *. 1e6))
         "witness.semantic_us";
-      (match report.Spot_check.outcome with
+      match report.Spot_check.outcome with
       | Replay.Verified { entries_consumed; _ } ->
         Avm_obs.Metrics.incr ~by:entries_consumed "witness.semantic_entries";
         { job; ok = true; detail = "" }
-      | Replay.Diverged d -> { job; ok = false; detail = Replay.kind_name d.Replay.kind }))
+      | Replay.Diverged d -> failed (Replay.kind_name d.Replay.kind)))
 
 (* --- The sharded auditor pool ------------------------------------------- *)
 

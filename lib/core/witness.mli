@@ -79,7 +79,12 @@ val audit_job :
     witness) job it hands {!run_sharded}, so an epoch chunk identical
     across the idle majority replays once and hits everywhere else.
     Verdicts are unchanged; semantic jobs additionally bump
-    [witness.semantic_entries] / [witness.semantic_us]. *)
+    [witness.semantic_entries] / [witness.semantic_us].
+
+    The epoch range comes from the {!Spot_check.plan} of the target's
+    log. A job that cannot run — an epoch boundary missing from the
+    log, or a snapshot the target never handed over — fails
+    ([ok = false]) with a [detail] naming the snapshot. *)
 
 (** {1 The sharded auditor pool} *)
 

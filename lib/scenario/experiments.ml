@@ -466,20 +466,23 @@ let fig8 ?(scale = Full) () =
         auditors :=
           List.init audits (fun j ->
               ( j + 1,
-                Online_audit.create ~image:(Game_run.reference_image ())
+                Online_audit.Session.open_session ~image:(Game_run.reference_image ())
                   ~mem_words:Guests.mem_words ~peers:(Net.peers net) () ));
       let auditor_avmm = Net.node_avmm (Net.node net 0) in
       ignore now;
       List.iter
         (fun (target, oa) ->
-          Online_audit.observe_log oa (log_of net target);
-          (match Online_audit.advance oa ~budget_instructions:(int_of_float (50_000.0 /. audit_upi)) with
-          | `Ok -> ()
-          | `Fault d ->
+          ignore (Online_audit.Session.ingest oa (log_of net target));
+          (match
+             Online_audit.Session.step oa
+               ~budget_instructions:(int_of_float (50_000.0 /. audit_upi))
+           with
+          | None -> ()
+          | Some v ->
             failwith
-              (Format.asprintf "online audit found a fault in an honest run: %a"
-                 Replay.pp_outcome (Replay.Diverged d)));
-          lag := Online_audit.lag_entries oa)
+              (Format.asprintf "online audit flagged an honest run: %a"
+                 Online_audit.pp_verdict v));
+          lag := Online_audit.Session.lag_entries oa)
         !auditors;
       (* Cache/memory contention from concurrent replay VMs. *)
       if audits > 0 then

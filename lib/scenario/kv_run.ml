@@ -33,9 +33,13 @@ let run ?(duration_us = 300.0e6) ?(snapshot_every_us = 20_000_000) ?(rsa_bits = 
 
 let audit_server_chunk o ~start_snapshot ~k =
   let server = Net.node_avmm (Net.node o.net 0) in
-  Spot_check.check_chunk ~image:(server_image ()) ~mem_words:Guests.mem_words
-    ~snapshots:o.server_snapshots ~log:(Avmm.log server) ~peers:(Net.peers o.net)
-    ~start_snapshot ~k ()
+  match
+    Spot_check.check_chunk ~image:(server_image ()) ~mem_words:Guests.mem_words
+      ~snapshots:o.server_snapshots ~log:(Avmm.log server) ~peers:(Net.peers o.net)
+      ~start_snapshot ~k ()
+  with
+  | Ok report -> report
+  | Error msg -> invalid_arg ("Kv_run.audit_server_chunk: " ^ msg)
 
 let full_audit_cost o =
   let server = Net.node_avmm (Net.node o.net 0) in

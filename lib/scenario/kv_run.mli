@@ -24,7 +24,9 @@ val run :
 
 val server_image : unit -> int array
 val audit_server_chunk : outcome -> start_snapshot:int -> k:int -> Avm_core.Spot_check.chunk_report
-(** Spot-check one k-chunk of the server's log. *)
+(** Spot-check one k-chunk of the server's log.
+    @raise Invalid_argument if the run took no snapshot at either end
+    of the chunk. *)
 
 val full_audit_cost : outcome -> int * int
 (** [(instructions, compressed_log_bytes)] of a full audit of the

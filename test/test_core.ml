@@ -237,6 +237,30 @@ let test_crossref_mismatch () =
       (Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
          ~entries:(Log.segment log ~from:1 ~upto:(Log.length log)) ())
 
+let test_unaligned_recv_payload () =
+  (* A RECV whose payload is not a whole number of words cannot have
+     been injected by an AVMM: replay reports the guest's read of it as
+     a cross-reference divergence instead of failing to decode it. *)
+  let _, b = run_pair ~slices:30 () in
+  let log = Avmm.log b in
+  let msg =
+    List.find_map
+      (fun (e : Entry.t) ->
+        match e.content with
+        | Entry.Exec (Avm_machine.Event.Io_in { port; msg; _ })
+          when msg >= 0 && port = Avm_isa.Isa.port_net_rx ->
+          Some msg
+        | _ -> None)
+      (entries_of b)
+  in
+  match Option.map (fun m -> (m, (Log.entry log m).Entry.content)) msg with
+  | Some (seq, Entry.Recv r) ->
+    Log.tamper_reseal log seq (Entry.Recv { r with payload = r.payload ^ "x" });
+    expect_diverged Replay.Crossref_mismatch
+      (Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
+         ~entries:(Log.segment log ~from:1 ~upto:(Log.length log)) ())
+  | _ -> Alcotest.fail "no rx read of a RECV found in log"
+
 let test_replay_engine_incremental () =
   let _, b = run_pair ~slices:30 () in
   let entries = entries_of b in
@@ -430,14 +454,19 @@ let test_unanswered_challenge_evidence () =
 
 (* --- spot checks --------------------------------------------------------------------- *)
 
+let chunk_ok = function
+  | Ok (r : Spot_check.chunk_report) -> r
+  | Error e -> Alcotest.failf "chunk could not be checked: %s" e
+
 let test_spot_check_chunks () =
   let _, b = run_pair ~slices:60 () in
   let log = Avmm.log b in
   let bounds = Spot_check.boundaries log in
   Alcotest.(check bool) "several snapshots" true (List.length bounds >= 4);
   let report =
-    Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096
-      ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b ~start_snapshot:1 ~k:2 ()
+    chunk_ok
+      (Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096
+         ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b ~start_snapshot:1 ~k:2 ())
   in
   (match report.Spot_check.outcome with
   | Replay.Verified _ -> ()
@@ -466,16 +495,18 @@ let test_spot_check_incompleteness () =
   let bounds = Spot_check.boundaries log in
   Alcotest.(check bool) "enough segments" true (List.length bounds >= 5);
   let early =
-    Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096 ~snapshots:(Avmm.snapshots b)
-      ~log ~peers:peers_b ~start_snapshot:1 ~k:1 ()
+    chunk_ok
+      (Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096
+         ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b ~start_snapshot:1 ~k:1 ())
   in
   (match early.Spot_check.outcome with
   | Replay.Diverged _ -> ()
   | _ -> Alcotest.fail "fault in checked segment must be found");
   (* Checking only a later chunk misses it. *)
   let late =
-    Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096 ~snapshots:(Avmm.snapshots b)
-      ~log ~peers:peers_b ~start_snapshot:3 ~k:1 ()
+    chunk_ok
+      (Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096
+         ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b ~start_snapshot:3 ~k:1 ())
   in
   match late.Spot_check.outcome with
   | Replay.Verified _ -> ()
@@ -1060,32 +1091,21 @@ let test_segmented_audit_cheats () =
   check_equivalent ~name:"forged-recv" (entries_of b) auths
 
 let test_syntactic_single_pass () =
-  (* The streaming syntactic check must consume its feed exactly once,
-     delivering each entry exactly once — the whole point of folding
-     the five passes into one. *)
+  (* The syntactic stream settles each entry on the push that delivers
+     it — the whole point of folding the five passes into one — and
+     the list entry point is exactly that stream. *)
   let b, auths = record_with_auths () in
   let entries = entries_of b in
-  let feed_calls = ref 0 in
-  let delivered = Hashtbl.create 256 in
-  let feed push =
-    incr feed_calls;
-    List.iter
-      (fun (e : Entry.t) ->
-        Hashtbl.replace delivered e.Entry.seq
-          (1 + Option.value ~default:0 (Hashtbl.find_opt delivered e.Entry.seq));
-        push e)
-      entries
-  in
-  let syn =
-    Audit.syntactic_feed ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~feed ()
-  in
-  Alcotest.(check int) "feed invoked once" 1 !feed_calls;
+  let s = Audit.syn_stream ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash in
+  List.iteri
+    (fun i e ->
+      Audit.syn_push s e;
+      if (Audit.syn_report s).Audit.entries_checked <> i + 1 then
+        Alcotest.failf "entry %d not checked on its push" e.Entry.seq)
+    entries;
+  let syn = Audit.syn_finish s in
   Alcotest.(check int) "every entry checked" (List.length entries) syn.Audit.entries_checked;
-  Hashtbl.iter
-    (fun seq n -> if n <> 1 then Alcotest.failf "entry %d delivered %d times" seq n)
-    delivered;
   Alcotest.(check (list string)) "clean" [] syn.Audit.failures;
-  (* and it reports exactly what the list-based entry point reports *)
   let listed =
     Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries ()
   in
@@ -1140,6 +1160,27 @@ let test_parallel_syntactic_honest_and_tampered () =
       honest
   in
   check_parallel_syntactic ~name:"two breaks" broken_twice auths;
+  (* every RECV turned into a note: the rx reads of it, from its own
+     chunk or a later one, are reported in the same order *)
+  let no_recvs =
+    List.map
+      (fun (e : Entry.t) ->
+        match e.Entry.content with
+        | Entry.Recv _ -> { e with Entry.content = Entry.Note "gone" }
+        | _ -> e)
+      honest
+  in
+  let xrefs =
+    (Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries:no_recvs ())
+      .Audit.failures
+    |> List.filter (fun m ->
+           let sub = "rx read references non-RECV" in
+           let n = String.length sub in
+           let rec at i = i + n <= String.length m && (String.sub m i n = sub || at (i + 1)) in
+           at 0)
+  in
+  Alcotest.(check bool) "dangling rx reads reported" true (List.length xrefs > 1);
+  check_parallel_syntactic ~name:"recvs removed" no_recvs auths;
   (* reseal: consistent chain, caught by the collected authenticators *)
   let b, auths = record_with_auths () in
   (match
@@ -1169,21 +1210,19 @@ let test_parallel_syntactic_honest_and_tampered () =
       (Entry.Recv { src = "alice"; nonce = 9; payload = "gift"; signature = "forged" }));
   check_parallel_syntactic ~name:"forged-recv" (entries_of b) auths
 
-(* Full audits (syntactic + snapshot-partitioned semantic replay) at
-   jobs in {1, 2, 4} against the sequential report. The semantic
-   outcomes must be structurally identical: same Verified totals
-   (piece boundaries telescope) or the same first divergence. *)
+(* Full audits at jobs in {1, 2, 4} against the sequential report: the
+   stitched syntactic pass must match byte for byte, and the semantic
+   replay (always one sequential pass) must reach the same outcome. *)
 let check_parallel_full ~name b auths =
   let log = Avmm.log b in
-  let snapshots = Avmm.snapshots b in
-  let full ?par ?snapshots () =
+  let full ?par () =
     Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
-      ~peers:peers_b ~log ?snapshots ?par ()
+      ~peers:peers_b ~log ?par ()
   in
   let seq = full () in
   List.iter
     (fun jobs ->
-      let par = full ~par:(Audit.parallel jobs) ~snapshots () in
+      let par = full ~par:(Audit.parallel jobs) () in
       Alcotest.(check bool) (Printf.sprintf "%s: syntactic (jobs=%d)" name jobs) true
         (seq.Audit.syntactic = par.Audit.syntactic);
       (match (seq.Audit.semantic, par.Audit.semantic) with
@@ -1199,68 +1238,152 @@ let check_parallel_full ~name b auths =
     [ 1; 2; 4 ]
 
 let test_parallel_full_audit () =
-  (* honest session: everything verifies, totals telescope *)
   let b, auths = record_with_auths () in
   check_parallel_full ~name:"honest" b auths;
-  (* hidden state poke: the same first divergence from every job count *)
   let b, auths = record_with_auths ~poke_at:15 () in
   check_parallel_full ~name:"poke" b auths
 
-let test_parallel_replay_forged_snapshot () =
-  (* A forged *downloaded* snapshot is evidence only the parallel
-     replay can see: the sequential replay never materializes state, so
-     this is a documented (strict) extra detection, not a divergence
-     between the two passes. *)
-  let _, b = run_pair ~slices:60 () in
-  let log = Avmm.log b in
-  let snapshots = Avmm.snapshots b in
-  Alcotest.(check bool) "several snapshots" true (List.length snapshots >= 3);
-  let forged =
-    List.map
-      (fun (s : Avm_machine.Snapshot.t) ->
-        if s.seq <> 0 then s
-        else
-          match s.pages with
-          | (p, data) :: rest ->
-            let bad = Bytes.of_string data in
-            Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 1));
-            { s with Avm_machine.Snapshot.pages = (p, Bytes.to_string bad) :: rest }
-          | [] -> Alcotest.fail "full snapshot has no pages")
-      snapshots
-  in
-  Avm_util.Domain_pool.with_pool ~jobs:2 (fun pool ->
-      let par = Audit.parallel ~pool 2 in
-      expect_verified
-        (Spot_check.parallel_replay ~par ~image:(guest_image ()) ~mem_words:4096 ~snapshots
-           ~log ~peers:peers_b ());
-      expect_diverged Replay.Snapshot_mismatch
-        (Spot_check.parallel_replay ~par ~image:(guest_image ()) ~mem_words:4096
-           ~snapshots:forged ~log ~peers:peers_b ()))
-
 let test_spot_check_plan_and_pool () =
+  (* One plan shared by chunk checks on a pool: reports identical to
+     checking the chunks one by one. *)
   let _, b = run_pair ~slices:60 () in
   let log = Avmm.log b in
   let snapshots = Avmm.snapshots b in
   let pl = Spot_check.plan ~log ~snapshots in
   Alcotest.(check bool) "plan indexes every boundary" true
     (Spot_check.plan_boundaries pl = Spot_check.boundaries log);
-  let chunks = [ (1, 1); (2, 2); (1, 2) ] in
-  let check ?par () =
-    Spot_check.check_chunks ?par ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
-      ~peers:peers_b chunks
+  let check (start_snapshot, k) =
+    Spot_check.check_chunk ~plan:pl ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+      ~peers:peers_b ~start_snapshot ~k ()
   in
-  let seq = check () in
+  let chunks = [ (1, 1); (2, 2); (1, 2) ] in
+  let seq = List.map check chunks in
+  List.iter (fun r -> expect_verified (chunk_ok r).Spot_check.outcome) seq;
   Avm_util.Domain_pool.with_pool ~jobs:3 (fun pool ->
       Alcotest.(check bool) "pooled spot checks identical" true
-        (seq = check ~par:(Audit.parallel ~pool 3) ()))
+        (seq = Avm_util.Domain_pool.map_list pool check chunks))
+
+(* --- downloaded-state authentication ------------------------------------------ *)
+
+(* [snapshots] with one byte flipped in the first page of snapshot
+   [seq]: a download whose materialized state no longer matches the
+   digest the log committed to. *)
+let forge_snapshot ~seq snapshots =
+  List.map
+    (fun (s : Avm_machine.Snapshot.t) ->
+      if s.seq <> seq then s
+      else
+        match s.pages with
+        | (p, data) :: rest ->
+          let bad = Bytes.of_string data in
+          Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 1));
+          { s with Avm_machine.Snapshot.pages = (p, Bytes.to_string bad) :: rest }
+        | [] -> Alcotest.failf "snapshot %d has no pages to forge" seq)
+    snapshots
+
+let test_check_chunk_forged_download () =
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  let snapshots = Avmm.snapshots b in
+  let check ~snapshots ~start_snapshot =
+    Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+      ~peers:peers_b ~start_snapshot ~k:1 ()
+  in
+  expect_verified (chunk_ok (check ~snapshots ~start_snapshot:0)).Spot_check.outcome;
+  let forged = chunk_ok (check ~snapshots:(forge_snapshot ~seq:0 snapshots) ~start_snapshot:0) in
+  expect_diverged Replay.Snapshot_mismatch forged.Spot_check.outcome;
+  Alcotest.(check int) "forged state is not counted as transferred" 0
+    forged.Spot_check.state_bytes
+
+let test_check_chunk_unavailable () =
+  (* Neither missing state nor a missing boundary is a program error:
+     both come back as ordinary results naming the snapshot. *)
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  let check ~snapshots ~start_snapshot =
+    Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+      ~peers:peers_b ~start_snapshot ~k:1 ()
+  in
+  (match check ~snapshots:[] ~start_snapshot:2 with
+  | Error e -> Alcotest.(check string) "names the snapshot" "snapshot 2 not available" e
+  | Ok _ -> Alcotest.fail "checked a chunk without its state");
+  match check ~snapshots:(Avmm.snapshots b) ~start_snapshot:99 with
+  | Error e -> Alcotest.(check string) "names the boundary" "no snapshot 99 in log" e
+  | Ok _ -> Alcotest.fail "checked a chunk the log does not have"
+
+(* A session over [log] stepped until it has a verdict or nothing is
+   left to replay (or it stops making progress, as a stalled one
+   does). *)
+let drain_session s =
+  let rec go n =
+    match Online_audit.Session.step s ~budget_instructions:10_000_000 with
+    | Some v -> Some v
+    | None ->
+      if n > 0 && Online_audit.Session.lag_entries s > 0 then go (n - 1) else None
+  in
+  go 50
+
+let session_over ?ctx ?cache ?snapshot_of log =
+  let s =
+    Online_audit.Session.open_session ?ctx ~image:(guest_image ()) ~mem_words:4096
+      ~replay_rate:1.0 ?cache ?snapshot_of ~peers:peers_b ()
+  in
+  ignore (Online_audit.Session.ingest s log);
+  s
+
+(* A cache every closed chunk of [log] hits in: a first session (no
+   snapshots, so it takes no hits) remembers each chunk it verifies. *)
+let warm_cache log =
+  let cache = Replay_cache.create ~spot_rate:0 () in
+  let s = session_over ~cache log in
+  (match drain_session s with
+  | None -> ()
+  | Some v -> Alcotest.failf "warm-up session flagged: %a" Online_audit.pp_verdict v);
+  cache
+
+let last_snapshot_seq b =
+  List.fold_left (fun m (s : Avm_machine.Snapshot.t) -> max m s.seq) 0 (Avmm.snapshots b)
+
+let test_session_forged_snapshot_after_hit () =
+  (* Every closed chunk hits, so replay must re-seat from the downloaded
+     state at the last boundary: a forged download is a divergence,
+     not a silent skip. *)
+  let _, b = run_pair ~slices:65 () in
+  let log = Avmm.log b in
+  let cache = warm_cache log in
+  let honest = session_over ~cache ~snapshot_of:(fun () -> Avmm.snapshots b) log in
+  Alcotest.(check bool) "honest download: clean" true (drain_session honest = None);
+  Alcotest.(check bool) "took cache hits" true
+    ((Online_audit.Session.status honest).Online_audit.cache_hits > 0);
+  let forged = forge_snapshot ~seq:(last_snapshot_seq b) (Avmm.snapshots b) in
+  let s = session_over ~cache ~snapshot_of:(fun () -> forged) log in
+  match drain_session s with
+  | Some (Online_audit.Diverged d) ->
+    Alcotest.(check string) "kind" "snapshot-mismatch" (Replay.kind_name d.Replay.kind)
+  | Some v -> Alcotest.failf "wrong verdict: %a" Online_audit.pp_verdict v
+  | None -> Alcotest.fail "forged snapshot accepted"
+
+let test_session_stalls_until_snapshot_shipped () =
+  let _, b = run_pair ~slices:65 () in
+  let log = Avmm.log b in
+  let cache = warm_cache log in
+  let last = last_snapshot_seq b in
+  let shipped = ref (List.filter (fun (s : Avm_machine.Snapshot.t) -> s.seq < last) (Avmm.snapshots b)) in
+  let s = session_over ~cache ~snapshot_of:(fun () -> !shipped) log in
+  Alcotest.(check bool) "no verdict while stalled" true (drain_session s = None);
+  Alcotest.(check bool) "tail not replayed yet" true (Online_audit.Session.lag_entries s > 0);
+  shipped := Avmm.snapshots b;
+  Alcotest.(check bool) "clean once shipped" true (drain_session s = None);
+  Alcotest.(check int) "drained" 0 (Online_audit.Session.lag_entries s);
+  Alcotest.(check bool) "closes clean" true (Online_audit.Session.close s = None)
 
 (* --- online auditing (paper §6.11) ------------------------------------------ *)
 
 let test_online_audit_honest_keeps_up () =
   let a, b, a_out, b_out = make_pair () in
-  let oa =
-    Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-      ~peers:peers_b ()
+  let s =
+    Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
+      ~replay_rate:1.0 ~peers:peers_b ()
   in
   let t = ref 0.0 in
   for _ = 1 to 30 do
@@ -1269,21 +1392,20 @@ let test_online_audit_honest_keeps_up () =
     ignore (Avmm.run_slice b ~until_us:!t);
     ignore (shuttle a b a_out);
     ignore (shuttle b a b_out);
-    Online_audit.observe_log oa (Avmm.log b);
-    match Online_audit.advance oa ~budget_instructions:1_000_000 with
-    | `Ok -> ()
-    | `Fault d ->
-      Alcotest.failf "honest online audit faulted: %s"
-        (Format.asprintf "%a" Replay.pp_outcome (Replay.Diverged d))
+    ignore (Online_audit.Session.ingest s (Avmm.log b));
+    match Online_audit.Session.step s ~budget_instructions:1_000_000 with
+    | None -> ()
+    | Some v -> Alcotest.failf "honest online audit flagged: %a" Online_audit.pp_verdict v
   done;
-  Alcotest.(check int) "no lag with full budget" 0 (Online_audit.lag_entries oa);
-  Alcotest.(check bool) "made progress" true (Online_audit.replayed_instructions oa > 1000)
+  Alcotest.(check int) "no lag with full budget" 0 (Online_audit.Session.lag_entries s);
+  Alcotest.(check bool) "made progress" true
+    ((Online_audit.Session.status s).Online_audit.replayed_instructions > 1000)
 
 let test_online_audit_catches_cheat_mid_game () =
   let a, b, a_out, b_out = make_pair () in
-  let oa =
-    Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-      ~peers:peers_b ()
+  let s =
+    Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
+      ~replay_rate:1.0 ~peers:peers_b ()
   in
   let addr = Avm_isa.Asm.symbol (Avm_mlang.Compile.compile ~stack_top:4096 guest_src) "g_quiet" in
   let t = ref 0.0 in
@@ -1296,12 +1418,13 @@ let test_online_audit_catches_cheat_mid_game () =
        if i = 10 then Avmm.poke b ~addr ~value:666;
        ignore (shuttle a b a_out);
        ignore (shuttle b a b_out);
-       Online_audit.observe_log oa (Avmm.log b);
-       match Online_audit.advance oa ~budget_instructions:1_000_000 with
-       | `Ok -> ()
-       | `Fault _ ->
+       ignore (Online_audit.Session.ingest s (Avmm.log b));
+       match Online_audit.Session.step s ~budget_instructions:1_000_000 with
+       | None -> ()
+       | Some (Online_audit.Diverged _) ->
          caught_at := Some i;
          raise Exit
+       | Some v -> Alcotest.failf "wrong verdict: %a" Online_audit.pp_verdict v
      done
    with Exit -> ());
   match !caught_at with
@@ -1310,16 +1433,19 @@ let test_online_audit_catches_cheat_mid_game () =
     (* detected while the game was still in progress, soon after the
        poke's effect reached a snapshot or output *)
     Alcotest.(check bool) "caught mid-game" true (slice < 40);
-    Alcotest.(check bool) "fault is terminal" true (Online_audit.fault oa <> None)
+    Alcotest.(check bool) "fault is terminal" true
+      (match Online_audit.Session.step s ~budget_instructions:1_000_000 with
+      | Some (Online_audit.Diverged _) -> true
+      | _ -> false)
 
 let test_online_audit_parallel_chain_check () =
-  (* A jobs > 1 online auditor re-verifies the hash chain of each newly
-     observed range on its pool; a naive in-place rewrite is flagged on
-     the very observation that delivers it, before replay reaches it. *)
+  (* Every ingested entry runs through the chain check before replay
+     reaches it: a naive in-place rewrite is flagged on the very
+     ingest that delivers it. *)
   let a, b, a_out, b_out = make_pair () in
-  let oa =
-    Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-      ~par:(Audit.parallel 2) ~peers:peers_b ()
+  let s =
+    Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
+      ~replay_rate:1.0 ~peers:peers_b ()
   in
   let t = ref 0.0 in
   for _ = 1 to 10 do
@@ -1328,11 +1454,9 @@ let test_online_audit_parallel_chain_check () =
     ignore (Avmm.run_slice b ~until_us:!t);
     ignore (shuttle a b a_out);
     ignore (shuttle b a b_out);
-    Online_audit.observe_log oa (Avmm.log b);
-    (match Online_audit.advance oa ~budget_instructions:1_000_000 with
-    | `Ok -> ()
-    | `Fault _ -> Alcotest.fail "honest prefix faulted");
-    Alcotest.(check bool) "honest chain clean" true (Online_audit.tamper_detected oa = None)
+    ignore (Online_audit.Session.ingest s (Avmm.log b));
+    Alcotest.(check bool) "honest prefix clean" true
+      (Online_audit.Session.step s ~budget_instructions:1_000_000 = None)
   done;
   (* two more slices land in the yet-unobserved range; rewrite one of
      those entries in place, then let the auditor pull the range *)
@@ -1345,19 +1469,16 @@ let test_online_audit_parallel_chain_check () =
   done;
   let log = Avmm.log b in
   Log.tamper_replace log (Log.length log) (Entry.Note "rewritten");
-  Online_audit.observe_log oa log;
-  (match Online_audit.tamper_detected oa with
-  | Some reason -> Alcotest.(check bool) "reason given" true (String.length reason > 0)
-  | None -> Alcotest.fail "in-place rewrite not caught on observation");
-  Online_audit.close oa
+  ignore (Online_audit.Session.ingest s log);
+  (match (Online_audit.Session.status s).Online_audit.verdict with
+  | Some (Online_audit.Tampered { reason; _ }) ->
+    Alcotest.(check bool) "reason given" true (String.length reason > 0)
+  | _ -> Alcotest.fail "in-place rewrite not caught on ingest");
+  ignore (Online_audit.Session.close s)
 
-(* --- old-name wrappers = Session API ------------------------------------------ *)
+(* --- the batch audit and a streaming session agree ------------------------------- *)
 
-(* The pre-session [create]/[observe_log]/[advance] names survive as
-   thin wrappers over [Online_audit.Session]; until they go, both
-   surfaces must classify every log — honest and tampered — the same
-   way. *)
-module Session_equivalence = struct
+module Session_vs_batch = struct
   type classified = Clean | Tampered_log | Diverged of Replay.divergence_kind
 
   let pp_classified = function
@@ -1365,107 +1486,136 @@ module Session_equivalence = struct
     | Tampered_log -> "tampered"
     | Diverged k -> "diverged:" ^ Replay.kind_name k
 
-  let drain_budget = 10_000_000
-  let drain_rounds = 50
+  let batch ?cache ~auths log =
+    let o =
+      Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
+        ~peers:peers_b ?cache ~log ()
+    in
+    match (o.Audit.verdict, o.Audit.semantic) with
+    | Ok (), _ -> Clean
+    | Error _, Some (Replay.Diverged d) -> Diverged d.Replay.kind
+    | Error _, _ -> Tampered_log
 
-  let wrapper_classify log =
-    let oa =
-      Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-        ~peers:peers_b ()
-    in
-    Online_audit.observe_log oa log;
-    let rec drain n =
-      match Online_audit.advance oa ~budget_instructions:drain_budget with
-      | `Fault _ -> ()
-      | `Ok -> if n > 0 && Online_audit.lag_entries oa > 0 then drain (n - 1)
-    in
-    drain drain_rounds;
-    let v =
-      match (Online_audit.fault oa, Online_audit.tamper_detected oa) with
-      | Some d, _ -> Diverged d.Replay.kind
-      | None, Some _ -> Tampered_log
-      | None, None -> Clean
-    in
-    Online_audit.close oa;
-    v
-
-  let session_classify log =
-    let s =
-      Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
-        ~replay_rate:1.0 ~peers:peers_b ()
-    in
-    ignore (Online_audit.Session.ingest s log);
-    let rec drain n =
-      match Online_audit.Session.step s ~budget_instructions:drain_budget with
-      | Some _ -> ()
-      | None -> if n > 0 && Online_audit.Session.lag_entries s > 0 then drain (n - 1)
-    in
-    drain drain_rounds;
+  (* A ctx session: ingest everything, step until drained, close. *)
+  let session ?cache ?snapshot_of ~auths log =
+    let s = session_over ~ctx:(ctx_ab auths) ?cache ?snapshot_of log in
+    ignore (drain_session s);
     match Online_audit.Session.close s with
     | None -> Clean
     | Some (Online_audit.Tampered _) -> Tampered_log
     | Some (Online_audit.Diverged d) -> Diverged d.Replay.kind
-    (* no ctx, no offered auths: this session can never equivocate *)
+    (* no offered auths: this session can never equivocate *)
     | Some (Online_audit.Equivocated _) -> assert false
 
-  let classify_equal ~name log =
-    let w = wrapper_classify log and s = session_classify log in
-    if w <> s then
-      QCheck2.Test.fail_reportf "%s: wrapper says %s, Session says %s" name
-        (pp_classified w) (pp_classified s)
-    else true
+  let recorded = lazy (record_with_auths ())
+  let poked = lazy (record_with_auths ~poke_at:15 ())
 
-  let session = lazy (record_with_auths ())
+  let resealed =
+    lazy
+      (let b, auths = record_with_auths () in
+       let log = Log.fork (Avmm.log b) in
+       (match
+          List.find_map
+            (fun (e : Entry.t) -> match e.content with Entry.Send _ -> Some e.seq | _ -> None)
+            (Log.segment log ~from:1 ~upto:(Log.length log))
+        with
+       | Some seq ->
+         Log.tamper_reseal log seq (Entry.Send { dest = "alice"; nonce = 999; payload = "forged" })
+       | None -> Alcotest.fail "no send to reseal");
+       (b, auths, log))
+
+  (* One row: batch and session agree with the expected class, with
+     the replay cache off, then on — cold and warm, the session
+     re-seating from the producer's snapshots after its hits. *)
+  let row ~name ~expect b auths log =
+    let check what got =
+      Alcotest.(check string) (Printf.sprintf "%s: %s" name what) (pp_classified expect)
+        (pp_classified got)
+    in
+    check "batch, no cache" (batch ~auths log);
+    check "session, no cache" (session ~auths log);
+    let cache = Replay_cache.create ~spot_rate:0 () in
+    let snapshot_of () = Avmm.snapshots b in
+    check "batch, cold cache" (batch ~cache ~auths log);
+    check "batch, warm cache" (batch ~cache ~auths log);
+    check "session, cold cache" (session ~cache ~snapshot_of ~auths log);
+    check "session, warm cache" (session ~cache ~snapshot_of ~auths log)
+
+  let test_honest_and_poked () =
+    let b, auths = Lazy.force recorded in
+    row ~name:"honest" ~expect:Clean b auths (Avmm.log b);
+    let b, auths = Lazy.force poked in
+    let log = Avmm.log b in
+    (match batch ~auths log with
+    | Diverged _ as d -> row ~name:"poked" ~expect:d b auths log
+    | c -> Alcotest.failf "poked log classified %s" (pp_classified c));
+    (* the hidden poke lands between snapshots 0 and 1 *)
+    match
+      Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096
+        ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b ~start_snapshot:0 ~k:1 ()
+    with
+    | Ok { Spot_check.outcome = Replay.Diverged _; _ } -> ()
+    | _ -> Alcotest.fail "k=1 spot check of the poked chunk did not diverge"
+
+  (* A resealed log keeps its hash chain: only the ctx's collected
+     authenticators catch it, in the session as in the batch audit. *)
+  let test_resealed () =
+    let b, auths, log = Lazy.force resealed in
+    row ~name:"resealed" ~expect:Tampered_log b auths log
 
   let prop_tampered =
     let gen =
       QCheck2.Gen.(pair (oneofl [ `Replace; `Reseal; `Truncate ]) (int_range 2 200))
     in
-    QCheck2.Test.make ~count:12 ~name:"wrapper = Session on random tampers" gen
+    QCheck2.Test.make ~count:12 ~name:"batch = session on random tampers" gen
       (fun (kind, pos) ->
-        let b, _auths = Lazy.force session in
+        let b, auths = Lazy.force recorded in
         let forked = Log.fork (Avmm.log b) in
         let pos = 1 + (pos mod Log.length forked) in
         (match kind with
         | `Replace -> Log.tamper_replace forked pos (Entry.Note "evil")
         | `Reseal -> Log.tamper_reseal forked pos (Entry.Note "evil")
         | `Truncate -> Log.tamper_truncate forked pos);
-        classify_equal ~name:(Printf.sprintf "tamper@%d" pos) forked)
-
-  let test_honest_and_poked () =
-    let b, _auths = Lazy.force session in
-    Alcotest.(check bool) "honest log classified clean" true
-      (wrapper_classify (Avmm.log b) = Clean
-      && session_classify (Avmm.log b) = Clean);
-    let b, _auths = record_with_auths ~poke_at:15 () in
-    let w = wrapper_classify (Avmm.log b) and s = session_classify (Avmm.log b) in
-    Alcotest.(check string) "poked log classified identically" (pp_classified w)
-      (pp_classified s);
-    Alcotest.(check bool) "poked log caught" true (w <> Clean)
-
-  let test_full_session_matches_batch_audit () =
-    (* The ctx-carrying streaming session must reach the batch
-       auditor's verdict on the same honest log. *)
-    let b, auths = Lazy.force session in
-    let batch =
-      Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
-        ~peers:peers_b ~log:(Avmm.log b) ()
-    in
-    Alcotest.(check bool) "batch verdict ok" true (batch.Audit.verdict = Ok ());
-    let s =
-      Online_audit.Session.open_session ~ctx:(ctx_ab auths) ~image:(guest_image ())
-        ~mem_words:4096 ~replay_rate:1.0 ~peers:peers_b ()
-    in
-    ignore (Online_audit.Session.ingest s (Avmm.log b));
-    let rec drain n =
-      match Online_audit.Session.step s ~budget_instructions:drain_budget with
-      | Some _ -> ()
-      | None -> if n > 0 && Online_audit.Session.lag_entries s > 0 then drain (n - 1)
-    in
-    drain drain_rounds;
-    Alcotest.(check bool) "streaming session clean too" true
-      (Online_audit.Session.close s = None)
+        let bt = batch ~auths forked and st = session ~auths forked in
+        if bt <> st then
+          QCheck2.Test.fail_reportf "tamper@%d: batch says %s, session says %s" pos
+            (pp_classified bt) (pp_classified st)
+        else true)
 end
+
+(* --- witness jobs that cannot run ---------------------------------------------- *)
+
+let test_witness_missing_snapshot () =
+  (* A target that never hands over its state, or an epoch the log
+     does not reach, fails the job with a detail naming the snapshot —
+     an ordinary verdict, not an escaping exception. *)
+  let _, b = run_pair ~slices:60 () in
+  let view ~snapshots =
+    {
+      Witness.log = Avmm.log b;
+      snapshots;
+      image = guest_image ();
+      mem_words = 4096;
+      peers = peers_b;
+      node_cert = cert_of "bob";
+      peer_certs = peer_certs_ab;
+    }
+  in
+  let run ~snapshots ~epoch mode =
+    Witness.audit_job ~view:(view ~snapshots) ~auths:[]
+      { Witness.epoch; target = 0; witness = 1; mode }
+  in
+  let expect what detail (v : Witness.verdict) =
+    Alcotest.(check bool) (what ^ ": fails") false v.Witness.ok;
+    Alcotest.(check string) (what ^ ": detail") detail v.Witness.detail
+  in
+  Alcotest.(check bool) "honest epoch passes" true
+    (run ~snapshots:(Avmm.snapshots b) ~epoch:2 Witness.Semantic).Witness.ok;
+  expect "state withheld" "snapshot 1 not available" (run ~snapshots:[] ~epoch:2 Witness.Semantic);
+  expect "epoch past the log (semantic)" "no snapshot 98 in log"
+    (run ~snapshots:(Avmm.snapshots b) ~epoch:99 Witness.Semantic);
+  expect "epoch past the log (syntactic)" "no snapshot 98 in log"
+    (run ~snapshots:(Avmm.snapshots b) ~epoch:99 Witness.Syntactic)
 
 (* --- remaining divergence kinds ---------------------------------------------- *)
 
@@ -1506,6 +1656,7 @@ let () =
           Alcotest.test_case "patched image diverges" `Quick test_image_patch_diverges;
           Alcotest.test_case "prefix replay verifies" `Quick test_log_truncation_fails_replay;
           Alcotest.test_case "crossref mismatch" `Quick test_crossref_mismatch;
+          Alcotest.test_case "unaligned RECV payload" `Quick test_unaligned_recv_payload;
           Alcotest.test_case "incremental engine" `Quick test_replay_engine_incremental;
         ] );
       ( "audit-evidence",
@@ -1542,18 +1693,26 @@ let () =
           Alcotest.test_case "syntactic = sequential (honest + tampers)" `Slow
             test_parallel_syntactic_honest_and_tampered;
           Alcotest.test_case "full audit = sequential" `Slow test_parallel_full_audit;
-          Alcotest.test_case "forged downloaded snapshot" `Quick
-            test_parallel_replay_forged_snapshot;
           Alcotest.test_case "spot-check plan + pool" `Quick test_spot_check_plan_and_pool;
+        ] );
+      ( "snapshot-auth",
+        [
+          Alcotest.test_case "check_chunk: forged download" `Quick
+            test_check_chunk_forged_download;
+          Alcotest.test_case "check_chunk: state unavailable" `Quick
+            test_check_chunk_unavailable;
+          Alcotest.test_case "session: forged after cache hit" `Quick
+            test_session_forged_snapshot_after_hit;
+          Alcotest.test_case "session: stalls until shipped" `Quick
+            test_session_stalls_until_snapshot_shipped;
         ] );
       ( "session-wrappers",
         [
           Alcotest.test_case "honest + poked = Session API" `Slow
-            Session_equivalence.test_honest_and_poked;
-          Alcotest.test_case "ctx session = batch audit" `Slow
-            Session_equivalence.test_full_session_matches_batch_audit;
-          QCheck_alcotest.to_alcotest Session_equivalence.prop_tampered;
+            Session_vs_batch.test_honest_and_poked;
+          Alcotest.test_case "ctx session = batch audit" `Slow Session_vs_batch.test_resealed;
         ] );
+      ( "session-vs-batch", [ QCheck_alcotest.to_alcotest Session_vs_batch.prop_tampered ] );
       ( "properties",
         [
           Alcotest.test_case "accuracy: honest always verifies" `Slow
@@ -1600,6 +1759,7 @@ let () =
           Alcotest.test_case "epoch jobs" `Quick test_witness_epoch_jobs;
           Alcotest.test_case "sharded pool is order/worker stable" `Quick
             test_witness_run_sharded_stable;
+          Alcotest.test_case "missing snapshot fails the job" `Quick test_witness_missing_snapshot;
         ] );
       ( "config", [ Alcotest.test_case "cost ladder" `Quick test_config_ladder ] );
     ]

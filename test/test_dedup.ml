@@ -95,7 +95,9 @@ let bob_ctx () =
     ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
     ~auths ()
 
-let fresh_pre_state () = Replay.state_digest (Machine.create ~mem_words:4096 (image ()))
+let fresh_pre_state () =
+  let m = Machine.create ~mem_words:4096 (image ()) in
+  Replay.state_digest ~at_icount:(Machine.icount m) m
 
 let counts = function
   | Replay.Verified { instructions; entries_consumed } -> (instructions, entries_consumed)
@@ -237,9 +239,9 @@ let test_fifo_bound_and_kill_switch () =
   in
   Replay_cache.set_enabled false;
   Fun.protect ~finally:(fun () -> Replay_cache.set_enabled true) @@ fun () ->
-  (match Replay_cache.find cache ~fuel:max_int p with
-  | `Miss -> ()
-  | _ -> Alcotest.fail "disabled cache must miss");
+  (match Replay_cache.lookup (Some cache) ~fuel:max_int (fun () -> p) with
+  | Replay_cache.Off -> ()
+  | _ -> Alcotest.fail "disabled cache must not be consulted");
   Replay_cache.remember cache p ~instructions:1 ~entries_consumed:0 ();
   Replay_cache.clear cache;
   Alcotest.(check int) "disabled remember is a no-op" 0 (Replay_cache.size cache)
@@ -282,11 +284,23 @@ let equivalence_prop =
         Log.tamper_reseal log seq mutated
       end;
       let snapshots = Avmm.snapshots b in
+      let plan = Spot_check.plan ~log ~snapshots in
+      (* The batch audit (whole-log memo) and a k=1 spot check of every
+         chunk (per-chunk memo off the logged boundary digests). *)
       let audit ?cache jobs =
-        project
-          (Audit.full_of_log ~ctx:(bob_ctx ()) ~image:(image ()) ~mem_words:4096
-             ~peers:peers_b ?cache ~log ~snapshots
-             ~par:(Audit.parallel jobs) ())
+        ( project
+            (Audit.full_of_log ~ctx:(bob_ctx ()) ~image:(image ()) ~mem_words:4096
+               ~peers:peers_b ?cache ~log ~par:(Audit.parallel jobs) ()),
+          List.map
+            (fun (bd : Spot_check.boundary) ->
+              match
+                Spot_check.check_chunk ~plan ?cache ~image:(image ()) ~mem_words:4096
+                  ~snapshots ~log ~peers:peers_b ~start_snapshot:bd.Spot_check.snapshot_seq
+                  ~k:1 ()
+              with
+              | Ok r -> Ok r.Spot_check.outcome
+              | Error e -> Error e)
+            (Spot_check.plan_boundaries plan) )
       in
       let baseline = audit 1 in
       List.for_all
