@@ -32,18 +32,22 @@ bench:
 
 # Record a short session, audit it sequentially and in parallel with
 # --metrics, and assert the snapshot parses with nonzero core counters
-# and at least one per-chunk audit span. Both job counts must reach
-# the same (clean) verdict.
+# and at least one per-chunk audit span. The session runs past the
+# first snapshot (taken every 10 virtual seconds), so replay checks a
+# state digest through the page-hash cache (memory.pages_hashed).
+# Both job counts must reach the same (clean) verdict.
 obs-smoke:
-	dune exec bin/avm_run.exe -- --players 2 --seconds 4 --seed 5 --out obs_smoke_recordings
+	dune exec bin/avm_run.exe -- --players 2 --seconds 12 --seed 5 --out obs_smoke_recordings
 	dune exec bin/avm_audit.exe -- --jobs 1 --metrics obs_smoke_j1.json obs_smoke_recordings/player0.avmrec
 	dune exec bin/avm_audit.exe -- --jobs 4 --metrics obs_smoke_j4.json obs_smoke_recordings/player0.avmrec
 	dune exec bin/avm_obs_check.exe -- obs_smoke_j1.json \
 	  --counter audit.entries_checked --counter log.segments_sealed \
-	  --counter replay.entries_fed --span audit.chunk --span audit.semantic
+	  --counter replay.entries_fed --counter memory.pages_hashed \
+	  --span audit.chunk --span audit.semantic
 	dune exec bin/avm_obs_check.exe -- obs_smoke_j4.json \
 	  --counter audit.entries_checked --counter log.segments_sealed \
-	  --counter replay.entries_fed --span audit.chunk --span audit.semantic
+	  --counter replay.entries_fed --counter memory.pages_hashed \
+	  --span audit.chunk --span audit.semantic
 	rm -rf obs_smoke_recordings obs_smoke_j1.json obs_smoke_j4.json
 
 # Crypto hot path (DESIGN.md §12): the FIPS/RFC vector + Montgomery

@@ -42,7 +42,7 @@ let () =
      root; everything else stays private. *)
   let server = Avm_netsim.Net.node_avmm (Avm_netsim.Net.node o.Kv_run.net 0) in
   let machine = Avm_core.Avmm.machine server in
-  let tree = Avm_machine.Snapshot.merkle_of_machine machine in
+  let tree = Avm_machine.Memory.merkle (Avm_machine.Machine.mem machine) in
   let root = Avm_crypto.Merkle.root tree in
   let partial = Avm_machine.Partial_state.extract machine ~pages:[ 0; 1; 17 ] in
   let full_bytes =

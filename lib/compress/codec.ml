@@ -45,6 +45,10 @@ let decompress packed =
       (orig_len, payload)
     with Wire.Truncated | Wire.Malformed _ -> fail "truncated payload"
   in
+  (* Every symbol takes at least one bit and expands to at most
+     [max_match] bytes, so the payload bounds the output: a larger
+     claim is a lie, rejected before it sizes any allocation. *)
+  if orig_len > 8 * String.length payload * Lzss.max_match then fail "length exceeds payload";
   let bits = Bitio.reader payload in
   let code, dec =
     try

@@ -17,7 +17,9 @@ val compress : string -> string
     header plus the literal-coding overhead. *)
 
 val decompress : string -> string
-(** Inverse of {!compress}.
+(** Inverse of {!compress}. The claimed original length is checked
+    against what the payload can encode before anything is allocated,
+    so a short input never reserves a large buffer.
     @raise Corrupt on data not produced by {!compress}. *)
 
 val ratio : string -> float

@@ -127,7 +127,7 @@ module Session = struct
     in
     let e = Replay.engine ~image ?mem_words ~peers () in
     let m = Replay.engine_machine e in
-    let pre_state = Replay.state_digest ~at_icount:(Machine.icount m) m in
+    let pre_state = Snapshot.machine_digest ~at_icount:(Machine.icount m) m in
     let syn =
       match ctx with
       | Some c -> Syn_full (Audit.syn_stream ~ctx:c ~prev_hash)

@@ -266,17 +266,6 @@ let engine ~image ?mem_words ?start ?(strict_landmarks = true) ~peers () =
   in
   e
 
-(* The digest a Snapshot_ref seals: the one place it is computed, for
-   replayed state here, downloaded state in [Spot_check.authenticate]
-   and the pre-state half of a [Replay_cache] fingerprint. *)
-let state_digest ~at_icount machine =
-  Avm_crypto.Sha256.digest_list
-    [
-      Machine.serialize_meta machine;
-      Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine);
-      string_of_int at_icount;
-    ]
-
 (* Verify any due snapshot digests at the current instruction count. *)
 let check_snapshots e =
   let continue = ref true in
@@ -293,7 +282,7 @@ let check_snapshots e =
                entry_seq = Some seq;
                detail = Printf.sprintf "snapshot %d was due at icount %d" snapshot_seq at_icount;
              });
-      let recomputed = state_digest ~at_icount e.machine in
+      let recomputed = Snapshot.machine_digest ~at_icount e.machine in
       if not (String.equal recomputed digest) then
         raise
           (Fault_exn
@@ -438,7 +427,7 @@ let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landma
   let print () =
     let m = Lazy.force machine in
     Replay_cache.fingerprint ~image ?mem_words ?strict_landmarks ~peers
-      ~pre_state:(state_digest ~at_icount:(Machine.icount m) m)
+      ~pre_state:(Snapshot.machine_digest ~at_icount:(Machine.icount m) m)
       (Lazy.force entries)
   in
   match Replay_cache.lookup cache ~fuel print with

@@ -48,13 +48,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val default_fuel : int
 (** 200M instructions — the default replay budget. *)
 
-val state_digest : at_icount:int -> Avm_machine.Machine.t -> string
-(** The digest a Snapshot_ref taken at instruction count [at_icount]
-    seals: SHA-256 over (serialized meta, memory Merkle root,
-    [at_icount]). Replayed state, authenticated downloaded state
-    ({!Spot_check.authenticate}) and the pre-state half of a
-    {!Replay_cache} fingerprint are all digested here. *)
-
 val verified : outcome -> Replay_cache.cached option
 (** The counts a [Verified] outcome settles a {!Replay_cache.lookup}
     with; [None] for a divergence. *)

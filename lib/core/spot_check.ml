@@ -55,18 +55,21 @@ type authenticated =
 
 let authenticate ~image ?mem_words ~chain ~digest (b : boundary) =
   match List.rev chain with
-  | last :: _ when last.Snapshot.seq = b.snapshot_seq ->
-    let machine = Snapshot.materialize ?mem_words ~image chain in
-    if String.equal (Replay.state_digest ~at_icount:b.at_icount machine) digest then
-      Verified machine
-    else
-      Forged
-        {
-          Replay.kind = Replay.Snapshot_mismatch;
-          at = Machine.landmark machine;
-          entry_seq = Some b.entry_seq;
-          detail = "downloaded snapshot does not match the logged digest";
-        }
+  | last :: _ when last.Snapshot.seq = b.snapshot_seq -> (
+    let forged ~at detail =
+      Forged { Replay.kind = Replay.Snapshot_mismatch; at; entry_seq = Some b.entry_seq; detail }
+    in
+    match Snapshot.materialize ?mem_words ~image chain with
+    | Error msg ->
+      forged
+        ~at:{ Landmark.icount = b.at_icount; pc = 0; branches = 0 }
+        ("downloaded snapshot is malformed: " ^ msg)
+    | Ok machine ->
+      if String.equal (Snapshot.machine_digest ~at_icount:b.at_icount machine) digest then
+        Verified machine
+      else
+        forged ~at:(Machine.landmark machine)
+          "downloaded snapshot does not match the logged digest")
   | _ -> Unavailable (Printf.sprintf "snapshot %d not available" b.snapshot_seq)
 
 type chunk_report = {

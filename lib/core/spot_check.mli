@@ -37,8 +37,10 @@ val chunk_bounds :
 type authenticated =
   | Verified of Avm_machine.Machine.t  (** the state the log committed to *)
   | Forged of Replay.divergence
-      (** materialized state whose digest differs from the logged one —
-          a [Snapshot_mismatch] divergence, itself evidence *)
+      (** a download that does not materialize (a page index out of
+          range, a page of the wrong length, unparsable meta-state) or
+          whose materialized state's digest differs from the logged
+          one — a [Snapshot_mismatch] divergence, itself evidence *)
   | Unavailable of string
       (** the snapshot at the boundary was not supplied (yet): no
           verdict either way *)

@@ -5,6 +5,18 @@
 type t = { levels : string array array; count : int }
 
 let leaf_hash page = Sha256.digest_list [ "L"; page ]
+
+(* A per-domain context so hashing a page straight from a scratch
+   buffer allocates only the digest. *)
+let leaf_ctx = Domain.DLS.new_key Sha256.init
+
+let leaf_hash_bytes page =
+  let ctx = Domain.DLS.get leaf_ctx in
+  Sha256.reset ctx;
+  Sha256.feed ctx "L";
+  Sha256.feed_bytes ctx page ~pos:0 ~len:(Bytes.length page);
+  Sha256.finalize ctx
+
 let node_hash left right = Sha256.digest_list [ "N"; left; right ]
 let empty_root = Sha256.digest "E"
 

@@ -27,6 +27,10 @@ val leaf_count : t -> int
 val leaf_hash : string -> string
 (** [leaf_hash page] is the domain-separated digest of a page. *)
 
+val leaf_hash_bytes : Bytes.t -> string
+(** [leaf_hash_bytes b] is [leaf_hash (Bytes.to_string b)] without the
+    copy. *)
+
 type proof = { index : int; path : string list }
 (** Authentication path from leaf [index] to the root; [path] lists the
     sibling digest at each level, bottom-up. *)

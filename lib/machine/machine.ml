@@ -45,7 +45,6 @@ let sector_words = 256
 let create ?(mem_words = 65536) image =
   let mem = Memory.create ~words:mem_words in
   Memory.load_image mem image;
-  Memory.clear_dirty mem;
   {
     icache_word = Array.make (Memory.size mem) (-1);
     icache_instr = Array.make (Memory.size mem) Isa.Nop;

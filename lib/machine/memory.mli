@@ -1,8 +1,16 @@
-(** Word-addressed guest memory with per-page dirty tracking.
+(** Word-addressed guest memory with per-page write stamps and a
+    per-page Merkle leaf-hash cache.
 
-    Pages are {!page_size} words. Dirty bits drive incremental
-    snapshots ({!Snapshot}) and per-page hash caching: only pages
-    written since the last snapshot are re-serialized and re-hashed. *)
+    Pages are {!page_size} words. Every write stamps its page with the
+    value of a per-memory clock. Two things read the stamps:
+
+    - incremental snapshots ({!Snapshot}): a snapshot ships the pages
+      stamped since its tracker's last {!mark};
+    - the leaf-hash cache: each page's {!Avm_crypto.Merkle.leaf_hash}
+      is computed once and reused until the page is written again, so
+      {!root} rehashes only the pages written since the previous
+      digest. Every state digest in the system (AVMM snapshots, replay
+      checks, downloaded-state authentication) reads this cache. *)
 
 type t
 
@@ -26,8 +34,8 @@ val read : t -> int -> int
     @raise Fault when out of range. *)
 
 val write : t -> int -> int -> unit
-(** [write m addr v] stores the low 32 bits of [v], marking the page
-    dirty.
+(** [write m addr v] stores the low 32 bits of [v] and stamps the
+    page.
     @raise Fault when out of range. *)
 
 val load_image : t -> int array -> unit
@@ -38,16 +46,46 @@ val page_data : t -> int -> string
 (** [page_data m p] serializes page [p] (little-endian words). *)
 
 val set_page_data : t -> int -> string -> unit
-(** Inverse of {!page_data}; marks the page dirty.
+(** Inverse of {!page_data}; stamps the page.
     @raise Invalid_argument on wrong length. *)
 
-val dirty_pages : t -> int list
-(** Pages written since the last {!clear_dirty}, ascending. *)
+val install_page : t -> int -> string -> leaf:string -> unit
+(** [install_page m p data ~leaf] is {!set_page_data} for a page whose
+    leaf hash the caller already holds: [leaf] becomes the cached hash
+    of page [p]. The caller guarantees
+    [leaf = Avm_crypto.Merkle.leaf_hash data] ({!Snapshot} derives it
+    from the page bytes it carries).
+    @raise Invalid_argument on wrong length. *)
 
-val clear_dirty : t -> unit
+(** {1 Leaf-hash cache} *)
+
+val leaf_hash : t -> int -> string
+(** [leaf_hash m p] is the Merkle leaf hash of page [p], rehashed from
+    the words only if the page was written since it was last hashed.
+    Each rehash bumps the [memory.pages_hashed] counter. *)
+
+val merkle : t -> Avm_crypto.Merkle.t
+(** The Merkle tree over every page's cached leaf hash (stale pages
+    are rehashed first). Equal to
+    [Merkle.of_leaves (List.init (page_count m) (page_data m))]. *)
+
+val root : t -> string
+(** [Merkle.root (merkle m)]. *)
+
+(** {1 Write clock} *)
+
+val mark : t -> int
+(** [mark m] advances the clock and returns a mark: every page written
+    after this call is in [written_since m mark]. *)
+
+val written_since : t -> int -> int list
+(** [written_since m mark] is the pages written (by {!write},
+    {!set_page_data}, {!install_page} or {!load_image}) after the
+    {!mark} call that returned [mark], ascending. *)
 
 val copy : t -> t
-(** Deep copy (dirty bits included; the watch hook is not copied). *)
+(** Deep copy (stamps, clock and leaf cache included; the watch hook
+    is not copied). *)
 
 val set_watch : t -> (int -> old:int -> value:int -> unit) option -> unit
 (** [set_watch m hook] installs (or clears) a write observer, invoked

@@ -5,7 +5,7 @@ type t = { root : string; page_count : int; meta : string; pages : page list }
 let extract machine ~pages =
   let mem = Machine.mem machine in
   let n = Memory.page_count mem in
-  let tree = Snapshot.merkle_of_machine machine in
+  let tree = Memory.merkle mem in
   let wanted = List.sort_uniq compare (List.filter (fun p -> p >= 0 && p < n) pages) in
   {
     root = Avm_crypto.Merkle.root tree;

@@ -1,34 +1,33 @@
+module Merkle = Avm_crypto.Merkle
+
+type page = { index : int; data : string; leaf : string }
+
 type t = {
   seq : int;
   at_icount : int;
   meta : string;
-  pages : (int * string) list;
+  pages : page list;
   full : bool;
   root : string;
   page_count : int;
 }
 
-type tracker = { mutable page_hashes : string array; mutable next_seq : int }
+type tracker = { mutable mark : int; mutable next_seq : int }
 
-let tracker () = { page_hashes = [||]; next_seq = 0 }
+let tracker () = { mark = 0; next_seq = 0 }
 
 let take tr machine =
   let mem = Machine.mem machine in
   let n = Memory.page_count mem in
   let full = tr.next_seq = 0 in
-  if full then tr.page_hashes <- Array.make n "";
-  if Array.length tr.page_hashes <> n then invalid_arg "Snapshot.take: machine changed";
-  let changed = if full then List.init n (fun p -> p) else Memory.dirty_pages mem in
+  let changed = if full then List.init n Fun.id else Memory.written_since mem tr.mark in
+  tr.mark <- Memory.mark mem;
+  let root = Memory.root mem in
   let pages =
     List.map
-      (fun p ->
-        let data = Memory.page_data mem p in
-        tr.page_hashes.(p) <- Avm_crypto.Merkle.leaf_hash data;
-        (p, data))
+      (fun index -> { index; data = Memory.page_data mem index; leaf = Memory.leaf_hash mem index })
       changed
   in
-  Memory.clear_dirty mem;
-  let tree = Avm_crypto.Merkle.of_leaf_hashes (Array.to_list tr.page_hashes) in
   let seq = tr.next_seq in
   tr.next_seq <- seq + 1;
   {
@@ -37,12 +36,20 @@ let take tr machine =
     meta = Machine.serialize_meta machine;
     pages;
     full;
-    root = Avm_crypto.Merkle.root tree;
+    root;
     page_count = n;
   }
 
-let state_digest t =
-  Avm_crypto.Sha256.digest_list [ t.meta; t.root; string_of_int t.at_icount ]
+(* The digest a Snapshot_ref seals, for a shipped snapshot and for a
+   live machine alike. *)
+let digest ~meta ~root ~at_icount =
+  Avm_crypto.Sha256.digest_list [ meta; root; string_of_int at_icount ]
+
+let state_digest t = digest ~meta:t.meta ~root:t.root ~at_icount:t.at_icount
+
+let machine_digest ~at_icount machine =
+  digest ~meta:(Machine.serialize_meta machine) ~root:(Memory.root (Machine.mem machine))
+    ~at_icount
 
 let encode t =
   let open Avm_util in
@@ -54,12 +61,14 @@ let encode t =
   Wire.bytes w t.root;
   Wire.varint w t.page_count;
   Wire.list w
-    (fun w (p, data) ->
-      Wire.varint w p;
-      Wire.bytes w data)
+    (fun w pg ->
+      Wire.varint w pg.index;
+      Wire.bytes w pg.data)
     t.pages;
   Wire.contents w
 
+(* Leaves are derived from the received bytes, never read off the
+   wire: a [t] can only carry the hash of the page it ships. *)
 let decode s =
   let open Avm_util in
   let r = Wire.reader s in
@@ -71,9 +80,9 @@ let decode s =
   let page_count = Wire.read_varint r in
   let pages =
     Wire.read_list r (fun r ->
-        let p = Wire.read_varint r in
+        let index = Wire.read_varint r in
         let data = Wire.read_bytes r in
-        (p, data))
+        { index; data; leaf = Merkle.leaf_hash data })
   in
   Wire.expect_end r;
   { seq; at_icount; meta; pages; full; root; page_count }
@@ -88,31 +97,37 @@ let chain_upto snapshots upto =
     (fun a b -> compare a.seq b.seq)
     (List.filter (fun s -> s.seq <= upto) snapshots)
 
-let materialize ?mem_words ~image chain =
-  match chain with
-  | [] -> invalid_arg "Snapshot.materialize: empty chain"
-  | first :: _ ->
-    let machine =
-      match mem_words with
-      | Some w -> Machine.create ~mem_words:w image
-      | None -> Machine.create image
-    in
-    ignore first;
-    let mem = Machine.mem machine in
-    let last = List.fold_left (fun _ snap -> Some snap) None chain in
-    List.iter
-      (fun snap -> List.iter (fun (p, data) -> Memory.set_page_data mem p data) snap.pages)
-      chain;
-    (match last with
-    | Some snap -> Machine.restore_meta machine snap.meta
-    | None -> assert false);
-    Memory.clear_dirty mem;
-    machine
+exception Bad_snapshot of string
 
-let merkle_of_machine machine =
+let materialize ?mem_words ~image chain =
+  let last =
+    match List.rev chain with
+    | [] -> invalid_arg "Snapshot.materialize: empty chain"
+    | last :: _ -> last
+  in
+  let machine =
+    match mem_words with
+    | Some w -> Machine.create ~mem_words:w image
+    | None -> Machine.create image
+  in
   let mem = Machine.mem machine in
   let n = Memory.page_count mem in
-  Avm_crypto.Merkle.of_leaves (List.init n (fun p -> Memory.page_data mem p))
+  let install snap pg =
+    let bad what =
+      raise (Bad_snapshot (Printf.sprintf "snapshot %d page %d: %s" snap.seq pg.index what))
+    in
+    if pg.index < 0 || pg.index >= n then bad (Printf.sprintf "index out of range (%d pages)" n);
+    if String.length pg.data <> Memory.page_size * 4 then
+      bad (Printf.sprintf "%d bytes, not %d" (String.length pg.data) (Memory.page_size * 4));
+    Memory.install_page mem pg.index pg.data ~leaf:pg.leaf
+  in
+  match
+    List.iter (fun snap -> List.iter (install snap) snap.pages) chain;
+    try Machine.restore_meta machine last.meta
+    with Avm_util.Wire.Truncated | Avm_util.Wire.Malformed _ ->
+      raise (Bad_snapshot (Printf.sprintf "snapshot %d: malformed machine state" last.seq))
+  with
+  | () -> Ok machine
+  | exception Bad_snapshot msg -> Error msg
 
-let verify machine ~expected_root =
-  String.equal (Avm_crypto.Merkle.root (merkle_of_machine machine)) expected_root
+let verify machine ~expected_root = String.equal (Memory.root (Machine.mem machine)) expected_root

@@ -201,6 +201,35 @@ let test_codec_corrupt_inputs () =
   | s -> Alcotest.(check bool) "flip detected or harmless" true (String.length s >= 0)
   | exception Codec.Corrupt _ -> ())
 
+(* A short blob whose header claims a huge original length must be
+   rejected before the claim sizes any buffer: the decoder used to
+   reserve the claimed length up front (about 1 GB for 2^30, and
+   Out_of_memory for 2^40). *)
+let test_codec_length_claim_bounded () =
+  let good = Codec.compress (String.concat " " (List.init 12 (fun i -> string_of_int (i * i)))) in
+  let r = Avm_util.Wire.reader good in
+  let magic = Avm_util.Wire.read_raw r 5 in
+  ignore (Avm_util.Wire.read_varint r);
+  let payload = Avm_util.Wire.read_bytes r in
+  let with_claim claim =
+    let w = Avm_util.Wire.writer () in
+    Avm_util.Wire.raw w magic;
+    Avm_util.Wire.varint w claim;
+    Avm_util.Wire.bytes w payload;
+    Avm_util.Wire.contents w
+  in
+  List.iter
+    (fun (name, claim) ->
+      let blob = with_claim claim in
+      Alcotest.(check bool) (name ^ ": short blob") true (String.length blob < 1024);
+      let before = Gc.allocated_bytes () in
+      (match Codec.decompress blob with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Codec.Corrupt _ -> ());
+      Alcotest.(check bool) (name ^ ": no large allocation") true
+        (Gc.allocated_bytes () -. before < 1e6))
+    [ ("2^30", 1 lsl 30); ("2^40", 1 lsl 40) ]
+
 let test_codec_ratio_empty () = Alcotest.(check (float 0.001)) "empty" 1.0 (Codec.ratio "")
 
 let () =
@@ -238,6 +267,7 @@ let () =
           Alcotest.test_case "known cases" `Quick test_codec_known_cases;
           Alcotest.test_case "compresses log-like data" `Quick test_codec_compresses_logs;
           Alcotest.test_case "corrupt inputs rejected" `Quick test_codec_corrupt_inputs;
+          Alcotest.test_case "length claim bounded" `Quick test_codec_length_claim_bounded;
           Alcotest.test_case "ratio of empty" `Quick test_codec_ratio_empty;
           prop_codec_roundtrip;
         ] );

@@ -1265,20 +1265,20 @@ let test_spot_check_plan_and_pool () =
 
 (* --- downloaded-state authentication ------------------------------------------ *)
 
-(* [snapshots] with one byte flipped in the first page of snapshot
-   [seq]: a download whose materialized state no longer matches the
+(* [snapshots] with snapshot [seq] shipped with one byte flipped: its
+   encoding ends with the last byte of its last page, so the download
+   decodes fine but its materialized state no longer matches the
    digest the log committed to. *)
 let forge_snapshot ~seq snapshots =
   List.map
     (fun (s : Avm_machine.Snapshot.t) ->
       if s.seq <> seq then s
+      else if s.pages = [] then Alcotest.failf "snapshot %d has no pages to forge" seq
       else
-        match s.pages with
-        | (p, data) :: rest ->
-          let bad = Bytes.of_string data in
-          Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 1));
-          { s with Avm_machine.Snapshot.pages = (p, Bytes.to_string bad) :: rest }
-        | [] -> Alcotest.failf "snapshot %d has no pages to forge" seq)
+        let bad = Bytes.of_string (Avm_machine.Snapshot.encode s) in
+        let last = Bytes.length bad - 1 in
+        Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 1));
+        Avm_machine.Snapshot.decode (Bytes.to_string bad))
     snapshots
 
 let test_check_chunk_forged_download () =
@@ -1294,6 +1294,74 @@ let test_check_chunk_forged_download () =
   expect_diverged Replay.Snapshot_mismatch forged.Spot_check.outcome;
   Alcotest.(check int) "forged state is not counted as transferred" 0
     forged.Spot_check.state_bytes
+
+(* [snapshots] with snapshot [seq] shipped with its first page
+   rewritten by [f] (index, bytes). A page with a bad index or length
+   cannot be built through [Snapshot.take], so the download is
+   hand-encoded in [Snapshot.encode]'s field order (checked against it
+   on the unmodified pages first) and decoded like any download. *)
+let malform_snapshot ~seq f snapshots =
+  let module W = Avm_util.Wire in
+  List.map
+    (fun (s : Avm_machine.Snapshot.t) ->
+      if s.seq <> seq then s
+      else
+        let encode pages =
+          let w = W.writer () in
+          W.varint w s.seq;
+          W.varint w s.at_icount;
+          W.bytes w s.meta;
+          W.bool w s.full;
+          W.bytes w s.root;
+          W.varint w s.page_count;
+          W.list w
+            (fun w (p, data) ->
+              W.varint w p;
+              W.bytes w data)
+            pages;
+          W.contents w
+        in
+        let pages =
+          List.map (fun (pg : Avm_machine.Snapshot.page) -> (pg.index, pg.data)) s.pages
+        in
+        Alcotest.(check string) "hand encoding = Snapshot.encode" (Avm_machine.Snapshot.encode s)
+          (encode pages);
+        match pages with
+        | first :: rest -> Avm_machine.Snapshot.decode (encode (f first :: rest))
+        | [] -> Alcotest.failf "snapshot %d has no pages" seq)
+    snapshots
+
+let bad_index (_, data) = (200, data)
+let bad_length (p, data) = (p, String.sub data 0 100)
+
+let test_check_chunk_malformed_download () =
+  (* A page index past the machine or a page of the wrong length is a
+     forged download, not an exception escaping the audit. *)
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  let check snapshots =
+    chunk_ok
+      (Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+         ~peers:peers_b ~start_snapshot:0 ~k:1 ())
+  in
+  List.iter
+    (fun (what, f, detail) ->
+      let r = check (malform_snapshot ~seq:0 f (Avmm.snapshots b)) in
+      (match r.Spot_check.outcome with
+      | Replay.Diverged d ->
+        Alcotest.(check string) (what ^ ": kind") "snapshot-mismatch"
+          (Replay.kind_name d.Replay.kind);
+        Alcotest.(check string) (what ^ ": detail") detail d.Replay.detail
+      | Replay.Verified _ -> Alcotest.failf "%s: malformed download verified" what);
+      Alcotest.(check int) (what ^ ": nothing counted as transferred") 0 r.Spot_check.state_bytes)
+    [
+      ( "bad index",
+        bad_index,
+        "downloaded snapshot is malformed: snapshot 0 page 200: index out of range (16 pages)" );
+      ( "bad length",
+        bad_length,
+        "downloaded snapshot is malformed: snapshot 0 page 0: 100 bytes, not 1024" );
+    ]
 
 let test_check_chunk_unavailable () =
   (* Neither missing state nor a missing boundary is a program error:
@@ -1617,6 +1685,32 @@ let test_witness_missing_snapshot () =
   expect "epoch past the log (syntactic)" "no snapshot 98 in log"
     (run ~snapshots:(Avmm.snapshots b) ~epoch:99 Witness.Syntactic)
 
+let test_witness_malformed_snapshot () =
+  (* A malformed download fails the designated witness's job like any
+     forged state; it used to escape [run_sharded] as an exception. *)
+  let _, b = run_pair ~slices:60 () in
+  let view snapshots =
+    {
+      Witness.log = Avmm.log b;
+      snapshots;
+      image = guest_image ();
+      mem_words = 4096;
+      peers = peers_b;
+      node_cert = cert_of "bob";
+      peer_certs = peer_certs_ab;
+    }
+  in
+  List.iter
+    (fun (what, f) ->
+      let view = view (malform_snapshot ~seq:1 f (Avmm.snapshots b)) in
+      let jobs = [ { Witness.epoch = 2; target = 0; witness = 1; mode = Witness.Semantic } ] in
+      match Witness.run_sharded ~f:(Witness.audit_job ~view ~auths:[]) jobs with
+      | [ v ] ->
+        Alcotest.(check bool) (what ^ ": fails") false v.Witness.ok;
+        Alcotest.(check string) (what ^ ": detail") "snapshot-mismatch" v.Witness.detail
+      | vs -> Alcotest.failf "%s: %d verdicts for one job" what (List.length vs))
+    [ ("bad index", bad_index); ("bad length", bad_length) ]
+
 (* --- remaining divergence kinds ---------------------------------------------- *)
 
 let test_guest_halted_early () =
@@ -1701,6 +1795,8 @@ let () =
             test_check_chunk_forged_download;
           Alcotest.test_case "check_chunk: state unavailable" `Quick
             test_check_chunk_unavailable;
+          Alcotest.test_case "check_chunk: malformed download" `Quick
+            test_check_chunk_malformed_download;
           Alcotest.test_case "session: forged after cache hit" `Quick
             test_session_forged_snapshot_after_hit;
           Alcotest.test_case "session: stalls until shipped" `Quick
@@ -1760,6 +1856,8 @@ let () =
           Alcotest.test_case "sharded pool is order/worker stable" `Quick
             test_witness_run_sharded_stable;
           Alcotest.test_case "missing snapshot fails the job" `Quick test_witness_missing_snapshot;
+          Alcotest.test_case "malformed snapshot fails the job" `Quick
+            test_witness_malformed_snapshot;
         ] );
       ( "config", [ Alcotest.test_case "cost ladder" `Quick test_config_ladder ] );
     ]

@@ -97,7 +97,7 @@ let bob_ctx () =
 
 let fresh_pre_state () =
   let m = Machine.create ~mem_words:4096 (image ()) in
-  Replay.state_digest ~at_icount:(Machine.icount m) m
+  Avm_machine.Snapshot.machine_digest ~at_icount:(Machine.icount m) m
 
 let counts = function
   | Replay.Verified { instructions; entries_consumed } -> (instructions, entries_consumed)

@@ -29,12 +29,14 @@ let test_memory_mask32 () =
 
 let test_memory_dirty_tracking () =
   let mem = Memory.create ~words:(Memory.page_size * 4) in
-  Alcotest.(check (list int)) "clean" [] (Memory.dirty_pages mem);
+  let m0 = Memory.mark mem in
+  Alcotest.(check (list int)) "clean" [] (Memory.written_since mem m0);
   Memory.write mem 0 1;
   Memory.write mem (Memory.page_size * 2) 1;
-  Alcotest.(check (list int)) "two pages" [ 0; 2 ] (Memory.dirty_pages mem);
-  Memory.clear_dirty mem;
-  Alcotest.(check (list int)) "cleared" [] (Memory.dirty_pages mem)
+  Alcotest.(check (list int)) "two pages" [ 0; 2 ] (Memory.written_since mem m0);
+  let m1 = Memory.mark mem in
+  Alcotest.(check (list int)) "cleared" [] (Memory.written_since mem m1);
+  Alcotest.(check (list int)) "older mark unaffected" [ 0; 2 ] (Memory.written_since mem m0)
 
 let test_memory_page_data_roundtrip () =
   let mem = Memory.create ~words:(Memory.page_size * 2) in
@@ -358,7 +360,7 @@ let test_snapshot_incremental_materialize () =
   Alcotest.(check bool) "second incremental" false s1.Snapshot.full;
   ignore (Machine.run m Machine.null_backend ~fuel:100);
   let s2 = Snapshot.take tr m in
-  let m' = Snapshot.materialize ~mem_words:4096 ~image:img [ s0; s1; s2 ] in
+  let m' = Result.get_ok (Snapshot.materialize ~mem_words:4096 ~image:img [ s0; s1; s2 ]) in
   Alcotest.(check bool) "materialized equal" true (Machine.state_equal m m');
   Alcotest.(check bool) "root verifies" true (Snapshot.verify m' ~expected_root:s2.Snapshot.root)
 
@@ -389,7 +391,7 @@ let test_snapshot_digest_detects_poke () =
   ignore (Machine.run m Machine.null_backend ~fuel:60);
   let s = Snapshot.take tr m in
   (* an identical machine with one poked word must not verify *)
-  let m2 = Snapshot.materialize ~mem_words:4096 ~image:img [ s ] in
+  let m2 = Result.get_ok (Snapshot.materialize ~mem_words:4096 ~image:img [ s ]) in
   Memory.write (Machine.mem m2) 3000 77;
   Alcotest.(check bool) "poke detected" false
     (Snapshot.verify m2 ~expected_root:s.Snapshot.root)
@@ -397,6 +399,115 @@ let test_snapshot_digest_detects_poke () =
 let test_snapshot_empty_chain () =
   Alcotest.check_raises "empty" (Invalid_argument "Snapshot.materialize: empty chain")
     (fun () -> ignore (Snapshot.materialize ~mem_words:64 ~image:[||] []))
+
+(* The leaf-hash cache against its oracle: after any interleaving of
+   the ways memory changes hands or contents, the cached root equals a
+   tree built from freshly serialized pages, and each take ships
+   exactly the pages written since the previous take. *)
+type mem_op =
+  | Write of int * int
+  | Set_page of int * int (* page, byte pattern seed *)
+  | Load_image of int * int (* words, seed *)
+  | Copy (* continue on a copy; scribble on the original *)
+  | Take
+  | Materialize of bool (* from the snapshots so far; through encode/decode? *)
+  | Root
+
+let prop_leaf_cache_matches_oracle =
+  let pages = 6 in
+  let words = pages * Memory.page_size in
+  let image = [| 7; 8; 9 |] in
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (6, map2 (fun a v -> Write (a, v)) (int_bound (words - 1)) int);
+        (1, map2 (fun p s -> Set_page (p, s)) (int_bound (pages - 1)) (int_bound 255));
+        (1, map2 (fun n s -> Load_image (n, s)) (int_bound words) int);
+        (1, pure Copy);
+        (2, pure Take);
+        (1, map (fun b -> Materialize b) bool);
+        (2, pure Root);
+      ]
+  in
+  let print = function
+    | Write (a, v) -> Printf.sprintf "Write(%d,%d)" a v
+    | Set_page (p, s) -> Printf.sprintf "Set_page(%d,%d)" p s
+    | Load_image (n, s) -> Printf.sprintf "Load_image(%d,%d)" n s
+    | Copy -> "Copy"
+    | Take -> "Take"
+    | Materialize b -> Printf.sprintf "Materialize(%b)" b
+    | Root -> "Root"
+  in
+  let oracle m =
+    let mem = Machine.mem m in
+    Avm_crypto.Merkle.root
+      (Avm_crypto.Merkle.of_leaves (List.init (Memory.page_count mem) (Memory.page_data mem)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"leaf cache: cached root = from-scratch root"
+       ~print:QCheck2.Print.(list print)
+       (list_size (int_bound 40) op)
+       (fun ops ->
+         let m = ref (Machine.create ~mem_words:words image) in
+         let tr = ref (Snapshot.tracker ()) in
+         let snaps = ref [] (* newest first *) in
+         let written = Array.make pages false in
+         let root_ok () = String.equal (Memory.root (Machine.mem !m)) (oracle !m) in
+         let step = function
+           | Write (a, v) ->
+             Memory.write (Machine.mem !m) a v;
+             written.(a / Memory.page_size) <- true;
+             true
+           | Set_page (p, s) ->
+             Memory.set_page_data (Machine.mem !m) p
+               (String.init (Memory.page_size * 4) (fun i -> Char.chr ((s + (i * 31)) land 0xff)));
+             written.(p) <- true;
+             true
+           | Load_image (n, s) ->
+             Memory.load_image (Machine.mem !m) (Array.init n (fun i -> s * (i + 1)));
+             for p = 0 to ((n + Memory.page_size - 1) / Memory.page_size) - 1 do
+               written.(p) <- true
+             done;
+             true
+           | Copy ->
+             let c = Machine.copy !m in
+             Memory.write (Machine.mem !m) 0 0xdead;
+             m := c;
+             true
+           | Take ->
+             let expected =
+               if !snaps = [] then List.init pages Fun.id
+               else List.filter (fun p -> written.(p)) (List.init pages Fun.id)
+             in
+             let s = Snapshot.take !tr !m in
+             Array.fill written 0 pages false;
+             snaps := s :: !snaps;
+             List.map (fun (pg : Snapshot.page) -> pg.index) s.Snapshot.pages = expected
+             && String.equal s.Snapshot.root (oracle !m)
+             && List.for_all
+                  (fun (pg : Snapshot.page) ->
+                    String.equal pg.data (Memory.page_data (Machine.mem !m) pg.index)
+                    && String.equal pg.leaf (Avm_crypto.Merkle.leaf_hash pg.data))
+                  s.Snapshot.pages
+           | Materialize wire -> (
+             match !snaps with
+             | [] -> true
+             | last :: _ ->
+               let chain = List.rev !snaps in
+               let chain =
+                 if wire then List.map (fun s -> Snapshot.decode (Snapshot.encode s)) chain
+                 else chain
+               in
+               m := Result.get_ok (Snapshot.materialize ~mem_words:words ~image chain);
+               tr := Snapshot.tracker ();
+               snaps := [];
+               (* No cached-root check here: computing it advances the
+                  clock and would hide an install that fails to. *)
+               String.equal (oracle !m) last.Snapshot.root)
+           | Root -> root_ok ()
+         in
+         List.for_all step ops && root_ok ()))
 
 let prop_event_roundtrip =
   let open QCheck2.Gen in
@@ -419,7 +530,7 @@ let prop_event_roundtrip =
 let test_partial_state_verify () =
   let m = Machine.create ~mem_words:4096 (image counting_prog) in
   ignore (Machine.run m Machine.null_backend ~fuel:100);
-  let tree = Snapshot.merkle_of_machine m in
+  let tree = Memory.merkle (Machine.mem m) in
   let root = Avm_crypto.Merkle.root tree in
   let partial = Partial_state.extract m ~pages:[ 0; 3; 15 ] in
   Alcotest.(check int) "three pages" 3 (List.length partial.Partial_state.pages);
@@ -497,5 +608,6 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_snapshot_encode_decode;
           Alcotest.test_case "digest detects poke" `Quick test_snapshot_digest_detects_poke;
           Alcotest.test_case "empty chain" `Quick test_snapshot_empty_chain;
+          prop_leaf_cache_matches_oracle;
         ] );
     ]
