@@ -43,10 +43,12 @@ obs-smoke:
 	dune exec bin/avm_obs_check.exe -- obs_smoke_j1.json \
 	  --counter audit.entries_checked --counter log.segments_sealed \
 	  --counter replay.entries_fed --counter memory.pages_hashed \
+	  --counter audit.links_trusted \
 	  --span audit.chunk --span audit.semantic
 	dune exec bin/avm_obs_check.exe -- obs_smoke_j4.json \
 	  --counter audit.entries_checked --counter log.segments_sealed \
 	  --counter replay.entries_fed --counter memory.pages_hashed \
+	  --counter audit.links_trusted \
 	  --span audit.chunk --span audit.semantic
 	rm -rf obs_smoke_recordings obs_smoke_j1.json obs_smoke_j4.json
 

@@ -2,8 +2,9 @@
    depend on which crypto backend computed it. Builds a set of signed
    logs — honest and tampered in assorted ways — and runs the full
    syntactic audit under the optimized Default backend (batched
-   verification engaged) and the naive from-spec Reference backend
-   (one textbook primitive call per signature). Any difference between
+   verification engaged, decoder-marked chain links trusted) and the
+   naive from-spec Reference backend (one textbook primitive call per
+   signature, every chain link rehashed). Any difference between
    the two reports, byte for byte, is a bug in an optimization and
    exits nonzero. Run via [make backend-crosscheck] (part of
    [make verify]). *)
@@ -120,12 +121,16 @@ let () =
     let log, ctx = build_session rng ~entries:(40 + Avm_util.Rng.int rng 60) in
     let kind = tamper rng log in
     let entries = Log.segment log ~from:1 ~upto:(Log.length log) in
-    let audit () =
+    (* [Log.append] marks every entry as derived from its predecessor,
+       so the chain check would never hash a link; the verbatim copies
+       ([Entry.forge] clears the mark) make the oracle hash every one. *)
+    let verbatim = List.map (fun e -> Entry.forge e) entries in
+    let audit entries () =
       Sigcache.clear ();
       Audit.syntactic ~ctx ~prev_hash:Log.genesis_hash ~entries ()
     in
-    let optimized = Crypto_backend.with_backend Crypto_backend.default audit in
-    let oracle = Crypto_backend.with_backend Crypto_backend.reference audit in
+    let optimized = Crypto_backend.with_backend Crypto_backend.default (audit entries) in
+    let oracle = Crypto_backend.with_backend Crypto_backend.reference (audit verbatim) in
     if optimized.Audit.failures <> [] then incr detected;
     if optimized <> oracle then begin
       incr mismatches;

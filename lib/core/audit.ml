@@ -80,6 +80,8 @@ type syn_stream = {
   mutable ss_prev : string;
   mutable ss_expected_seq : int;
   mutable ss_chain_broken : bool;
+  mutable ss_links_trusted : int; (* links whose decoder mark matched [ss_prev] *)
+  mutable ss_links_hashed : int;
   (* Cross-reference and acknowledgement state. *)
   mutable ss_first_seq : int;
   mutable ss_last_seq : int;
@@ -164,6 +166,8 @@ let make_stream ~(ctx : ctx) ~auth_by_seq ~defer_xrefs ~prev_hash ~expected_seq 
     ss_prev = prev_hash;
     ss_expected_seq = expected_seq;
     ss_chain_broken = false;
+    ss_links_trusted = 0;
+    ss_links_hashed = 0;
     ss_first_seq = first_seq;
     ss_last_seq = 0;
     ss_recv_seqs = Hashtbl.create 256;
@@ -183,11 +187,7 @@ let syn_stream ~ctx ~prev_hash =
   List.iter (fun m -> push_cell s (Cell_msg m)) auth_failures;
   s
 
-(* [hash_derived] marks entries whose [hash] field was recomputed from
-   the running chain at inflation ([Log.chunk_spec.spec_derived]): the
-   per-entry digest comparison is a tautology there and is skipped;
-   every other check, including the sequence-gap check, still runs. *)
-let syn_push_gen ~hash_derived s (e : Entry.t) =
+let syn_push s (e : Entry.t) =
   s.ss_entries_checked <- s.ss_entries_checked + 1;
   if s.ss_first_seq < 0 then s.ss_first_seq <- e.seq;
   s.ss_last_seq <- e.seq;
@@ -199,9 +199,13 @@ let syn_push_gen ~hash_derived s (e : Entry.t) =
         (Cell_chain
            (Printf.sprintf "chain: sequence gap: expected %d, found %d" s.ss_expected_seq e.seq))
     end
-    else if (not hash_derived) && not (Entry.chain_ok ~prev:s.ss_prev e) then begin
-      s.ss_chain_broken <- true;
-      push_cell s (Cell_chain (Printf.sprintf "chain: hash chain broken at entry %d" e.seq))
+    else if Entry.derived ~prev:s.ss_prev e then s.ss_links_trusted <- s.ss_links_trusted + 1
+    else begin
+      s.ss_links_hashed <- s.ss_links_hashed + 1;
+      if not (Entry.chain_ok ~prev:s.ss_prev e) then begin
+        s.ss_chain_broken <- true;
+        push_cell s (Cell_chain (Printf.sprintf "chain: hash chain broken at entry %d" e.seq))
+      end
     end
   end;
   s.ss_prev <- e.hash;
@@ -238,14 +242,6 @@ let syn_push_gen ~hash_derived s (e : Entry.t) =
     (* references before the audited range are validated by earlier audits *)
   | _ -> ()
 
-let syn_push s e = syn_push_gen ~hash_derived:false s e
-
-(* A chunk backed by a compressed segment only pays the full hash check
-   on its first entry — the link into the chunk — because inflation
-   recomputed every hash inside it from that same chain. *)
-let push_chunk s ~derived entries =
-  List.iteri (fun i e -> syn_push_gen ~hash_derived:(derived && i > 0) s e) entries
-
 let syn_failure_count s =
   syn_flush s;
   s.ss_nfail
@@ -280,6 +276,8 @@ let syn_finish s =
   Metrics.incr ~by:report.auths_matched "audit.auths_matched";
   Metrics.incr ~by:report.recv_signatures_verified "audit.recv_signatures_verified";
   Metrics.incr ~by:(List.length report.failures) "audit.failures";
+  Metrics.incr ~by:s.ss_links_trusted "audit.links_trusted";
+  Metrics.incr ~by:s.ss_links_hashed "audit.links_hashed";
   report
 
 (* --- parallel syntactic check ------------------------------------------- *)
@@ -297,7 +295,6 @@ module Pool = Avm_util.Domain_pool
 type syn_chunk = {
   sc_prev_hash : string;  (* chain hash just before the chunk *)
   sc_expected_first : int;  (* expected first seq; -1 = no check (first chunk) *)
-  sc_derived : bool;  (* entry hashes recomputed at inflation (Log.spec_derived) *)
   sc_load : unit -> Entry.t list;
 }
 
@@ -326,6 +323,8 @@ let stitch ~ctx ~auth_failures streams =
       out.ss_entries_checked <- out.ss_entries_checked + s.ss_entries_checked;
       out.ss_auths_matched <- out.ss_auths_matched + s.ss_auths_matched;
       out.ss_recv_sigs <- out.ss_recv_sigs + s.ss_recv_sigs;
+      out.ss_links_trusted <- out.ss_links_trusted + s.ss_links_trusted;
+      out.ss_links_hashed <- out.ss_links_hashed + s.ss_links_hashed;
       out.ss_last_seq <- s.ss_last_seq)
     streams;
   syn_finish out
@@ -365,7 +364,7 @@ let syntactic_parallel ~pool ~ctx ~first_seq chunks =
               make_stream ~ctx ~auth_by_seq ~defer_xrefs:(i > 0) ~prev_hash:c.sc_prev_hash
                 ~expected_seq:c.sc_expected_first ~first_seq
             in
-            push_chunk s ~derived:c.sc_derived (c.sc_load ());
+            List.iter (syn_push s) (c.sc_load ());
             syn_flush s;
             s))
       (List.mapi (fun i c -> (i, c)) chunks)
@@ -393,7 +392,6 @@ let list_chunks ~prev_hash ~lanes entries =
         ({
            sc_prev_hash = (if i = 0 then prev_hash else arr.(i - 1).Entry.hash);
            sc_expected_first = (if i = 0 then -1 else arr.(i - 1).Entry.seq + 1);
-           sc_derived = false;
            sc_load = (fun () -> Array.to_list sub);
          }
         :: acc)
@@ -410,7 +408,6 @@ let log_chunks log ~from ~upto =
       {
         sc_prev_hash = s.Log.spec_prev_hash;
         sc_expected_first = (if s.Log.spec_from <= from then -1 else s.Log.spec_from);
-        sc_derived = s.Log.spec_derived;
         sc_load = s.Log.spec_load;
       })
     (Log.chunk_specs log ~from ~upto)
@@ -441,7 +438,7 @@ let syntactic_of_log ~ctx ~log ?(from = 1) ?upto ?par () =
     List.iteri
       (fun i (spec : Log.chunk_spec) ->
         chunk_span i (fun () ->
-            push_chunk st ~derived:spec.Log.spec_derived (spec.Log.spec_load ())))
+            List.iter (syn_push st) (spec.Log.spec_load ())))
       (Log.chunk_specs log ~from ~upto);
     syn_finish st
   in

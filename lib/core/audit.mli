@@ -90,14 +90,16 @@ val syn_stream : ctx:ctx -> prev_hash:string -> syn_stream
     once. *)
 
 val syn_push : syn_stream -> Avm_tamperlog.Entry.t -> unit
-(** Feed the next entry, in log order. Structural checks (chain hash,
-    sequence, authenticator match, cross-references) are evaluated
-    immediately; RECV sender-signature checks are deferred into a
-    pending batch that {!Avm_crypto.Rsa.verify_batch} settles — either
-    when the batch fills or on the next read accessor. Every accessor
-    below flushes first, so a failure pushed by this entry is visible
-    in {!syn_failures} as soon as any of them is consulted, at the
-    exact position an immediate check would have reported. *)
+(** Feed the next entry, in log order. Structural checks (chain hash
+    through {!Avm_tamperlog.Entry.chain_ok}, so a decoder-marked link
+    is not rehashed; sequence, authenticator match, cross-references)
+    are evaluated immediately; RECV sender-signature checks are
+    deferred into a pending batch that {!Avm_crypto.Rsa.verify_batch}
+    settles — either when the batch fills or on the next read
+    accessor. Every accessor below flushes first, so a failure pushed
+    by this entry is visible in {!syn_failures} as soon as any of them
+    is consulted, at the exact position an immediate check would have
+    reported. *)
 
 val syn_failure_count : syn_stream -> int
 (** Failures recorded so far (flushes pending signature checks, so
@@ -115,8 +117,10 @@ val syn_report : syn_stream -> syntactic_report
 
 val syn_finish : syn_stream -> syntactic_report
 (** Settle the cut-point obligations (every send older than the ack
-    grace window must be acknowledged), record the [audit.*] metrics,
-    and return the final report. *)
+    grace window must be acknowledged), record the [audit.*] metrics
+    (including [audit.links_trusted] and [audit.links_hashed], the
+    chain links taken on a decoder mark and the links rehashed), and
+    return the final report. *)
 
 val syntactic :
   ctx:ctx ->
@@ -145,11 +149,7 @@ val syntactic_of_log :
     index. With more than one lane, sealed segments are checked
     concurrently (each worker inflating through its own domain-local
     cache) and the per-segment results stitched into the same report
-    the sequential stream produces. Chunks backed by compressed
-    segments ([Log.chunk_spec.spec_derived]) pay the per-entry hash
-    comparison only on their first entry — inflation already
-    recomputed the interior chain from the same base, so the boundary
-    link plus sequence checks are equivalent. *)
+    the sequential stream produces. *)
 
 (** {1 The unified audit outcome} *)
 

@@ -139,6 +139,8 @@ let crossref_check e ~entry_seq ~msg ~value at =
                  idx msg value expected;
            })
 
+let no_entry = Entry.seal ~prev:"" ~seq:0 (Entry.Note "")
+
 let engine ~image ?mem_words ?start ?(strict_landmarks = true) ~peers () =
   let machine =
     match start with
@@ -153,7 +155,7 @@ let engine ~image ?mem_words ?start ?(strict_landmarks = true) ~peers () =
       machine;
       peers;
       strict_landmarks;
-      active = Array.make 64 { Entry.seq = 0; content = Entry.Note ""; hash = "" };
+      active = Array.make 64 no_entry;
       len = 0;
       pos = 0;
       recvs = Hashtbl.create 64;

@@ -17,7 +17,7 @@ let signed_payload ~node ~seq ~hash =
   Avm_util.Wire.contents w
 
 let make identity ~entry ~prev_hash =
-  let { Entry.seq; content; hash } = entry in
+  let { Entry.seq; content; hash; _ } = entry in
   let node = Avm_crypto.Identity.name identity in
   {
     node;

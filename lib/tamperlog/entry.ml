@@ -6,7 +6,7 @@ type content =
   | Snapshot_ref of { digest : string; snapshot_seq : int; at_icount : int }
   | Note of string
 
-type t = { seq : int; content : content; hash : string }
+type t = { seq : int; content : content; hash : string; derived_from : string }
 
 let type_tag = function
   | Send _ -> 1
@@ -104,8 +104,23 @@ let chain_hash ~prev ~seq content =
   chain_hash_raw ~prev ~seq ~tag:(type_tag content)
     ~content_digest:(content_digest content)
 
-let chain_ok ~prev t = String.equal (chain_hash ~prev ~seq:t.seq t.content) t.hash
-let seal ~prev ~seq content = { seq; content; hash = chain_hash ~prev ~seq content }
+(* [derived_from] is set only where [hash] was just computed from it,
+   so a matching mark makes the comparison below a tautology. *)
+let derived ~prev t = String.length t.derived_from > 0 && String.equal t.derived_from prev
+
+let chain_ok ~prev t =
+  derived ~prev t || String.equal (chain_hash ~prev ~seq:t.seq t.content) t.hash
+
+let seal ~prev ~seq content =
+  { seq; content; hash = chain_hash ~prev ~seq content; derived_from = prev }
+
+let forge ?seq ?content ?hash t =
+  {
+    seq = Option.value seq ~default:t.seq;
+    content = Option.value content ~default:t.content;
+    hash = Option.value hash ~default:t.hash;
+    derived_from = "";
+  }
 
 let write w t =
   let open Avm_util in
@@ -120,7 +135,7 @@ let read r =
   let tag = Wire.read_u8 r in
   let content = content_of_bytes ~tag (Wire.read_bytes r) in
   let hash = Wire.read_bytes r in
-  { seq; content; hash }
+  { seq; content; hash; derived_from = "" }
 
 let write_body w t =
   let open Avm_util in
@@ -134,12 +149,14 @@ let read_body ~prev r =
   let tag = Wire.read_u8 r in
   let bytes = Wire.read_bytes r in
   let content = content_of_bytes ~tag bytes in
-  (* [bytes] is already the canonical encoding of [content], so its
-     digest equals [content_digest content] without re-serializing. *)
+  (* Decoding is canonical (minimal varints, exact lengths, no trailing
+     bytes), so [bytes] is the encoding of [content] and its digest
+     equals [content_digest content] without re-serializing. *)
   {
     seq;
     content;
     hash = chain_hash_raw ~prev ~seq ~tag ~content_digest:(Avm_crypto.Sha256.digest bytes);
+    derived_from = prev;
   }
 
 let wire_size t =

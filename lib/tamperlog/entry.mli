@@ -24,8 +24,21 @@ type content =
   | Note of string
       (** Operator annotation (e.g. "game start"); replay-neutral. *)
 
-type t = { seq : int; content : content; hash : string }
-(** A sealed entry. [seq] starts at 1. *)
+type t = private {
+  seq : int;
+  content : content;
+  hash : string;
+  derived_from : string;
+}
+(** A sealed entry. [seq] starts at 1.
+
+    [derived_from] is the decoder mark: the [h_{i-1}] that [hash] was
+    computed from. Only {!seal} and {!read_body} set it, and both set
+    it to the [prev] they just hashed. Every other entry — one read
+    from the evidence wire form ({!read}) or built by {!forge} — has
+    [derived_from = ""]. The type is private, so the mark cannot be
+    carried along by a record update that changes [seq], [content] or
+    [hash]. See {!chain_ok} for the trust rule. *)
 
 val type_tag : content -> int
 (** The [t_i] byte. *)
@@ -44,10 +57,20 @@ val content_of_bytes : tag:int -> string -> content
 val chain_hash : prev:string -> seq:int -> content -> string
 (** [h_i] as defined above. *)
 
+val derived : prev:string -> t -> bool
+(** [derived ~prev e] holds when [e]'s mark is non-empty and equals
+    [prev]: its hash was computed from [prev] by {!seal} or
+    {!read_body}, so the link from [prev] holds without hashing. *)
+
 val chain_ok : prev:string -> t -> bool
-(** [chain_ok ~prev e] recomputes [e]'s chain hash from [prev] and
-    compares it to the stored one — the audit engine's innermost
-    check. *)
+(** [chain_ok ~prev e] checks that [e.hash = chain_hash ~prev ~seq:e.seq
+    e.content] — the audit engine's innermost check. When
+    [derived ~prev e] holds it answers [true] without hashing; any
+    other entry is rehashed. The answer is the same either way: the
+    mark is set only where the hash was derived from the same [prev],
+    [seq] and content, and decoding is canonical
+    ({!Avm_util.Wire.read_varint} rejects non-minimal encodings), so
+    [read_body]'s content bytes are exactly {!content_bytes}. *)
 
 val chain_hash_raw : prev:string -> seq:int -> tag:int -> content_digest:string -> string
 (** Same, for verifiers that only hold [t_i] and [H(c_i)] — this is
@@ -55,13 +78,21 @@ val chain_hash_raw : prev:string -> seq:int -> tag:int -> content_digest:string 
     rest of the log. *)
 
 val seal : prev:string -> seq:int -> content -> t
-(** Build the sealed entry. *)
+(** Build the sealed entry, marked as derived from [prev]. *)
+
+val forge : ?seq:int -> ?content:content -> ?hash:string -> t -> t
+(** [forge ?seq ?content ?hash e] is [e] with the given fields replaced
+    and the mark cleared, so every chain check rehashes it. This is how
+    the test adversary ([Log.tamper_replace], tests) plants an entry
+    whose stored hash need not match its content. *)
 
 val write : Avm_util.Wire.writer -> t -> unit
 (** Full serialization including [h_i] (used inside evidence bundles,
     where self-contained entries are convenient). *)
 
 val read : Avm_util.Wire.reader -> t
+(** Inverse of {!write}. The hash is taken verbatim, so the entry is
+    unmarked. *)
 
 val write_body : Avm_util.Wire.writer -> t -> unit
 (** Serialization {e without} the chain hash: [(s_i, t_i, c_i)]. This
@@ -71,9 +102,10 @@ val write_body : Avm_util.Wire.writer -> t -> unit
     with incompressible bytes. *)
 
 val read_body : prev:string -> Avm_util.Wire.reader -> t
-(** Inverse of {!write_body}; recomputes [h_i] from [prev]. Integrity
-    of a decoded segment therefore rests on checking it against
-    authenticators, exactly as in PeerReview. *)
+(** Inverse of {!write_body}; recomputes [h_i] from [prev] and marks
+    the entry as derived from [prev]. Integrity of a decoded segment
+    therefore rests on checking it against authenticators, exactly as
+    in PeerReview. *)
 
 val wire_size : t -> int
 (** {!write_body} size in bytes — the unit of all log-growth figures. *)

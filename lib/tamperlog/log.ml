@@ -33,7 +33,7 @@ type t = {
 let next_id = Atomic.make 0
 let fresh_id () = Atomic.fetch_and_add next_id 1
 
-let dummy_entry = { Entry.seq = 0; content = Entry.Note ""; hash = "" }
+let dummy_entry = Entry.seal ~prev:"" ~seq:0 (Entry.Note "")
 let no_seg : Segment_store.seg array = [||]
 
 let create ?(backend = Segment_store.Memory) ?(seal_every = 1024) () =
@@ -253,7 +253,6 @@ type chunk_spec = {
   spec_from : int;
   spec_upto : int;
   spec_prev_hash : string;
-  spec_derived : bool;
   spec_load : unit -> Entry.t list;
 }
 
@@ -272,7 +271,6 @@ let chunk_specs t ~from ~upto =
           spec_from = c_from;
           spec_upto = upto;
           spec_prev_hash = prev_hash t c_from;
-          spec_derived = false;
           spec_load = (fun () -> entries);
         }
         :: !specs
@@ -282,24 +280,11 @@ let chunk_specs t ~from ~upto =
       if info.last_seq >= from && info.first_seq <= upto then begin
         let c_from = max from info.first_seq in
         let ph = if c_from = info.first_seq then info.prev_hash else prev_hash t c_from in
-        (* A compressed segment's entry hashes are recomputed from
-           [info.prev_hash] at inflation ([Entry.read_body]), so the
-           chain inside the chunk — including the link from
-           [spec_prev_hash], itself a hash from the same inflation —
-           holds by construction; a Memory segment preserves stored
-           hashes verbatim (that is where untrusted loads and tampered
-           runs live) and must be checked in full. *)
-        let derived =
-          match t.sealed.(i).Segment_store.repr with
-          | Segment_store.Blob _ -> true
-          | Segment_store.Entries _ -> false
-        in
         specs :=
           {
             spec_from = c_from;
             spec_upto = min upto info.last_seq;
             spec_prev_hash = ph;
-            spec_derived = derived;
             spec_load =
               (fun () ->
                 slice (inflate t i) ~first_seq:info.first_seq
@@ -490,8 +475,7 @@ let flatten t =
 let tamper_replace t seq content =
   if seq < 1 || seq > length t then invalid_arg "Log.tamper_replace: out of range";
   flatten t;
-  let e = t.tail.(seq - 1) in
-  t.tail.(seq - 1) <- { e with Entry.content };
+  t.tail.(seq - 1) <- Entry.forge ~content t.tail.(seq - 1);
   t.sealable <- false;
   retally t
 

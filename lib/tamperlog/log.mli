@@ -25,8 +25,9 @@ val of_entries : ?seal_every:int -> Entry.t list -> t
 (** Load an externally produced, already-hashed run (e.g. a recording)
     into a segmented store. Sequence numbers must be contiguous from 1.
     Always uses the [Memory] backend: stored hashes are preserved
-    verbatim, so a tampered chain stays tampered for the audit to
-    find. *)
+    verbatim, and so are the entries' decoder marks
+    ([Entry.t.derived_from]), so a tampered chain stays tampered for
+    the audit to find. *)
 
 val genesis_hash : string
 (** [h_0]. *)
@@ -76,14 +77,6 @@ type chunk_spec = {
   spec_from : int;  (** first seq of the chunk *)
   spec_upto : int;  (** last seq (inclusive) *)
   spec_prev_hash : string;  (** stored chain hash just before [spec_from] *)
-  spec_derived : bool;
-      (** the chunk loads from a compressed segment, whose entry hashes
-          are {e recomputed} from the segment's chain base at inflation
-          — the chain from [spec_prev_hash] through the chunk holds by
-          construction, so an auditor may soundly reduce its per-entry
-          hash check to the boundary link plus seq contiguity. [false]
-          for memory segments and the tail, whose stored hashes are
-          preserved verbatim (untrusted loads, tampered runs). *)
   spec_load : unit -> Entry.t list;  (** materialize the chunk's entries *)
 }
 
@@ -155,8 +148,9 @@ val decode_segment : prev:string -> string -> Entry.t list
     @raise Avm_util.Wire.Malformed on garbage. *)
 
 val verify_segment : prev:string -> Entry.t list -> (unit, string) result
-(** [verify_segment ~prev entries] recomputes the hash chain starting
-    from [prev] (the hash of the entry preceding the segment) and
+(** [verify_segment ~prev entries] checks the hash chain starting
+    from [prev] (the hash of the entry preceding the segment) with
+    {!Entry.chain_ok}, so only unmarked links are rehashed, and
     checks sequence numbers are consecutive. Returns a human-readable
     reason on failure. *)
 
@@ -169,8 +163,9 @@ val verify_segment : prev:string -> Entry.t list -> (unit, string) result
 
 val tamper_replace : t -> int -> Entry.content -> unit
 (** Overwrite entry [seq] in place {e without} resealing later
-    entries — exactly what a naive cheater would do. Disables further
-    sealing: the inconsistent chain must stay verbatim. *)
+    entries — exactly what a naive cheater would do. The new entry is
+    built with {!Entry.forge}, so it carries no decoder mark. Disables
+    further sealing: the inconsistent chain must stay verbatim. *)
 
 val tamper_truncate : t -> int -> unit
 (** Drop all entries after [seq]. *)

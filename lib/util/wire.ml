@@ -83,12 +83,19 @@ let read_u64 r =
   done;
   !v
 
+(* Canonical decoding: exactly the bytes [varint] writes. A non-minimal
+   encoding (a final zero byte after the first) or a value above
+   [max_int] (which would wrap negative) is malformed, so decoding and
+   re-encoding a value is the identity on every accepted input. *)
 let read_varint r =
   let rec go shift acc =
-    if shift > 56 then raise (Malformed "varint too long");
     let b = read_u8 r in
     let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
+    if b land 0x80 <> 0 then
+      if shift >= 56 then raise (Malformed "varint too long") else go (shift + 7) acc
+    else if b = 0 && shift > 0 then raise (Malformed "non-minimal varint")
+    else if shift = 56 && b > 0x3f then raise (Malformed "varint exceeds max_int")
+    else acc
   in
   go 0 0
 

@@ -87,6 +87,10 @@ val read_u16 : reader -> int
 val read_u32 : reader -> int
 val read_u64 : reader -> int64
 val read_varint : reader -> int
+(** Inverse of {!varint}.
+    @raise Malformed on a non-minimal encoding, a value above [max_int],
+    or more than 9 bytes. *)
+
 val read_bool : reader -> bool
 val read_bytes : reader -> string
 val read_raw : reader -> int -> string

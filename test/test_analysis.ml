@@ -282,13 +282,9 @@ let test_secure_input_audit () =
   let rng = Avm_util.Rng.create 78L in
   let d = create_device rng () in
   let mk_entry seq value =
-    {
-      Avm_tamperlog.Entry.seq;
-      content =
-        Avm_tamperlog.Entry.Exec
-          (Avm_machine.Event.Io_in { port = Isa.port_input; value; msg = -1 });
-      hash = "";
-    }
+    Avm_tamperlog.Entry.seal ~prev:"" ~seq
+      (Avm_tamperlog.Entry.Exec
+         (Avm_machine.Event.Io_in { port = Isa.port_input; value; msg = -1 }))
   in
   let a1 = attest d 100 and a2 = attest d 200 in
   (* genuine stream verifies; zero reads (empty queue) are skipped *)

@@ -1155,7 +1155,7 @@ let test_parallel_syntactic_honest_and_tampered () =
     List.map
       (fun (e : Entry.t) ->
         if e.Entry.seq = 5 || e.Entry.seq = List.length honest - 10 then
-          { e with Entry.content = Entry.Note "evil" }
+          Entry.forge ~content:(Entry.Note "evil") e
         else e)
       honest
   in
@@ -1166,7 +1166,7 @@ let test_parallel_syntactic_honest_and_tampered () =
     List.map
       (fun (e : Entry.t) ->
         match e.Entry.content with
-        | Entry.Recv _ -> { e with Entry.content = Entry.Note "gone" }
+        | Entry.Recv _ -> Entry.forge ~content:(Entry.Note "gone") e
         | _ -> e)
       honest
   in
@@ -1209,6 +1209,109 @@ let test_parallel_syntactic_honest_and_tampered () =
     Log.tamper_reseal (Avmm.log b) seq
       (Entry.Recv { src = "alice"; nonce = 9; payload = "gift"; signature = "forged" }));
   check_parallel_syntactic ~name:"forged-recv" (entries_of b) auths
+
+(* Decoder marks change how much is hashed, never an answer: every
+   audit runs on the entries as produced (marked wherever a sealer or
+   decoder derived the hash) and again on verbatim copies rebuilt
+   through [Entry.forge], whose every link is rehashed. Reports,
+   verdicts and evidence bytes must match at jobs 1 and 2, through the
+   list and the segment-store front ends. *)
+let check_marks_invisible ~name ~faulty entries auths =
+  let verbatim = List.map (fun e -> Entry.forge e) entries in
+  let strip (o : Audit.outcome) =
+    ( o.Audit.syntactic,
+      o.Audit.semantic,
+      o.Audit.verdict,
+      Option.map Evidence.encode o.Audit.evidence )
+  in
+  let audits ~par entries =
+    let list =
+      Audit.full ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
+        ~prev_hash:Log.genesis_hash ~entries ~par ()
+    in
+    let store =
+      Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
+        ~peers:peers_b ~log:(Log.of_entries ~seal_every:50 entries) ~par ()
+    in
+    (strip list, strip store)
+  in
+  List.iter
+    (fun jobs ->
+      let par = Audit.parallel jobs in
+      let l, st = audits ~par entries and l', st' = audits ~par verbatim in
+      let _, _, verdict, _ = l in
+      Alcotest.(check bool) (Printf.sprintf "%s: faulty (jobs=%d)" name jobs) faulty
+        (Result.is_error verdict);
+      Alcotest.(check bool) (Printf.sprintf "%s: list audit (jobs=%d)" name jobs) true (l = l');
+      Alcotest.(check bool) (Printf.sprintf "%s: store audit (jobs=%d)" name jobs) true (st = st'))
+    [ 1; 2 ]
+
+let test_decoder_marks_invisible () =
+  let b, auths = record_with_auths () in
+  let honest = entries_of b in
+  (* the compressed store marks every entry on inflation: an honest
+     audit trusts every link, its verbatim copy hashes every one *)
+  let links () =
+    let snap = Avm_obs.Metrics.snapshot () in
+    ( Avm_obs.Metrics.counter snap "audit.links_trusted",
+      Avm_obs.Metrics.counter snap "audit.links_hashed" )
+  in
+  let syn entries =
+    ignore (Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries ())
+  in
+  let t0, h0 = links () in
+  syn honest;
+  let t1, h1 = links () in
+  syn (List.map (fun e -> Entry.forge e) honest);
+  let t2, h2 = links () in
+  let n = List.length honest in
+  Alcotest.(check (pair int int)) "marked: all trusted" (n, 0) (t1 - t0, h1 - h0);
+  Alcotest.(check (pair int int)) "verbatim: all hashed" (0, n) (t2 - t1, h2 - h1);
+  check_marks_invisible ~name:"honest" ~faulty:false honest auths;
+  let tampered f =
+    let b, auths = record_with_auths () in
+    f (Avmm.log b);
+    (entries_of b, auths)
+  in
+  let first_send entries =
+    List.find_map
+      (fun (e : Entry.t) -> match e.content with Entry.Send _ -> Some e.seq | _ -> None)
+      entries
+    |> Option.get
+  in
+  let reseal log =
+    Log.tamper_reseal log (first_send honest)
+      (Entry.Send { dest = "alice"; nonce = 999; payload = "forged" })
+  in
+  List.iter
+    (fun (name, faulty, f) ->
+      let entries, auths = tampered f in
+      check_marks_invisible ~name ~faulty entries auths)
+    [
+      ("replace", true, fun log -> Log.tamper_replace log 5 (Entry.Note "swapped"));
+      (* a prefix of an honest log is itself honest *)
+      ("truncate", false, fun log -> Log.tamper_truncate log (Log.length log / 2));
+      ("reseal", true, reseal);
+    ];
+  let overwritten =
+    List.map
+      (fun (e : Entry.t) -> if e.seq = 7 then Entry.forge ~hash:(String.make 32 'z') e else e)
+      honest
+  in
+  check_marks_invisible ~name:"overwritten hash" ~faulty:true overwritten auths;
+  (* decoded against the wrong chain base: every entry is marked, but
+     as derived from a chain the audit does not start from *)
+  let wrong_prev =
+    Log.decode_segment ~prev:(String.make 32 'w') (Log.encode_segment honest)
+  in
+  check_marks_invisible ~name:"wrong prev at decode" ~faulty:true wrong_prev auths;
+  (* one entry spliced in from a log whose chain diverged earlier *)
+  let other, _ = tampered reseal in
+  let at = first_send honest + 5 in
+  let spliced =
+    List.map (fun (e : Entry.t) -> if e.seq = at then List.nth other (at - 1) else e) honest
+  in
+  check_marks_invisible ~name:"spliced" ~faulty:true spliced auths
 
 (* Full audits at jobs in {1, 2, 4} against the sequential report: the
    stitched syntactic pass must match byte for byte, and the semantic
@@ -1787,6 +1890,8 @@ let () =
           Alcotest.test_case "syntactic = sequential (honest + tampers)" `Slow
             test_parallel_syntactic_honest_and_tampered;
           Alcotest.test_case "full audit = sequential" `Slow test_parallel_full_audit;
+          Alcotest.test_case "decoder marks on = off (honest + tampers)" `Quick
+            test_decoder_marks_invisible;
           Alcotest.test_case "spot-check plan + pool" `Quick test_spot_check_plan_and_pool;
         ] );
       ( "snapshot-auth",

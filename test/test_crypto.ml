@@ -106,26 +106,6 @@ let test_sha_length () =
   Alcotest.(check int) "32 bytes" 32 (String.length (Sha256.digest "x"));
   Alcotest.(check int) "digest_length" 32 Sha256.digest_length
 
-(* --- HMAC ------------------------------------------------------------------ *)
-
-let test_hmac_rfc4231 () =
-  (* RFC 4231 test case 2. *)
-  Alcotest.(check string) "case 2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.hex ~key:"Jefe" "what do ya want for nothing?");
-  (* RFC 4231 test case 1: key = 20 x 0x0b. *)
-  Alcotest.(check string) "case 1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hmac.hex ~key:(String.make 20 '\x0b') "Hi There")
-
-let test_hmac_long_key () =
-  (* Keys longer than one block are hashed first (RFC 4231 case 6). *)
-  Alcotest.(check string) "case 6"
-    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Hmac.hex
-       ~key:(String.make 131 '\xaa')
-       "Test Using Larger Than Block-Size Key - Hash Key First")
-
 (* --- Bignum ------------------------------------------------------------------ *)
 
 let small_pair = QCheck2.Gen.(pair (int_range 0 1_000_000_000) (int_range 0 1_000_000_000))
@@ -743,11 +723,6 @@ let () =
           Alcotest.test_case "reset reuse" `Quick test_sha_reset_reuse;
           Alcotest.test_case "output length" `Quick test_sha_length;
           prop_sha_digest_list;
-        ] );
-      ( "hmac",
-        [
-          Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
-          Alcotest.test_case "long key" `Quick test_hmac_long_key;
         ] );
       ( "bignum",
         [

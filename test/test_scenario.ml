@@ -216,6 +216,59 @@ let test_recording_garbage_rejected () =
     | _ -> false
     | exception Avm_util.Wire.Malformed _ -> true)
 
+(* A recording whose log holds one SEND with its nonce spelled
+   [nonce] verbatim: the segment is written by hand, bypassing the
+   canonical writer, and spliced in for the empty log of a real
+   recording encoding. *)
+let recording_with_nonce nonce =
+  let module W = Avm_util.Wire in
+  let content = W.writer () in
+  W.bytes content "bob";
+  W.raw content nonce;
+  W.bytes content "hi";
+  let seg = W.writer () in
+  W.varint seg 1 (* entries *);
+  W.varint seg 1 (* seq *);
+  W.u8 seg 1 (* SEND *);
+  W.bytes seg (W.contents content);
+  let rng = Avm_util.Rng.create 99L in
+  let ca = Avm_crypto.Identity.create_ca rng ~bits:512 "ca" in
+  let empty =
+    Recording.encode
+      {
+        Recording.scenario = Recording.Game;
+        node = "alice";
+        mem_words = 4096;
+        ca_public = Avm_crypto.Identity.ca_public ca;
+        certificates = [];
+        peers = [];
+        entries = [];
+        auths = [];
+      }
+  in
+  (* tail of [empty]: the one-byte segment [count 0], then [auths 0] *)
+  let cut = String.length empty - 3 in
+  Alcotest.(check string) "empty log tail" "\x01\x00\x00" (String.sub empty cut 3);
+  let w = W.writer () in
+  W.raw w (String.sub empty 0 cut);
+  W.bytes w (W.contents seg);
+  W.varint w 0;
+  W.contents w
+
+let test_recording_noncanonical_varint_rejected () =
+  (match (Recording.decode (recording_with_nonce "\x05")).Recording.entries with
+  | [ e ] ->
+    Alcotest.(check bool) "canonical nonce" true
+      (e.Avm_tamperlog.Entry.content
+      = Avm_tamperlog.Entry.Send { dest = "bob"; nonce = 5; payload = "hi" })
+  | _ -> Alcotest.fail "expected one entry");
+  List.iter
+    (fun (name, nonce) ->
+      match Recording.decode (recording_with_nonce nonce) with
+      | _ -> Alcotest.failf "%s nonce decoded" name
+      | exception Avm_util.Wire.Malformed _ -> ())
+    [ ("non-minimal", "\x80\x00"); ("above max_int", String.make 8 '\xff' ^ "\x7f") ]
+
 let test_auction_honest_and_rigged () =
   let honest = Auction_run.run ~duration_us:8.0e6 () in
   Alcotest.(check bool) "rounds happened" true (honest.Auction_run.rounds > 5);
@@ -311,6 +364,8 @@ let () =
         [
           Alcotest.test_case "roundtrip + audit" `Slow test_recording_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_recording_garbage_rejected;
+          Alcotest.test_case "non-canonical varints rejected" `Quick
+            test_recording_noncanonical_varint_rejected;
         ] );
       ( "experiments", [ Alcotest.test_case "fig5 shape" `Quick test_fig5_shape ] );
       ( "fleet",

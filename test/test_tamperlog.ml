@@ -196,11 +196,115 @@ let test_decode_garbage () =
       | exception (Avm_util.Wire.Truncated | Avm_util.Wire.Malformed _) -> ())
     [ "\xff\xff\xff\xff\xff"; "\x07\x63garbage!"; String.make 64 '\xee' ]
 
+(* A one-entry SEND segment whose nonce is spelled by [nonce] verbatim,
+   bypassing the canonical writer. *)
+let crafted_send_segment nonce =
+  let module W = Avm_util.Wire in
+  let content = W.writer () in
+  W.bytes content "bob";
+  W.raw content nonce;
+  W.bytes content "hi";
+  let w = W.writer () in
+  W.varint w 1 (* entries *);
+  W.varint w 1 (* seq *);
+  W.u8 w 1 (* SEND *);
+  W.bytes w (W.contents content);
+  W.contents w
+
+(* The decoder mark is sound only if decoding is canonical: a
+   non-minimal varint (0 spelled [0x80 0x00]) would derive a hash over
+   bytes that the content does not re-encode to, and a 9-byte varint
+   above [max_int] would wrap to a negative nonce that the encoder
+   refuses. Both must be rejected as malformed at decode. *)
+let test_decode_noncanonical_varint () =
+  let canonical = crafted_send_segment "\x00" in
+  (match Log.decode_segment ~prev:Log.genesis_hash canonical with
+  | [ e ] ->
+    Alcotest.(check bool) "canonical decodes to nonce 0" true
+      (e.Entry.content = Entry.Send { dest = "bob"; nonce = 0; payload = "hi" });
+    Alcotest.(check string) "re-encodes" canonical (Log.encode_segment [ e ])
+  | _ -> Alcotest.fail "canonical segment: expected one entry");
+  List.iter
+    (fun (name, nonce) ->
+      match Log.decode_segment ~prev:Log.genesis_hash (crafted_send_segment nonce) with
+      | _ -> Alcotest.failf "%s varint decoded" name
+      | exception Avm_util.Wire.Malformed _ -> ())
+    [ ("non-minimal", "\x80\x00"); ("above max_int", String.make 8 '\xff' ^ "\x7f") ]
+
+(* A hand-rolled body encoder for NOTE and SEND segments whose varints
+   take their extra continuation bytes from [pads] (0 = minimal): the
+   non-minimal spellings a canonical decoder must refuse. *)
+let sloppy_segment ~pads entries =
+  let module W = Avm_util.Wire in
+  let pads = ref pads in
+  let varint buf v =
+    let pad = match !pads with [] -> 0 | p :: rest -> pads := rest; p in
+    let w = W.writer () in
+    W.varint w v;
+    let s = W.contents w in
+    let n = String.length s in
+    if pad = 0 then Buffer.add_string buf s
+    else begin
+      Buffer.add_string buf (String.sub s 0 (n - 1));
+      Buffer.add_char buf (Char.chr (Char.code s.[n - 1] lor 0x80));
+      Buffer.add_string buf (String.make (pad - 1) '\x80');
+      Buffer.add_char buf '\x00'
+    end
+  in
+  let bytes buf s =
+    varint buf (String.length s);
+    Buffer.add_string buf s
+  in
+  let buf = Buffer.create 64 in
+  varint buf (List.length entries);
+  List.iteri
+    (fun i (send, s, nonce) ->
+      let content = Buffer.create 16 in
+      if send then begin
+        bytes content s;
+        varint content nonce;
+        bytes content s
+      end
+      else bytes content s;
+      varint buf (i + 1);
+      Buffer.add_char buf (if send then '\x01' else '\x06');
+      bytes buf (Buffer.contents content))
+    entries;
+  Buffer.contents buf
+
+(* Any blob the decoder accepts is the canonical encoding of what it
+   decoded to. Blobs are segments with occasional non-minimal varints,
+   then random byte overwrites and insertions, which reach bad tags and
+   broken framing as well. *)
+let decode_reencodes (entries, pads, edits) =
+  let blob =
+    List.fold_left
+      (fun b (overwrite, at, byte) ->
+        let at = at mod (String.length b + 1) in
+        let c = String.make 1 (Char.chr byte) in
+        if overwrite && at < String.length b then
+          String.sub b 0 at ^ c ^ String.sub b (at + 1) (String.length b - at - 1)
+        else String.sub b 0 at ^ c ^ String.sub b at (String.length b - at))
+      (sloppy_segment ~pads entries) edits
+  in
+  match Log.decode_segment ~prev:Log.genesis_hash blob with
+  | entries -> String.equal (Log.encode_segment entries) blob
+  | exception (Avm_util.Wire.Truncated | Avm_util.Wire.Malformed _) -> true
+
+let prop_decode_reencodes =
+  let open QCheck2.Gen in
+  let entries = list_size (int_range 1 4) (triple bool (string_size (int_range 0 3)) nat) in
+  let pads = list_size (int_range 0 12) (frequency [ (8, pure 0); (1, pure 1); (1, pure 2) ]) in
+  let edits = list_size (int_range 0 2) (triple bool nat (int_range 0 255)) in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+    (QCheck2.Test.make ~count:500 ~name:"segment: accepted blobs re-encode byte for byte"
+       (triple entries pads edits) decode_reencodes)
+
 let test_verify_broken_chain () =
   let log = build_log sample_contents in
   let seg =
     List.map
-      (fun (e : Entry.t) -> if e.seq = 4 then { e with Entry.hash = String.make 32 'z' } else e)
+      (fun (e : Entry.t) -> if e.seq = 4 then Entry.forge ~hash:(String.make 32 'z') e else e)
       (full_segment log)
   in
   match Log.verify_segment ~prev:Log.genesis_hash seg with
@@ -432,7 +536,7 @@ let test_compress_sealed_skips_tampered () =
   let tampered =
     List.map
       (fun (e : Entry.t) ->
-        if e.Entry.seq = 20 then { e with Entry.content = Entry.Note "evil" } else e)
+        if e.Entry.seq = 20 then Entry.forge ~content:(Entry.Note "evil") e else e)
       (full_segment honest)
   in
   let log = Log.of_entries ~seal_every:8 tampered in
@@ -473,6 +577,9 @@ let () =
         [
           Alcotest.test_case "truncated blob rejected" `Quick test_decode_truncated;
           Alcotest.test_case "garbage blob rejected" `Quick test_decode_garbage;
+          Alcotest.test_case "non-canonical varints rejected" `Quick
+            test_decode_noncanonical_varint;
+          prop_decode_reencodes;
           Alcotest.test_case "broken chain detected" `Quick test_verify_broken_chain;
           Alcotest.test_case "backends observationally equal" `Quick test_sealed_equivalence;
           Alcotest.test_case "snapshot boundaries seal segments" `Quick

@@ -28,6 +28,27 @@ let test_wire_varint_edges () =
       Wire.expect_end r)
     [ 0; 1; 127; 128; 129; 16383; 16384; 1 lsl 30; max_int / 2 ]
 
+(* Decoding accepts exactly what the writer produces: [max_int] is the
+   largest 9-byte value, and non-minimal or wrapping spellings are
+   malformed rather than silently aliased. *)
+let test_wire_varint_canonical () =
+  let w = Wire.writer () in
+  Wire.varint w max_int;
+  Alcotest.(check int) "max_int roundtrip" max_int
+    (Wire.read_varint (Wire.reader (Wire.contents w)));
+  List.iter
+    (fun (name, bytes) ->
+      match Wire.read_varint (Wire.reader bytes) with
+      | v -> Alcotest.failf "%s decoded to %d" name v
+      | exception Wire.Malformed _ -> ())
+    [
+      ("0 as 0x80 0x00", "\x80\x00");
+      ("1 as 0x81 0x80 0x00", "\x81\x80\x00");
+      ("above max_int", String.make 8 '\xff' ^ "\x7f");
+      ("max_int + 1", String.make 8 '\x80' ^ "\x40");
+      ("10 bytes", String.make 9 '\xff' ^ "\x01");
+    ]
+
 let test_wire_varint_negative () =
   let w = Wire.writer () in
   Alcotest.check_raises "negative" (Invalid_argument "Wire.varint: negative") (fun () ->
@@ -351,6 +372,7 @@ let () =
           Alcotest.test_case "fixed-width ints" `Quick test_wire_ints;
           Alcotest.test_case "varint edges" `Quick test_wire_varint_edges;
           Alcotest.test_case "varint negative" `Quick test_wire_varint_negative;
+          Alcotest.test_case "varint canonical" `Quick test_wire_varint_canonical;
           Alcotest.test_case "truncated" `Quick test_wire_truncated;
           Alcotest.test_case "bytes/list/option/bool" `Quick test_wire_bytes_and_lists;
           Alcotest.test_case "trailing bytes" `Quick test_wire_trailing;
