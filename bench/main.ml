@@ -205,6 +205,12 @@ let tests =
     (* Figures 6/7: frame rates derive from interpreter throughput. *)
     Test.make ~name:"fig6-7/machine-1000-instructions"
       (stage (fun () -> ignore (Machine.run spin_machine Machine.null_backend ~fuel:1000)));
+    (* The same 1000 instructions through the poll-free kernel replay
+       and the AVMM drive between events (DESIGN.md §22). *)
+    Test.make ~name:"fig6-7/machine-run-until-1000"
+      (stage (fun () ->
+           Machine.run_until spin_machine Machine.null_backend
+             ~limit:(Machine.icount spin_machine + 1000)));
     (* Figure 8: online auditing = incremental engine cranking. *)
     Test.make ~name:"fig8/online-engine-feed-and-crank"
       (stage (fun () ->

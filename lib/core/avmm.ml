@@ -350,6 +350,46 @@ let snapshots t = List.rev t.snapshots_taken
 
 (* --- Slice execution --------------------------------------------------- *)
 
+(* The least n >= [from] at which [now_us] would read at least [x],
+   evaluated with [now_us]'s own float expression so that a bound
+   stops exactly where the per-instruction comparison would flip;
+   [max_int] if no icount reaches [x]. Monotone in n, so a binary
+   search corrects the guess the division gives. *)
+let first_icount_at ~us_per_instr ~extra_us ~from x =
+  let reached n = (float_of_int n *. us_per_instr) +. extra_us >= x in
+  if reached from then from
+  else if not (reached max_int) then max_int
+  else begin
+    (* Invariant: not (reached lo) && reached hi. *)
+    let rec search lo hi =
+      if hi - lo <= 1 then hi
+      else
+        let mid = lo + ((hi - lo) / 2) in
+        if reached mid then search lo mid else search mid hi
+    in
+    let est = Float.ceil ((x -. extra_us) /. us_per_instr) in
+    let guess = if est < float_of_int max_int then max (from + 1) (int_of_float est) else max_int in
+    if reached guess then
+      search (if guess - 1 > from && not (reached (guess - 1)) then guess - 1 else from) guess
+    else search guess (if reached (guess + 1) then guess + 1 else max_int)
+  end
+
+(* The icount of the next instruction boundary at which [run_slice]
+   has something to do besides executing: the slice ends, a snapshot
+   falls due, or the poll would fire. Interrupts matter only while
+   deliverable, and deliverability changes only at a stop. *)
+let next_stop t ~until_us =
+  let m = t.machine in
+  let from = Machine.icount m in
+  if t.sleeping then from
+  else begin
+    let at = first_icount_at ~us_per_instr:(us_per_instr t) ~extra_us:t.extra_us ~from in
+    let bound = min (at until_us) (at t.next_snapshot_us) in
+    if not (Machine.irq_deliverable m) then bound
+    else if t.nic_irq_pending then from
+    else min bound (at t.timer_next_us)
+  end
+
 let run_slice t ~until_us =
   t.slice_daemon_us <- 0.0;
   t.slice_events <- 0;
@@ -362,6 +402,11 @@ let run_slice t ~until_us =
   let b = backend t in
   let start_instr = Machine.icount t.machine in
   let continue = ref ((not t.sleeping) && not (Machine.halted t.machine)) in
+  (* Each iteration is one stop (DESIGN.md §22): the checks that used
+     to precede every instruction, one polling [step], then the
+     poll-free kernel up to the next icount where they could differ.
+     Clock reads move [extra_us] and TIMER_CTL/SLEEP are backend
+     calls, so the bound is recomputed after every return. *)
   while !continue && (not t.sleeping) && now_us t < until_us do
     if now_us t >= t.next_snapshot_us then begin
       ignore (take_snapshot t);
@@ -369,7 +414,9 @@ let run_slice t ~until_us =
       | Some p -> t.next_snapshot_us <- t.next_snapshot_us +. float_of_int p
       | None -> t.next_snapshot_us <- infinity
     end;
-    continue := Machine.step t.machine b
+    ignore (Machine.step t.machine b);
+    Machine.run_until t.machine b ~limit:(next_stop t ~until_us);
+    continue := not (Machine.halted t.machine)
   done;
   Avm_obs.Metrics.incr ~by:(Machine.icount t.machine - start_instr) "avmm.instructions";
   Avm_obs.Metrics.incr ~by:t.slice_events "avmm.events_logged";

@@ -58,7 +58,17 @@ val run_slice : t -> until_us:float -> slice_stats
 (** Run the guest until its virtual clock reaches [until_us] (or it
     halts, or parks itself on the SLEEP port). A guest parked with a
     deadline inside the slice wakes itself at the deadline; one parked
-    past [until_us] leaves the slice empty. *)
+    past [until_us] leaves the slice empty. The guest runs on
+    {!Avm_machine.Machine.run_until} between the icounts at which the
+    slice ends, a snapshot falls due or an interrupt could fire. *)
+
+val first_icount_at : us_per_instr:float -> extra_us:float -> from:int -> float -> int
+(** [first_icount_at ~us_per_instr ~extra_us ~from x] is the least
+    [n >= from] with [float n *. us_per_instr +. extra_us >= x] — the
+    first instruction boundary at which {!now_us} reads at least [x],
+    computed with [now_us]'s own float expression. [from] if [x] has
+    already passed; [max_int] if no icount reaches [x] (e.g. [x =
+    infinity]). *)
 
 val now_us : t -> float
 val halted : t -> bool

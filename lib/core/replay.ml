@@ -51,13 +51,16 @@ let is_active (e : Entry.t) =
   | Entry.Exec _ | Entry.Send _ | Entry.Snapshot_ref _ -> true
   | Entry.Recv _ | Entry.Ack _ | Entry.Note _ -> false
 
+let no_entry = Entry.seal ~prev:"" ~seq:0 (Entry.Note "")
+
 type engine = {
   machine : Machine.t;
   peers : (int * string) list;
   strict_landmarks : bool;
-  mutable active : Entry.t array; (* growable queue of active entries *)
+  mutable active : Entry.t array; (* queue of active entries: [pos, len) pending *)
   mutable len : int;
   mutable pos : int;
+  mutable consumed : int; (* active entries reproduced so far *)
   recvs : (int, int array option) Hashtbl.t;
       (* RECV entry seq -> payload words; [None] if not word-aligned *)
   rx_read : (int, int) Hashtbl.t; (* RECV entry seq -> words consumed *)
@@ -69,14 +72,34 @@ type engine = {
 }
 
 let peek e = if e.pos < e.len then Some e.active.(e.pos) else None
-let advance e = e.pos <- e.pos + 1
+
+let advance e =
+  e.pos <- e.pos + 1;
+  e.consumed <- e.consumed + 1
+
 let exhausted e = e.pos >= e.len
 
+(* A full queue first drops its consumed prefix: the pending suffix
+   slides to the front when it fills at most half the array, and moves
+   to a fresh array twice its size otherwise. Either way the copy costs
+   no more than the free slots it leaves, and the capacity stays within
+   twice the largest pending backlog (an online session keeps one
+   engine for its whole life). *)
 let push_active e entry =
-  if e.len = Array.length e.active then begin
-    let bigger = Array.make (max 64 (2 * e.len)) entry in
-    Array.blit e.active 0 bigger 0 e.len;
-    e.active <- bigger
+  let cap = Array.length e.active in
+  if e.len = cap then begin
+    let pending = e.len - e.pos in
+    if 2 * pending <= cap then begin
+      Array.blit e.active e.pos e.active 0 pending;
+      Array.fill e.active pending (cap - pending) no_entry
+    end
+    else begin
+      let bigger = Array.make (max 64 (2 * pending)) no_entry in
+      Array.blit e.active e.pos bigger 0 pending;
+      e.active <- bigger
+    end;
+    e.pos <- 0;
+    e.len <- pending
   end;
   e.active.(e.len) <- entry;
   e.len <- e.len + 1
@@ -139,8 +162,6 @@ let crossref_check e ~entry_seq ~msg ~value at =
                  idx msg value expected;
            })
 
-let no_entry = Entry.seal ~prev:"" ~seq:0 (Entry.Note "")
-
 let engine ~image ?mem_words ?start ?(strict_landmarks = true) ~peers () =
   let machine =
     match start with
@@ -158,6 +179,7 @@ let engine ~image ?mem_words ?start ?(strict_landmarks = true) ~peers () =
       active = Array.make 64 no_entry;
       len = 0;
       pos = 0;
+      consumed = 0;
       recvs = Hashtbl.create 64;
       rx_read = Hashtbl.create 64;
       fed = 0;
@@ -300,19 +322,43 @@ let check_snapshots e =
 
 let engine_machine e = e.machine
 let replayed_instructions e = Machine.icount e.machine - e.start_icount
-let consumed_entries e = e.pos
+let consumed_entries e = e.consumed
 let pending_entries e = e.len - e.pos
 
+let sat_add a b = if a > max_int - b then max_int else a + b
+
+(* The icount at which replay must next consult the log: the head
+   IRQ's landmark (the only icount at which the poll can return
+   [Some]) or the head snapshot's due icount; the current icount once
+   the queue is empty. An IRQ landmark already behind the machine can
+   never fire and bounds nothing. *)
+let next_event e =
+  let now = Machine.icount e.machine in
+  match peek e with
+  | None -> now
+  | Some { Entry.content = Entry.Exec (Event.Irq { landmark; _ }); _ } ->
+    if landmark.Landmark.icount >= now then landmark.Landmark.icount else max_int
+  | Some { Entry.content = Entry.Snapshot_ref { at_icount; _ }; _ } -> at_icount
+  | Some _ -> max_int
+
+(* At each stop, the checks the log needs between instructions; then
+   one [step], which polls at the current icount, and [run_until] the
+   next event (DESIGN.md §22). Between stops the head entry cannot
+   change: only backend calls, the poll and [check_snapshots] move it,
+   and [run_until] returns after every backend call. *)
 let crank e ~fuel =
   match e.fault with
   | Some d -> `Fault d
   | None -> (
     let icount0 = Machine.icount e.machine in
-    let budget = ref fuel in
+    let stops = ref 0 in
     let result = ref None in
     (try
        while !result = None do
+         incr stops;
          check_snapshots e;
+         (* Counted by difference: a restored icount may sit anywhere. *)
+         let left = fuel - (Machine.icount e.machine - icount0) in
          if exhausted e then result := Some `Blocked
          else if Machine.halted e.machine then
            raise
@@ -323,10 +369,11 @@ let crank e ~fuel =
                   entry_seq = Option.map (fun (x : Entry.t) -> x.seq) (peek e);
                   detail = "reference machine halted with log entries remaining";
                 })
-         else if !budget <= 0 then result := Some `Fuel_exhausted
+         else if left <= 0 then result := Some `Fuel_exhausted
          else begin
            ignore (Machine.step e.machine e.backend);
-           decr budget
+           Machine.run_until e.machine e.backend
+             ~limit:(min (next_event e) (sat_add (Machine.icount e.machine) (left - 1)))
          end
        done
      with
@@ -347,6 +394,8 @@ let crank e ~fuel =
       e.fault <- Some d;
       result := Some (`Fault d));
     Avm_obs.Metrics.incr ~by:(Machine.icount e.machine - icount0) "replay.instructions";
+    Avm_obs.Metrics.incr ~by:!stops "replay.kernel_stops";
+    Avm_obs.Metrics.set "replay.queue_capacity" (float_of_int (Array.length e.active));
     match !result with Some r -> r | None -> assert false)
 
 let default_fuel = 200_000_000

@@ -126,7 +126,10 @@ val crank : engine -> fuel:int -> [ `Blocked | `Fuel_exhausted | `Fault of diver
 (** Advance replay by at most [fuel] instructions. [`Blocked] means
     every fed entry has been consumed and verified so far — feed more
     (or, if the log is complete, the segment is verified). A returned
-    [`Fault] is terminal. *)
+    [`Fault] is terminal. The guest runs on
+    {!Avm_machine.Machine.run_until} from one log event (IRQ landmark,
+    snapshot, backend call) to the next; outcomes are those of
+    stepping every instruction. *)
 
 val engine_machine : engine -> Avm_machine.Machine.t
 (** The machine being replayed — replay-time analyses

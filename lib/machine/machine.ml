@@ -136,154 +136,237 @@ let deliver_irq m line =
   m.int_enabled <- false;
   m.last_irq <- line
 
+let irq_deliverable m = m.int_enabled && not m.in_handler
+
+(* Ports the machine serves from its own devices; an access to any
+   other port calls the backend. *)
+let internal_in port = port = Isa.port_disk_read || port = Isa.port_irq_cause
+
+let internal_out port =
+  port = Isa.port_net_tx || port = Isa.port_disk_sector || port = Isa.port_disk_word
+  || port = Isa.port_disk_write || port = Isa.port_ivt
+
+(* The per-instruction helpers are top-level functions of [m] rather
+   than closures local to the interpreter: without flambda a local
+   closure is allocated on every instruction. *)
+let r m i = m.regs.(i)
+let set m i v = m.regs.(i) <- v land mask32
+let mem_read m a =
+  try Memory.read m.mem a with Memory.Fault a -> fault m (Printf.sprintf "load fault at 0x%x" a)
+
+let mem_write m a v =
+  try Memory.write m.mem a v with Memory.Fault a -> fault m (Printf.sprintf "store fault at 0x%x" a)
+
+let jump m target =
+  m.branches <- m.branches + 1;
+  m.pc <- target land mask32
+
+let branch m cond next off = if cond then jump m (next + off) else m.pc <- next
+
+let fetch m =
+  let word = try Memory.read m.mem m.pc with Memory.Fault a -> fault m (Printf.sprintf "pc out of range: 0x%x" a) in
+  if m.icache_word.(m.pc) = word then m.icache_instr.(m.pc)
+  else begin
+    let d = try Isa.decode word with Isa.Decode_error w -> fault m (Printf.sprintf "bad opcode 0x%08x" w) in
+    m.icache_word.(m.pc) <- word;
+    m.icache_instr.(m.pc) <- d;
+    d
+  end
+
+(* Runs the tracer and executes [i]. True iff [i] called the backend or
+   can have made a pending interrupt deliverable (Ei, Iret), or halted:
+   the instructions after which {!run_until} hands control back. *)
+let exec m backend i =
+  (match m.tracer with None -> () | Some hook -> hook m i);
+  m.icount <- m.icount + 1;
+  let next = m.pc + 1 in
+  match i with
+  | Isa.Halt ->
+    m.halted <- true;
+    m.pc <- next;
+    true
+  | Isa.Nop ->
+    m.pc <- next;
+    false
+  | Isa.Ei ->
+    m.int_enabled <- true;
+    m.pc <- next;
+    true
+  | Isa.Di ->
+    m.int_enabled <- false;
+    m.pc <- next;
+    false
+  | Isa.Iret ->
+    m.in_handler <- false;
+    m.int_enabled <- true;
+    m.pc <- m.saved_pc;
+    true
+  | Isa.Mov (d, sr) ->
+    set m d (r m sr);
+    m.pc <- next;
+    false
+  | Isa.Movi (d, v) ->
+    set m d v;
+    m.pc <- next;
+    false
+  | Isa.Lui (d, v) ->
+    set m d (v lsl 16);
+    m.pc <- next;
+    false
+  | Isa.Add (d, a, b) ->
+    set m d (r m a + r m b);
+    m.pc <- next;
+    false
+  | Isa.Sub (d, a, b) ->
+    set m d (r m a - r m b);
+    m.pc <- next;
+    false
+  | Isa.Mul (d, a, b) ->
+    set m d (r m a * r m b);
+    m.pc <- next;
+    false
+  | Isa.Div (d, a, b) ->
+    set m d (if r m b = 0 then 0 else s (r m a) / s (r m b));
+    m.pc <- next;
+    false
+  | Isa.Rem (d, a, b) ->
+    set m d (if r m b = 0 then 0 else s (r m a) mod s (r m b));
+    m.pc <- next;
+    false
+  | Isa.And (d, a, b) ->
+    set m d (r m a land r m b);
+    m.pc <- next;
+    false
+  | Isa.Or (d, a, b) ->
+    set m d (r m a lor r m b);
+    m.pc <- next;
+    false
+  | Isa.Xor (d, a, b) ->
+    set m d (r m a lxor r m b);
+    m.pc <- next;
+    false
+  | Isa.Shl (d, a, b) ->
+    set m d (r m a lsl (r m b land 31));
+    m.pc <- next;
+    false
+  | Isa.Shr (d, a, b) ->
+    set m d (r m a lsr (r m b land 31));
+    m.pc <- next;
+    false
+  | Isa.Sar (d, a, b) ->
+    set m d (s (r m a) asr (r m b land 31));
+    m.pc <- next;
+    false
+  | Isa.Slt (d, a, b) ->
+    set m d (if s (r m a) < s (r m b) then 1 else 0);
+    m.pc <- next;
+    false
+  | Isa.Sltu (d, a, b) ->
+    set m d (if r m a < r m b then 1 else 0);
+    m.pc <- next;
+    false
+  | Isa.Seq (d, a, b) ->
+    set m d (if r m a = r m b then 1 else 0);
+    m.pc <- next;
+    false
+  | Isa.Addi (d, a, v) ->
+    set m d (r m a + v);
+    m.pc <- next;
+    false
+  | Isa.Andi (d, a, v) ->
+    set m d (r m a land v);
+    m.pc <- next;
+    false
+  | Isa.Ori (d, a, v) ->
+    set m d (r m a lor v);
+    m.pc <- next;
+    false
+  | Isa.Xori (d, a, v) ->
+    set m d (r m a lxor v);
+    m.pc <- next;
+    false
+  | Isa.Shli (d, a, v) ->
+    set m d (r m a lsl v);
+    m.pc <- next;
+    false
+  | Isa.Shri (d, a, v) ->
+    set m d (r m a lsr v);
+    m.pc <- next;
+    false
+  | Isa.Sari (d, a, v) ->
+    set m d (s (r m a) asr v);
+    m.pc <- next;
+    false
+  | Isa.Load (d, a, off) ->
+    set m d (mem_read m (r m a + off));
+    m.pc <- next;
+    false
+  | Isa.Store (v, a, off) ->
+    mem_write m (r m a + off) (r m v);
+    m.pc <- next;
+    false
+  | Isa.Jmp off ->
+    jump m (next + off);
+    false
+  | Isa.Jal (d, off) ->
+    set m d next;
+    jump m (next + off);
+    false
+  | Isa.Jr a ->
+    jump m (r m a);
+    false
+  | Isa.Jalr (d, a) ->
+    let target = r m a in
+    set m d next;
+    jump m target;
+    false
+  | Isa.Beq (a, b, off) ->
+    branch m (r m a = r m b) next off;
+    false
+  | Isa.Bne (a, b, off) ->
+    branch m (r m a <> r m b) next off;
+    false
+  | Isa.Blt (a, b, off) ->
+    branch m (s (r m a) < s (r m b)) next off;
+    false
+  | Isa.Bge (a, b, off) ->
+    branch m (s (r m a) >= s (r m b)) next off;
+    false
+  | Isa.Bltu (a, b, off) ->
+    branch m (r m a < r m b) next off;
+    false
+  | Isa.Bgeu (a, b, off) ->
+    branch m (r m a >= r m b) next off;
+    false
+  | Isa.In (d, port) ->
+    set m d (handle_in m backend port);
+    m.pc <- next;
+    not (internal_in port)
+  | Isa.Out (sr, port) ->
+    handle_out m backend port (r m sr);
+    m.pc <- next;
+    not (internal_out port)
+
 let step m backend =
   if m.halted then false
   else begin
-    if m.int_enabled && not m.in_handler then begin
+    if irq_deliverable m then begin
       match backend.poll_irq () with
       | Some line -> deliver_irq m line
       | None -> ()
     end;
-    let word = try Memory.read m.mem m.pc with Memory.Fault a -> fault m (Printf.sprintf "pc out of range: 0x%x" a) in
-    let i =
-      if m.icache_word.(m.pc) = word then m.icache_instr.(m.pc)
-      else begin
-        let d = try Isa.decode word with Isa.Decode_error w -> fault m (Printf.sprintf "bad opcode 0x%08x" w) in
-        m.icache_word.(m.pc) <- word;
-        m.icache_instr.(m.pc) <- d;
-        d
-      end
-    in
-    (match m.tracer with None -> () | Some hook -> hook m i);
-    m.icount <- m.icount + 1;
-    let next = m.pc + 1 in
-    let r i = m.regs.(i) in
-    let set i v = m.regs.(i) <- v land mask32 in
-    let mem_read a = try Memory.read m.mem a with Memory.Fault a -> fault m (Printf.sprintf "load fault at 0x%x" a) in
-    let mem_write a v = try Memory.write m.mem a v with Memory.Fault a -> fault m (Printf.sprintf "store fault at 0x%x" a) in
-    let jump target =
-      m.branches <- m.branches + 1;
-      m.pc <- target land mask32
-    in
-    let branch cond off = if cond then jump (next + off) else m.pc <- next in
-    (match i with
-    | Isa.Halt ->
-      m.halted <- true;
-      m.pc <- next
-    | Isa.Nop -> m.pc <- next
-    | Isa.Ei ->
-      m.int_enabled <- true;
-      m.pc <- next
-    | Isa.Di ->
-      m.int_enabled <- false;
-      m.pc <- next
-    | Isa.Iret ->
-      m.in_handler <- false;
-      m.int_enabled <- true;
-      m.pc <- m.saved_pc
-    | Isa.Mov (d, sr) ->
-      set d (r sr);
-      m.pc <- next
-    | Isa.Movi (d, v) ->
-      set d v;
-      m.pc <- next
-    | Isa.Lui (d, v) ->
-      set d (v lsl 16);
-      m.pc <- next
-    | Isa.Add (d, a, b) ->
-      set d (r a + r b);
-      m.pc <- next
-    | Isa.Sub (d, a, b) ->
-      set d (r a - r b);
-      m.pc <- next
-    | Isa.Mul (d, a, b) ->
-      set d (r a * r b);
-      m.pc <- next
-    | Isa.Div (d, a, b) ->
-      set d (if r b = 0 then 0 else s (r a) / s (r b));
-      m.pc <- next
-    | Isa.Rem (d, a, b) ->
-      set d (if r b = 0 then 0 else s (r a) mod s (r b));
-      m.pc <- next
-    | Isa.And (d, a, b) ->
-      set d (r a land r b);
-      m.pc <- next
-    | Isa.Or (d, a, b) ->
-      set d (r a lor r b);
-      m.pc <- next
-    | Isa.Xor (d, a, b) ->
-      set d (r a lxor r b);
-      m.pc <- next
-    | Isa.Shl (d, a, b) ->
-      set d (r a lsl (r b land 31));
-      m.pc <- next
-    | Isa.Shr (d, a, b) ->
-      set d (r a lsr (r b land 31));
-      m.pc <- next
-    | Isa.Sar (d, a, b) ->
-      set d (s (r a) asr (r b land 31));
-      m.pc <- next
-    | Isa.Slt (d, a, b) ->
-      set d (if s (r a) < s (r b) then 1 else 0);
-      m.pc <- next
-    | Isa.Sltu (d, a, b) ->
-      set d (if r a < r b then 1 else 0);
-      m.pc <- next
-    | Isa.Seq (d, a, b) ->
-      set d (if r a = r b then 1 else 0);
-      m.pc <- next
-    | Isa.Addi (d, a, v) ->
-      set d (r a + v);
-      m.pc <- next
-    | Isa.Andi (d, a, v) ->
-      set d (r a land v);
-      m.pc <- next
-    | Isa.Ori (d, a, v) ->
-      set d (r a lor v);
-      m.pc <- next
-    | Isa.Xori (d, a, v) ->
-      set d (r a lxor v);
-      m.pc <- next
-    | Isa.Shli (d, a, v) ->
-      set d (r a lsl v);
-      m.pc <- next
-    | Isa.Shri (d, a, v) ->
-      set d (r a lsr v);
-      m.pc <- next
-    | Isa.Sari (d, a, v) ->
-      set d (s (r a) asr v);
-      m.pc <- next
-    | Isa.Load (d, a, off) ->
-      set d (mem_read (r a + off));
-      m.pc <- next
-    | Isa.Store (v, a, off) ->
-      mem_write (r a + off) (r v);
-      m.pc <- next
-    | Isa.Jmp off -> jump (next + off)
-    | Isa.Jal (d, off) ->
-      set d next;
-      jump (next + off)
-    | Isa.Jr a -> jump (r a)
-    | Isa.Jalr (d, a) ->
-      let target = r a in
-      set d next;
-      jump target
-    | Isa.Beq (a, b, off) -> branch (r a = r b) off
-    | Isa.Bne (a, b, off) -> branch (r a <> r b) off
-    | Isa.Blt (a, b, off) -> branch (s (r a) < s (r b)) off
-    | Isa.Bge (a, b, off) -> branch (s (r a) >= s (r b)) off
-    | Isa.Bltu (a, b, off) -> branch (r a < r b) off
-    | Isa.Bgeu (a, b, off) -> branch (r a >= r b) off
-    | Isa.In (d, port) ->
-      set d (handle_in m backend port);
-      m.pc <- next
-    | Isa.Out (sr, port) ->
-      handle_out m backend port (r sr);
-      m.pc <- next);
+    ignore (exec m backend (fetch m));
     not m.halted
   end
 
+let run_until m backend ~limit =
+  let stop = ref m.halted in
+  while (not !stop) && m.icount < limit do
+    stop := exec m backend (fetch m)
+  done
+
 let run m backend ~fuel =
+
   let executed = ref 0 in
   let continue = ref (not m.halted) in
   while !continue && !executed < fuel do

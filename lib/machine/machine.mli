@@ -56,7 +56,30 @@ val step : t -> backend -> bool
 
 val run : t -> backend -> fuel:int -> int
 (** [run m b ~fuel] steps until halt or [fuel] instructions; returns
-    instructions executed. *)
+    instructions executed. The per-instruction reference that
+    {!run_until}'s callers are tested against. *)
+
+val run_until : t -> backend -> limit:int -> unit
+(** [run_until m b ~limit] executes instructions without ever
+    consulting [b.poll_irq] (DESIGN.md §22). It returns
+    - when [icount m = limit] (at once if [icount m >= limit]);
+    - when the machine halts;
+    - after any instruction that called the backend ([io_in],
+      [io_out] or [observe]): the backend's state, and so the next
+      event, may have moved;
+    - after [Ei] or [Iret], the only instructions that can make a
+      pending interrupt deliverable.
+
+    The tracer and memory watch hooks still run on every instruction.
+    Between two returns no interrupt is delivered, so a caller that
+    makes one {!step} at each return and passes the icount of its next
+    possible interrupt as [limit] executes exactly what {!run} would.
+    @raise Runtime_fault as {!step} does. *)
+
+val irq_deliverable : t -> bool
+(** Interrupts are enabled and no handler is running: {!step} would
+    consult [poll_irq] before its next instruction. Only a delivered
+    interrupt, [Di], [Ei] and [Iret] change it. *)
 
 (** {1 Inspection} *)
 

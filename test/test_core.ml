@@ -273,9 +273,13 @@ let test_replay_engine_incremental () =
     let (c, rest) = split take [] xs in
     c :: chunks rest)
   in
+  (* The engine lives as long as the feed, so its entry queue must stay
+     sized to the pending backlog, not to everything ever fed. *)
+  let max_backlog = ref 0 and max_capacity = ref 0 in
   List.iter
     (fun chunk ->
       Replay.feed engine chunk;
+      max_backlog := max !max_backlog (Replay.pending_entries engine);
       let rec drain () =
         match Replay.crank engine ~fuel:100_000 with
         | `Blocked -> ()
@@ -284,9 +288,27 @@ let test_replay_engine_incremental () =
           Alcotest.failf "engine fault: %s"
             (Format.asprintf "%a" Replay.pp_outcome (Replay.Diverged d))
       in
-      drain ())
+      drain ();
+      let capacity =
+        Avm_obs.Metrics.gauge (Avm_obs.Metrics.snapshot ()) "replay.queue_capacity"
+      in
+      max_capacity := max !max_capacity (int_of_float capacity))
     (chunks entries);
-  Alcotest.(check int) "no lag" 0 (Replay.pending_entries engine)
+  Alcotest.(check int) "no lag" 0 (Replay.pending_entries engine);
+  Alcotest.(check bool)
+    (Printf.sprintf "queue capacity %d <= 2 x backlog %d + 64" !max_capacity !max_backlog)
+    true
+    (!max_capacity > 0 && !max_capacity <= (2 * !max_backlog) + 64);
+  let active =
+    List.length
+      (List.filter
+         (fun (e : Entry.t) ->
+           match e.content with
+           | Entry.Exec _ | Entry.Send _ | Entry.Snapshot_ref _ -> true
+           | _ -> false)
+         entries)
+  in
+  Alcotest.(check int) "consumed = active entries" active (Replay.consumed_entries engine)
 
 (* --- audit + evidence -------------------------------------------------------------- *)
 
@@ -817,6 +839,127 @@ let test_landmark_strictness () =
       Alcotest.failf "icount-only replay should not flag the landmark: %s"
         (Format.asprintf "%a" Replay.pp_outcome o))
 
+(* --- stop rules: tampers at the kernel's stop boundaries ------------------ *)
+
+(* Replays of Bob's log with one entry forged (replay does not check the
+   chain) or the fuel cut at an interrupt: each lands exactly on an
+   icount where the run-to-event kernel stops, one before or one after
+   it. The expected values were captured from the per-instruction
+   replay loop the kernel replaced: every field must stay the same. *)
+let test_stop_rule_tampers () =
+  let _, b = run_pair ~slices:40 () in
+  let entries = entries_of b in
+  let first f = Option.get (List.find_map f entries) in
+  let irq_seq, lm, line =
+    first (fun (e : Entry.t) ->
+        match e.content with
+        | Entry.Exec (Avm_machine.Event.Irq { landmark; line }) -> Some (e.seq, landmark, line)
+        | _ -> None)
+  in
+  let snap_seq, digest, snapshot_seq, at_icount =
+    first (fun (e : Entry.t) ->
+        match e.content with
+        | Entry.Snapshot_ref { digest; snapshot_seq; at_icount } ->
+          Some (e.seq, digest, snapshot_seq, at_icount)
+        | _ -> None)
+  in
+  let forged seq content =
+    List.map (fun (e : Entry.t) -> if e.seq = seq then Entry.forge ~content e else e) entries
+  in
+  let irq_at d =
+    let landmark = { lm with Avm_machine.Landmark.icount = lm.Avm_machine.Landmark.icount + d } in
+    forged irq_seq (Entry.Exec (Avm_machine.Event.Irq { landmark; line }))
+  in
+  let snap_at d =
+    forged snap_seq (Entry.Snapshot_ref { digest; snapshot_seq; at_icount = at_icount + d })
+  in
+  let expect name ?fuel entries (kind, at, entry_seq, detail) =
+    match
+      Replay.replay ~image:(guest_image ()) ~mem_words:4096 ?fuel ~peers:peers_b ~entries ()
+    with
+    | Replay.Diverged d ->
+      Alcotest.(check string) (name ^ ": kind") (Replay.kind_name kind)
+        (Replay.kind_name d.Replay.kind);
+      Alcotest.(check string) (name ^ ": at") at (Avm_machine.Landmark.to_string d.Replay.at);
+      Alcotest.(check (option int)) (name ^ ": entry") entry_seq d.Replay.entry_seq;
+      Alcotest.(check string) (name ^ ": detail") detail d.Replay.detail
+    | o -> Alcotest.failf "%s: %s" name (Format.asprintf "%a" Replay.pp_outcome o)
+  in
+  expect "irq icount -1" (irq_at (-1))
+    ( Replay.Irq_landmark_mismatch,
+      "i=2229 pc=0x86 br=65",
+      Some 70,
+      "recorded landmark i=2229 pc=0x87 br=65 vs replayed i=2229 pc=0x86 br=65" );
+  expect "irq icount +1" (irq_at 1)
+    ( Replay.Irq_landmark_mismatch,
+      "i=2231 pc=0x88 br=65",
+      Some 70,
+      "recorded landmark i=2231 pc=0x87 br=65 vs replayed i=2231 pc=0x88 br=65" );
+  expect "snapshot at_icount -1" (snap_at (-1))
+    ( Replay.Snapshot_mismatch,
+      "i=22600 pc=0x8b br=645",
+      Some 686,
+      "replayed state digest differs for snapshot 0" );
+  expect "snapshot at_icount +1" (snap_at 1)
+    ( Replay.Snapshot_mismatch,
+      "i=22602 pc=0x8d br=645",
+      Some 686,
+      "replayed state digest differs for snapshot 0" );
+  expect "fuel at irq" ~fuel:lm.Avm_machine.Landmark.icount entries
+    (Replay.Guest_stalled, "i=2230 pc=0x87 br=65", Some 70, "fuel (2230 instructions) exhausted");
+  expect "fuel at irq +1" ~fuel:(lm.Avm_machine.Landmark.icount + 1) entries
+    (Replay.Guest_stalled, "i=2231 pc=0x5 br=65", Some 71, "fuel (2231 instructions) exhausted")
+
+(* The AVMM's µs -> icount bound: the least n >= from whose clock
+   reading [float n *. upi +. extra] reaches x, on the same float
+   expression as [Avmm.now_us]. *)
+let prop_first_icount_at =
+  let open QCheck2.Gen in
+  let upi =
+    oneof
+      [
+        map
+          (fun (level, mips) -> Config.us_per_instr (Config.make ~mips level))
+          (pair
+             (oneofl Config.all_levels)
+             (oneofl [ 0.5; 1.0; 3.0; 7.0 ]));
+        float_range 1e-4 10.0;
+      ]
+  in
+  let case =
+    map4
+      (fun upi extra from (k, delta) ->
+        let now n = (float_of_int n *. upi) +. extra in
+        (* Targets on, just off and far from instruction boundaries. *)
+        let x =
+          match delta with
+          | 0 -> now (from + k)
+          | 1 -> Float.succ (now (from + k))
+          | 2 -> Float.pred (now (from + k))
+          | 3 -> now from -. float_of_int k
+          | 4 -> infinity
+          | _ -> now from +. (float_of_int k *. 0.37)
+        in
+        (upi, extra, from, x))
+      upi
+      (oneof
+         [ float_range 0.0 1e6; pure 0.0; map (fun i -> float_of_int i +. 0.5) (int_bound 1000) ])
+      (int_bound 1_000_000_000)
+      (pair (int_bound 100_000) (int_bound 6))
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
+    (QCheck2.Test.make ~count:2000 ~name:"avmm: first_icount_at is the least reaching icount"
+       ~print:(fun (upi, extra, from, x) ->
+         Printf.sprintf "upi=%h extra=%h from=%d x=%h" upi extra from x)
+       case
+       (fun (upi, extra, from, x) ->
+         let reached n = (float_of_int n *. upi) +. extra >= x in
+         let n = Avmm.first_icount_at ~us_per_instr:upi ~extra_us:extra ~from x in
+         n >= from
+         && (if x = infinity then n = max_int else reached n)
+         && (n = from || not (reached (n - 1)))
+         && ((not (x <= (float_of_int from *. upi) +. extra)) || n = from)))
+
 (* --- Logstats -------------------------------------------------------------- *)
 
 let test_logstats_categories () =
@@ -875,6 +1018,119 @@ let test_avmm_snapshot_refs_logged () =
         Alcotest.(check int) "icount" s.Avm_machine.Snapshot.at_icount at_icount
       | _ -> assert false)
     snaps refs
+
+(* --- recordings pinned across AVMM changes ----------------------------------- *)
+
+(* A guest exercising every input to the AVMM's slice loop: a timer
+   interrupt, clock reads that move the clock-opt stall, SLEEP, windows
+   with interrupts disabled, packets (nic interrupts) and periodic
+   snapshots. *)
+let timer_guest_src =
+  {|
+global ticks;
+global seen;
+global n;
+
+interrupt fn on_irq() {
+  if (in(IRQ_CAUSE) == 0) { ticks = ticks + 1; } else { seen = seen + 1; }
+}
+
+fn main() {
+  ivt(on_irq);
+  out(TIMER_CTL, 5000);
+  ei();
+  while (1) {
+    n = n + 1;
+    var t = in(CLOCK);
+    var i = 0;
+    while (i < (t & 63)) { i = i + 1; }
+    if ((n & 1) == 1) { di(); i = 0; while (i < (t & 127)) { i = i + 1; } out(CONSOLE, 46); ei(); }
+    if ((n & 15) == 7) { out(SLEEP, 300 + (t & 8191)); }
+    if ((n & 3) == 1) { out(NET_TX, 1); out(NET_TX, t); out(NET_TX_SEND, 0); }
+    var avail = in(NET_RX_AVAIL);
+    while (avail > 0) {
+      out(NET_TX, 1);
+      out(NET_TX, in(NET_RX_LEN) + ticks + seen);
+      out(NET_RX_NEXT, 0);
+      out(NET_TX_SEND, 0);
+      avail = in(NET_RX_AVAIL);
+    }
+  }
+}
+|}
+
+(* Masked almost always, and [ei] straight after a backend call: a
+   packet that arrived while masked must interrupt right after the
+   [ei], the one place a stop's own step unmasks a pending interrupt. *)
+let masked_guest_asm =
+  {|
+    la r1, handler
+    out r1, IVT
+    movi r6, 1
+loop:
+    di
+    movi r3, 150
+spin:
+    addi r3, r3, -1
+    bne r3, r0, spin
+    out r2, CONSOLE
+    ei
+    out r6, NET_TX
+    out r7, NET_TX
+    out r0, NET_TX_SEND
+    in r4, NET_RX_AVAIL
+    beq r4, r0, loop
+    out r0, NET_RX_NEXT
+    jmp loop
+handler:
+    addi r7, r7, 1
+    iret
+|}
+
+(* Hex head hashes of both logs after a fixed session, for the echo
+   pair of [run_pair], the timer guest on both sides, and the echo
+   guest against the masked guest. *)
+let pinned_recordings () =
+  let head t = Avm_util.Hex.encode (Log.head_hash (Avmm.log t)) in
+  let session img_a img_b =
+    let config = Config.make ~snapshot_every_us:(Some 70_000) Config.Avmm_rsa768 in
+    let a_out = Queue.create () and b_out = Queue.create () in
+    let a =
+      Avmm.create ~identity:alice ~config ~image:img_a ~mem_words:4096 ~peers:peers_a
+        ~on_send:(fun e -> Queue.add e a_out) ()
+    in
+    let b =
+      Avmm.create ~identity:bob ~config ~image:img_b ~mem_words:4096 ~peers:peers_b
+        ~on_send:(fun e -> Queue.add e b_out) ()
+    in
+    let t = ref 0.0 in
+    for _ = 1 to 80 do
+      t := !t +. 7_300.0;
+      ignore (Avmm.run_slice a ~until_us:!t);
+      ignore (Avmm.run_slice b ~until_us:!t);
+      ignore (shuttle a b a_out);
+      ignore (shuttle b a b_out)
+    done;
+    [ head a; head b ]
+  in
+  let a, b = run_pair ~slices:40 () in
+  let timer = (Avm_mlang.Compile.compile ~stack_top:4096 timer_guest_src).Avm_isa.Asm.words in
+  let masked = (Avm_isa.Asm.assemble masked_guest_asm).Avm_isa.Asm.words in
+  [ head a; head b ] @ session timer timer @ session (guest_image ()) masked
+
+let test_recordings_pinned () =
+  (* Values captured from the per-instruction slice loop that the
+     run-to-event kernel replaced: the AVMM must record the same bytes. *)
+  Alcotest.(check (list string)) "log heads"
+    [
+      "a83edf83e858db18d78e71fd18e26ccd23fe490e0d1646d85ffeced736206063";
+      "56c5173827ba39a409f7aafb43d2aa98d12733e014eeddf00fb005243a0ac553";
+      "8d80684ad946c7b3b8d1ebc5885f4dc96c28898fda8b89d5dc75d346bc3ebc13";
+      "17bd62d594d9d50dce5af2cdd7f65d6845f70f28aba030e48ed44a7233d2ddc0";
+      "92471e28257a9a228a85988e1ed350f0bd7567551f9f18c1f36bb40e49739529";
+      "0aa609910587bc30927289f9656387706163f30a47a6028476b7f483edf3a936";
+    ]
+    (pinned_recordings ())
 
 (* --- paper-level properties -------------------------------------------------- *)
 
@@ -1924,9 +2180,12 @@ let () =
       ( "ablations",
         [
           Alcotest.test_case "landmark precision" `Quick test_landmark_strictness;
+          Alcotest.test_case "stop-rule tampers" `Quick test_stop_rule_tampers;
+          prop_first_icount_at;
           Alcotest.test_case "logstats categories" `Quick test_logstats_categories;
           Alcotest.test_case "avmm time model" `Quick test_avmm_time_advances_with_instructions;
           Alcotest.test_case "snapshot refs logged" `Quick test_avmm_snapshot_refs_logged;
+          Alcotest.test_case "recordings pinned" `Quick test_recordings_pinned;
         ] );
       ( "spot-check",
         [

@@ -525,6 +525,177 @@ let prop_event_roundtrip =
   in
   qtest "event: wire roundtrip" gen (fun ev -> Event.equal (Event.decode (Event.encode ev)) ev)
 
+(* --- Run-to-event kernel ≡ per-instruction stepping ------------------------ *)
+
+(* Random AVM-32 programs run twice: once through [Machine.run], which
+   steps and polls before every instruction, and once as "one [step],
+   then [run_until] the next scheduled interrupt, if one can be taken".
+   The backend fires interrupts at scripted icounts and logs every call
+   with the landmark it was made at, and the tracer logs every
+   instruction; the two logs, the final state and any fault must be
+   identical. *)
+type kernel_case = { words : int array; irqs : int list; fuel : int }
+
+let gen_kernel_case =
+  let open QCheck2.Gen in
+  let reg = int_range 0 7 in
+  let rrr f = map3 f reg reg reg in
+  let off = int_range (-6) 6 in
+  let port l = oneofl l in
+  let backend_in = port Isa.[ port_clock; port_rng; port_input; port_net_rx; 0x99 ] in
+  let internal_in = port Isa.[ port_disk_read; port_irq_cause ] in
+  let backend_out =
+    port Isa.[ port_console; port_frame; port_net_tx_send; port_timer_ctl; port_net_rx_next; 0x9a ]
+  in
+  let internal_out =
+    port Isa.[ port_net_tx; port_disk_sector; port_disk_word; port_disk_write; port_ivt ]
+  in
+  let instr =
+    frequency
+      [
+        (2, rrr (fun d a b -> Isa.Add (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Sub (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Mul (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Div (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Rem (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Xor (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Sar (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Slt (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Sltu (d, a, b)));
+        (3, map2 (fun d v -> Isa.Movi (d, v)) reg (int_range (-4) 40));
+        (1, map3 (fun d a v -> Isa.Addi (d, a, v)) reg reg (int_range (-8) 8));
+        (* Memory is 256 words: some accesses fault. *)
+        (2, map3 (fun d a v -> Isa.Load (d, a, v)) reg reg (int_range (-2) 280));
+        (2, map3 (fun d a v -> Isa.Store (d, a, v)) reg reg (int_range (-2) 280));
+        (1, map (fun o -> Isa.Jmp o) off);
+        (1, map2 (fun d o -> Isa.Jal (d, o)) reg off);
+        (1, map (fun a -> Isa.Jr a) reg);
+        (1, map3 (fun a b o -> Isa.Beq (a, b, o)) reg reg off);
+        (1, map3 (fun a b o -> Isa.Bne (a, b, o)) reg reg off);
+        (1, map3 (fun a b o -> Isa.Blt (a, b, o)) reg reg off);
+        (1, map3 (fun a b o -> Isa.Bgeu (a, b, o)) reg reg off);
+        (2, pure Isa.Ei);
+        (1, pure Isa.Di);
+        (2, pure Isa.Iret);
+        (2, map2 (fun d p -> Isa.In (d, p)) reg backend_in);
+        (1, map2 (fun d p -> Isa.In (d, p)) reg internal_in);
+        (2, map2 (fun s p -> Isa.Out (s, p)) reg backend_out);
+        (2, map2 (fun s p -> Isa.Out (s, p)) reg internal_out);
+      ]
+  in
+  let word =
+    frequency
+      [
+        (60, map Isa.encode instr);
+        (1, pure (Isa.encode Isa.Halt));
+        (1, pure 0xff000000 (* undefined opcode *));
+      ]
+  in
+  map3
+    (fun words irqs fuel ->
+      { words = Array.of_list words; irqs = List.sort_uniq compare irqs; fuel })
+    (list_size (int_range 1 48) word)
+    (list_size (int_bound 30) (int_bound 600))
+    (int_range 0 800)
+
+let print_kernel_case c =
+  Printf.sprintf "fuel=%d irqs=[%s]\n%s" c.fuel
+    (String.concat ";" (List.map string_of_int c.irqs))
+    (String.concat "\n"
+       (Array.to_list
+          (Array.map
+             (fun w -> try Isa.to_string (Isa.decode w) with Isa.Decode_error _ -> "<bad>")
+             c.words)))
+
+(* One execution: the call log (newest first), the final state, the fault. *)
+let run_kernel_case ~kernel c =
+  let m = Machine.create ~mem_words:256 c.words in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%s %s" (Landmark.to_string (Machine.landmark m)) s :: !log in
+  let pending = ref c.irqs in
+  let inputs = ref 0 in
+  let backend =
+    {
+      Machine.io_in =
+        (fun port ->
+          incr inputs;
+          note (Printf.sprintf "in %d" port);
+          (!inputs * 2654435761) + port);
+      io_out = (fun port v -> note (Printf.sprintf "out %d %d" port v));
+      observe =
+        (fun o ->
+          note
+            (match o with
+            | Machine.Console v -> Printf.sprintf "console %d" v
+            | Machine.Frame -> "frame"
+            | Machine.Packet_sent p ->
+              "packet " ^ String.concat "," (Array.to_list (Array.map string_of_int p))));
+      poll_irq =
+        (fun () ->
+          let now = Machine.icount m in
+          if List.mem now !pending then begin
+            pending := List.filter (( <> ) now) !pending;
+            note "irq";
+            Some (now land 3)
+          end
+          else None);
+    }
+  in
+  Machine.set_tracer m
+    (Some (fun m i -> note (Isa.to_string i ^ " @" ^ string_of_int (Machine.pc m))));
+  let next_irq () =
+    let now = Machine.icount m in
+    List.fold_left (fun acc at -> if at >= now then min acc at else acc) max_int !pending
+  in
+  let fault =
+    try
+      if kernel then
+        while (not (Machine.halted m)) && Machine.icount m < c.fuel do
+          ignore (Machine.step m backend);
+          (* As the AVMM does: a masked interrupt bounds nothing, since
+             only a stop can unmask it. *)
+          let irq = if Machine.irq_deliverable m then next_irq () else max_int in
+          Machine.run_until m backend ~limit:(min c.fuel irq)
+        done
+      else ignore (Machine.run m backend ~fuel:c.fuel);
+      None
+    with Machine.Runtime_fault { pc; reason } -> Some (pc, reason)
+  in
+  (!log, m, fault)
+
+let prop_kernel_matches_stepping =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
+    (QCheck2.Test.make ~count:500 ~name:"run_until kernel = per-instruction run"
+       ~print:print_kernel_case gen_kernel_case (fun c ->
+         let log_r, m_r, fault_r = run_kernel_case ~kernel:false c in
+         let log_k, m_k, fault_k = run_kernel_case ~kernel:true c in
+         log_r = log_k
+         && String.equal (Machine.serialize_meta m_r) (Machine.serialize_meta m_k)
+         && Machine.state_equal m_r m_k && fault_r = fault_k))
+
+let test_run_until_stops () =
+  (* The stop rules one at a time: the limit, a backend call, Ei, halt;
+     in-machine ports run through. *)
+  let m =
+    Machine.create ~mem_words:64
+      (image
+         [
+           Isa.Nop; Isa.Out (1, Isa.port_disk_sector); Isa.In (2, Isa.port_irq_cause);
+           Isa.Nop; Isa.In (3, Isa.port_clock); Isa.Nop; Isa.Ei; Isa.Nop; Isa.Halt;
+         ])
+  in
+  let polls = ref 0 in
+  let backend = { Machine.null_backend with poll_irq = (fun () -> incr polls; None) } in
+  let stop limit = Machine.run_until m backend ~limit; Machine.icount m in
+  Alcotest.(check int) "limit" 1 (stop 1);
+  Alcotest.(check int) "limit already reached" 1 (stop 0);
+  Alcotest.(check int) "after the backend input" 5 (stop max_int);
+  Alcotest.(check int) "after ei" 7 (stop max_int);
+  Alcotest.(check int) "at halt" 9 (stop max_int);
+  Alcotest.(check bool) "halted" true (Machine.halted m);
+  Alcotest.(check int) "halted: no progress" 9 (stop max_int);
+  Alcotest.(check int) "never polled" 0 !polls
+
 (* --- Partial state (paper §4.4 / §7.3) ------------------------------------- *)
 
 let test_partial_state_verify () =
@@ -582,6 +753,11 @@ let () =
         [
           Alcotest.test_case "gating" `Quick test_interrupt_gating;
           Alcotest.test_case "delivery and iret" `Quick test_interrupt_flow;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "run_until stop rules" `Quick test_run_until_stops;
+          prop_kernel_matches_stepping;
         ] );
       ( "devices",
         [
