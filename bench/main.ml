@@ -106,6 +106,11 @@ let snap_machine = Machine.create ~mem_words:32768 guest_image
 let snap_tracker = Avm_machine.Snapshot.tracker ()
 let _ = Avm_machine.Snapshot.take snap_tracker snap_machine
 
+(* A short kv-store run with snapshots every 5 virtual seconds, for the
+   per-check cost of Figure 9. *)
+let kv =
+  Avm_scenario.Kv_run.run ~duration_us:20.0e6 ~snapshot_every_us:5_000_000 ~rsa_bits:512 ()
+
 let sha_buf = String.init 4096 (fun i -> Char.chr (i land 0xff))
 let sample_log = Log.create ()
 
@@ -230,6 +235,11 @@ let tests =
            Avm_machine.Memory.write (Machine.mem snap_machine) 2000 2;
            Avm_machine.Memory.write (Machine.mem snap_machine) 30000 3;
            ignore (Avm_machine.Snapshot.take snap_tracker snap_machine)));
+    (* One uncached spot check of a 1-chunk: the state download and its
+       authentication, the fingerprint and the replay (DESIGN.md §23). *)
+    Test.make ~name:"fig9/spot-check-chunk-k1"
+      (stage (fun () ->
+           ignore (Avm_scenario.Kv_run.audit_server_chunk kv ~start_snapshot:1 ~k:1)));
     (* The from-scratch tree the leaf-hash cache avoids rebuilding. *)
     Test.make ~name:"fig9/merkle-root-128-pages"
       (stage (fun () ->

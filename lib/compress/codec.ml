@@ -32,7 +32,7 @@ let compress input =
   Avm_util.Wire.bytes w (Bitio.contents bits);
   Avm_util.Wire.contents w
 
-let decompress packed =
+let decompress ?max_len packed =
   let open Avm_util in
   let fail msg = raise (Corrupt msg) in
   let r = Wire.reader packed in
@@ -49,6 +49,9 @@ let decompress packed =
      [max_match] bytes, so the payload bounds the output: a larger
      claim is a lie, rejected before it sizes any allocation. *)
   if orig_len > 8 * String.length payload * Lzss.max_match then fail "length exceeds payload";
+  (match max_len with
+  | Some cap when orig_len > cap -> fail "length exceeds cap"
+  | _ -> ());
   let bits = Bitio.reader payload in
   let code, dec =
     try

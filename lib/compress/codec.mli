@@ -16,11 +16,13 @@ val compress : string -> string
 (** [compress s] never fails; incompressible data grows by the small
     header plus the literal-coding overhead. *)
 
-val decompress : string -> string
+val decompress : ?max_len:int -> string -> string
 (** Inverse of {!compress}. The claimed original length is checked
-    against what the payload can encode before anything is allocated,
-    so a short input never reserves a large buffer.
-    @raise Corrupt on data not produced by {!compress}. *)
+    against what the payload can encode, and against [max_len] when
+    given, before anything is allocated, so a short input never
+    reserves a large buffer.
+    @raise Corrupt on data not produced by {!compress}, or claiming
+    more than [max_len] bytes. *)
 
 val ratio : string -> float
 (** [ratio s] is [length s / length (compress s)] — e.g. [3.2] means

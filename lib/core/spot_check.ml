@@ -75,8 +75,9 @@ let authenticate ~image ?mem_words ~chain ~digest (b : boundary) =
 type chunk_report = {
   start_snapshot : int;
   k : int;
+  first_seq : int;
+  last_seq : int;
   state_bytes : int;
-  log_bytes_compressed : int;
   replay_instructions : int;
   outcome : Replay.outcome;
 }
@@ -100,26 +101,35 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
     | Entry.Snapshot_ref { digest; _ } -> digest
     | _ -> assert false (* the snapshot index only lists Snapshot_ref entries *)
   in
-  let report ~state_bytes ~log_bytes_compressed ~replay_instructions outcome =
-    { start_snapshot; k; state_bytes; log_bytes_compressed; replay_instructions; outcome }
+  let report ~state_bytes ~replay_instructions outcome =
+    {
+      start_snapshot;
+      k;
+      first_seq = from;
+      last_seq = upto;
+      state_bytes;
+      replay_instructions;
+      outcome;
+    }
   in
-  (* What the auditor transfers on a replay: the full state at the
-     chunk start (the paper's "memory + disk snapshots") plus the
-     compressed log; a forged download is itself the divergence. *)
+  (* What the auditor downloads on a replay: the full state at the
+     chunk start (the paper's "memory + disk snapshots"); a forged
+     download is itself the divergence. The log range it also ships is
+     the report's [first_seq..last_seq], priced by whoever prints a
+     transfer size: no verdict reads the price, and pricing it means
+     compressing the range. *)
   let full () =
     let chain = chain_to pl start_b.snapshot_seq in
     match authenticate ~image ~mem_words ~chain ~digest start_b with
     | Unavailable msg -> Error msg
     | Forged d ->
       Ok
-        (report ~state_bytes:0 ~log_bytes_compressed:0 ~replay_instructions:0
-           (Replay.Diverged d))
+        (report ~state_bytes:0 ~replay_instructions:0 (Replay.Diverged d))
     | Verified machine ->
       let state_bytes =
         String.length (Machine.serialize_meta machine)
         + (Memory.page_count (Machine.mem machine) * Memory.page_size * 4)
       in
-      let log_bytes_compressed = Log.transfer_bytes log ~from ~upto in
       let outcome =
         Replay.replay_chunks ~image ~mem_words ~start:machine ~peers
           ~chunks:(Log.chunk_seq log ~from ~upto) ()
@@ -130,9 +140,8 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
         | Replay.Diverged _ -> Machine.icount machine - start_b.at_icount
       in
       Avm_obs.Metrics.incr ~by:state_bytes "spot_check.state_bytes";
-      Avm_obs.Metrics.incr ~by:log_bytes_compressed "spot_check.log_bytes_compressed";
       Avm_obs.Metrics.incr ~by:replay_instructions "spot_check.replay_instructions";
-      Ok (report ~state_bytes ~log_bytes_compressed ~replay_instructions outcome)
+      Ok (report ~state_bytes ~replay_instructions outcome)
   in
   (* The per-path wall clocks feed the dedup bench: spot-designated
      hits are full replays of fingerprint-identical chunks, so
@@ -158,7 +167,7 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
          three-digest compare, and the report says so. *)
       clocked "spot_check.cache_hit_seconds"
         (Ok
-           (report ~state_bytes:0 ~log_bytes_compressed:0 ~replay_instructions:0
+           (report ~state_bytes:0 ~replay_instructions:0
               (Replay.Verified { instructions; entries_consumed })))
     | Replay_cache.Spot _ | Replay_cache.Miss _ ->
       let r, emitted = Replay_cache.measure_replay full in

@@ -7,7 +7,9 @@
     (authenticated against the logged digest — {!authenticate}), the
     compressed log segment, and replays it. Cost is therefore a fixed
     part (state transfer, decompression) plus a part linear in [k] —
-    Figure 9. *)
+    Figure 9. A check pays for the download, the fingerprint, the two
+    state digests and the replay; what the log range would cost to
+    ship is left to the caller that prints it (DESIGN.md §23). *)
 
 type boundary = { entry_seq : int; snapshot_seq : int; at_icount : int }
 
@@ -64,8 +66,15 @@ val authenticate :
 type chunk_report = {
   start_snapshot : int;
   k : int;
-  state_bytes : int;  (** authenticated state downloaded at chunk start *)
-  log_bytes_compressed : int;  (** compressed log segment shipped *)
+  first_seq : int;
+  last_seq : int;
+      (** the chunk's entry range, [first_seq..last_seq]: the log the
+          auditor ships with the state. The check does not price it; a
+          caller that prints a transfer size does (DESIGN.md §23). *)
+  state_bytes : int;
+      (** authenticated state downloaded at chunk start; 0 exactly when
+          nothing was downloaded or replayed (a forged download, a
+          cache hit), and so no log range shipped either *)
   replay_instructions : int;
   outcome : Replay.outcome;
 }

@@ -31,10 +31,6 @@ type t = {
   mutable disk_sector : int;
   mutable disk_word : int;
   mutable tracer : (t -> Avm_isa.Isa.instr -> unit) option;
-  (* Decode cache, keyed by address and validated against the current
-     memory word — self-modifying code simply misses. *)
-  icache_word : int array;
-  icache_instr : Isa.instr array;
 }
 
 exception Runtime_fault of { pc : int; reason : string }
@@ -46,8 +42,6 @@ let create ?(mem_words = 65536) image =
   let mem = Memory.create ~words:mem_words in
   Memory.load_image mem image;
   {
-    icache_word = Array.make (Memory.size mem) (-1);
-    icache_instr = Array.make (Memory.size mem) Isa.Nop;
     regs = Array.make 16 0;
     pc = 0;
     icount = 0;
@@ -163,13 +157,41 @@ let jump m target =
 
 let branch m cond next off = if cond then jump m (next + off) else m.pc <- next
 
-let fetch m =
-  let word = try Memory.read m.mem m.pc with Memory.Fault a -> fault m (Printf.sprintf "pc out of range: 0x%x" a) in
-  if m.icache_word.(m.pc) = word then m.icache_instr.(m.pc)
+(* The decode cache: one per domain, shared by every machine that runs
+   on it. A slot is keyed by address and valid only while it holds the
+   word now in memory there, and decoding is a pure function of the
+   word, so a slot filled by another machine, another image or code
+   since overwritten simply misses. The arrays only grow, to the
+   largest memory run on the domain. *)
+type icache = { mutable words : int array; mutable instrs : Isa.instr array }
+
+let icache_key = Domain.DLS.new_key (fun () -> { words = [||]; instrs = [||] })
+
+(* Looked up once per [step] or [run_until], so the instruction loop
+   makes no domain-local lookup. *)
+let icache m =
+  let c = Domain.DLS.get icache_key in
+  let n = Memory.size m.mem in
+  if Array.length c.words < n then begin
+    c.words <- Array.make n (-1);
+    c.instrs <- Array.make n Isa.Nop
+  end;
+  c
+
+(* Reads the cache's fields on every call and indexes with bounds
+   checks: a run nested in a tracer or backend call may have grown the
+   arrays since the caller looked the cache up. *)
+let fetch m c =
+  let pc = m.pc in
+  let word =
+    try Memory.read m.mem pc with Memory.Fault a -> fault m (Printf.sprintf "pc out of range: 0x%x" a)
+  in
+  if c.words.(pc) = word then c.instrs.(pc)
   else begin
     let d = try Isa.decode word with Isa.Decode_error w -> fault m (Printf.sprintf "bad opcode 0x%08x" w) in
-    m.icache_word.(m.pc) <- word;
-    m.icache_instr.(m.pc) <- d;
+    Avm_obs.Metrics.incr "machine.decodes";
+    c.words.(pc) <- word;
+    c.instrs.(pc) <- d;
     d
   end
 
@@ -355,18 +377,18 @@ let step m backend =
       | Some line -> deliver_irq m line
       | None -> ()
     end;
-    ignore (exec m backend (fetch m));
+    ignore (exec m backend (fetch m (icache m)));
     not m.halted
   end
 
 let run_until m backend ~limit =
+  let c = icache m in
   let stop = ref m.halted in
   while (not !stop) && m.icount < limit do
-    stop := exec m backend (fetch m)
+    stop := exec m backend (fetch m c)
   done
 
 let run m backend ~fuel =
-
   let executed = ref 0 in
   let continue = ref (not m.halted) in
   while !continue && !executed < fuel do
@@ -438,8 +460,6 @@ let copy m =
   {
     m with
     tracer = None;
-    icache_word = Array.copy m.icache_word;
-    icache_instr = Array.copy m.icache_instr;
     regs = Array.copy m.regs;
     mem = Memory.copy m.mem;
     disk =

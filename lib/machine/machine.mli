@@ -11,7 +11,16 @@
 
     Deterministic devices (the virtual disk, the IRQ-cause register,
     the frame counter, the NET_TX assembly buffer) live inside the
-    machine and are part of its snapshotted state. *)
+    machine and are part of its snapshotted state.
+
+    Decoded instructions are cached per domain, not per machine: one
+    cache, keyed by address and checked against the word in memory at
+    every fetch, serves every machine that {!step}s or {!run_until}s on
+    that domain. Machines with different images, and code that stores
+    over itself, miss rather than run a stale decode. The cache grows
+    to the largest memory run on the domain (two arrays of that many
+    words) and is never shrunk; a machine itself holds no memory-sized
+    array besides its {!Memory.t}. Misses count as [machine.decodes]. *)
 
 type t
 

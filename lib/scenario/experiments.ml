@@ -550,7 +550,7 @@ let fig9 ?(scale = Full) () =
               (100.0 *. float_of_int rep.Spot_check.replay_instructions /. float_of_int full_instr);
             Avm_util.Stats.add data
               (100.0
-              *. float_of_int (rep.Spot_check.state_bytes + rep.Spot_check.log_bytes_compressed)
+              *. float_of_int (Kv_run.chunk_transfer_bytes o rep)
               /. float_of_int full_bytes))
           starts;
         { k; time_pct = Avm_util.Stats.mean time; data_pct = Avm_util.Stats.mean data })

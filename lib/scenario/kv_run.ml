@@ -41,6 +41,14 @@ let audit_server_chunk o ~start_snapshot ~k =
   | Ok report -> report
   | Error msg -> invalid_arg ("Kv_run.audit_server_chunk: " ^ msg)
 
+let chunk_transfer_bytes o (rep : Spot_check.chunk_report) =
+  if rep.Spot_check.state_bytes = 0 then 0
+  else
+    let log = Avmm.log (Net.node_avmm (Net.node o.net 0)) in
+    rep.Spot_check.state_bytes
+    + Avm_tamperlog.Log.transfer_bytes log ~from:rep.Spot_check.first_seq
+        ~upto:rep.Spot_check.last_seq
+
 let full_audit_cost o =
   let server = Net.node_avmm (Net.node o.net 0) in
   let log = Avmm.log server in

@@ -28,6 +28,12 @@ val audit_server_chunk : outcome -> start_snapshot:int -> k:int -> Avm_core.Spot
     @raise Invalid_argument if the run took no snapshot at either end
     of the chunk. *)
 
+val chunk_transfer_bytes : outcome -> Avm_core.Spot_check.chunk_report -> int
+(** What the auditor downloaded for a checked chunk: the authenticated
+    state plus the chunk's log range, compressed. 0 when nothing was
+    replayed. The compression runs here, for the figure, not inside the
+    check. *)
+
 val full_audit_cost : outcome -> int * int
 (** [(instructions, compressed_log_bytes)] of a full audit of the
     server — the 100% reference point in Figure 9. *)

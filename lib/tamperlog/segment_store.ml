@@ -65,11 +65,36 @@ let seal backend ~info entries =
     Avm_obs.Metrics.incr ~by:(String.length blob) "log.bytes_compressed";
     { info; repr = Blob blob }
 
+let varint_size v =
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+(* The index record says exactly what a blob must hold: [count]
+   entries in [byte_size] body bytes behind a count varint, starting
+   at [first_seq] and chaining from [prev_hash] to [head_hash]. The
+   length caps the inflation before it allocates; the rest turns a
+   swapped or short blob into [Corrupt] here rather than a wrong entry
+   or an index error in a reader. *)
 let inflate seg =
   match seg.repr with
   | Entries a -> a
   | Blob blob ->
-    Array.of_list (decode_entries ~prev:seg.info.prev_hash (Avm_compress.Codec.decompress blob))
+    let info = seg.info in
+    let corrupt msg = raise (Avm_compress.Codec.Corrupt ("segment blob: " ^ msg)) in
+    let count = info.last_seq - info.first_seq + 1 in
+    if count < 1 then corrupt "empty index range";
+    let expected = varint_size count + info.byte_size in
+    let raw = Avm_compress.Codec.decompress ~max_len:expected blob in
+    if String.length raw <> expected then corrupt "length differs from the index";
+    let a =
+      try Array.of_list (decode_entries ~prev:info.prev_hash raw)
+      with Avm_util.Wire.Truncated -> corrupt "entries truncated"
+    in
+    if Array.length a <> count then corrupt "entry count differs from the index";
+    if a.(0).Entry.seq <> info.first_seq then corrupt "first seq differs from the index";
+    if not (String.equal a.(count - 1).Entry.hash info.head_hash) then
+      corrupt "head hash differs from the index";
+    a
 
 (* Bytes this segment occupies at rest. *)
 let stored_bytes seg =

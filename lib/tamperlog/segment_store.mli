@@ -33,9 +33,12 @@ val seal : backend -> info:info -> Entry.t array -> seg
     recomputed on {!inflate}. *)
 
 val inflate : seg -> Entry.t array
-(** Materialize the entries (decompressing if needed).
+(** Materialize the entries (decompressing if needed). A blob is
+    checked against its index record: inflation is capped at the exact
+    length the record implies, and the decoded entries must match its
+    count, [first_seq] and [head_hash].
     @raise Avm_compress.Codec.Corrupt or [Avm_util.Wire.Malformed] on a
-    damaged blob. *)
+    damaged blob or one that does not match [info]. *)
 
 val stored_bytes : seg -> int
 (** Bytes the segment occupies at rest. *)

@@ -494,7 +494,9 @@ let test_spot_check_chunks () =
   | Replay.Verified _ -> ()
   | o -> Alcotest.failf "chunk should verify: %s" (Format.asprintf "%a" Replay.pp_outcome o));
   Alcotest.(check bool) "transfers counted" true (report.Spot_check.state_bytes > 0);
-  Alcotest.(check bool) "log counted" true (report.Spot_check.log_bytes_compressed > 0)
+  Alcotest.(check bool) "log counted" true
+    (Log.transfer_bytes log ~from:report.Spot_check.first_seq ~upto:report.Spot_check.last_seq
+    > 0)
 
 let test_spot_check_incompleteness () =
   (* A fault inside an unchecked segment is invisible to a spot check

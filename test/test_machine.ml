@@ -696,6 +696,120 @@ let test_run_until_stops () =
   Alcotest.(check int) "halted: no progress" 9 (stop max_int);
   Alcotest.(check int) "never polled" 0 !polls
 
+(* --- The per-domain decode cache ------------------------------------------- *)
+
+(* Two loops with different code at the same addresses. *)
+let loop_a =
+  [
+    Isa.Movi (1, 0); Isa.Addi (1, 1, 3); Isa.Mul (2, 1, 1); Isa.Andi (3, 1, 63);
+    Isa.Store (2, 3, 200); Isa.Jmp (-5);
+  ]
+
+let loop_b =
+  [
+    Isa.Movi (1, 7); Isa.Shli (2, 1, 2); Isa.Sub (1, 2, 1); Isa.Andi (4, 1, 127);
+    Isa.Store (1, 4, 300); Isa.Add (5, 5, 4); Isa.Jmp (-6);
+  ]
+
+let marks_string marks = String.concat " " (List.rev_map Landmark.to_string marks)
+
+let check_same_machine what expected got =
+  Alcotest.(check string) (what ^ ": meta") (Machine.serialize_meta expected)
+    (Machine.serialize_meta got);
+  Alcotest.(check bool) (what ^ ": memory") true (Machine.state_equal expected got)
+
+(* [slices] runs of [slice] instructions through [Machine.run] on a
+   fresh machine: the landmark after each, and the machine. *)
+let reference_slices ~mem_words ~slice ~slices instrs =
+  let m = Machine.create ~mem_words (image instrs) in
+  let marks = ref [] in
+  for _ = 1 to slices do
+    ignore (Machine.run m Machine.null_backend ~fuel:slice);
+    marks := Machine.landmark m :: !marks
+  done;
+  (!marks, m)
+
+(* Each reference runs alone on a domain of its own, so its cache has
+   never seen the other image. *)
+let alone f = Domain.join (Domain.spawn f)
+
+let test_icache_machines_alternate () =
+  let slice = 37 and slices = 60 in
+  let ref_a, end_a = alone (fun () -> reference_slices ~mem_words:1024 ~slice ~slices loop_a) in
+  let ref_b, end_b = alone (fun () -> reference_slices ~mem_words:1024 ~slice ~slices loop_b) in
+  let ma = Machine.create ~mem_words:1024 (image loop_a) in
+  let mb = Machine.create ~mem_words:1024 (image loop_b) in
+  let marks_a = ref [] and marks_b = ref [] in
+  for _ = 1 to slices do
+    List.iter
+      (fun (m, marks) ->
+        Machine.run_until m Machine.null_backend ~limit:(Machine.icount m + slice);
+        marks := Machine.landmark m :: !marks)
+      [ (ma, marks_a); (mb, marks_b) ]
+  done;
+  Alcotest.(check string) "a: landmarks" (marks_string ref_a) (marks_string !marks_a);
+  Alcotest.(check string) "b: landmarks" (marks_string ref_b) (marks_string !marks_b);
+  check_same_machine "a" end_a ma;
+  check_same_machine "b" end_b mb
+
+let test_icache_self_modifying () =
+  (* The second pass stores [Movi (2, 42)] over the instruction right
+     after the store, which the first pass has already executed (and
+     so cached) as [Movi (2, 1)]. *)
+  let prog =
+    [
+      Isa.Load (5, 0, 10); Isa.Movi (4, 2); Isa.Addi (3, 3, 1); Isa.Bne (3, 4, 1);
+      Isa.Store (5, 0, 5); Isa.Movi (2, 1); Isa.Add (7, 7, 2); Isa.Blt (3, 4, -6); Isa.Halt;
+      Isa.Nop; Isa.Movi (2, 42);
+    ]
+  in
+  let check what m =
+    Alcotest.(check bool) (what ^ ": halted") true (Machine.halted m);
+    Alcotest.(check int) (what ^ ": new word ran") 42 (Machine.reg m 2);
+    Alcotest.(check int) (what ^ ": old word ran first") 43 (Machine.reg m 7)
+  in
+  let by_run = run_image prog in
+  check "run" by_run;
+  let by_kernel = Machine.create ~mem_words:4096 (image prog) in
+  Machine.run_until by_kernel Machine.null_backend ~limit:max_int;
+  check "run_until" by_kernel;
+  check_same_machine "run = run_until" by_run by_kernel
+
+let test_icache_two_domains () =
+  let work mem_words instrs =
+    let m = Machine.create ~mem_words (image instrs) in
+    while Machine.icount m < 200_000 do
+      Machine.run_until m Machine.null_backend ~limit:(Machine.icount m + 997);
+      ignore (Machine.step m Machine.null_backend)
+    done;
+    m
+  in
+  let seq_a = work 1024 loop_a and seq_b = work 4096 loop_b in
+  let da = Domain.spawn (fun () -> work 1024 loop_a) in
+  let db = Domain.spawn (fun () -> work 4096 loop_b) in
+  let par_a = Domain.join da and par_b = Domain.join db in
+  check_same_machine "a" seq_a par_a;
+  check_same_machine "b" seq_b par_b
+
+let test_icache_nested_growth () =
+  (* A tracer runs a machine with more memory in the middle of an outer
+     [run_until], growing the cache under it. *)
+  let _, expected = reference_slices ~mem_words:512 ~slice:300 ~slices:1 loop_a in
+  let outer = Machine.create ~mem_words:512 (image loop_a) in
+  let inner_runs = ref 0 in
+  Machine.set_tracer outer
+    (Some
+       (fun m _ ->
+         if Machine.icount m = 50 then begin
+           incr inner_runs;
+           let inner = Machine.create ~mem_words:16384 (image loop_b) in
+           Machine.run_until inner Machine.null_backend ~limit:100
+         end));
+  Machine.run_until outer Machine.null_backend ~limit:300;
+  Alcotest.(check int) "inner ran" 1 !inner_runs;
+  Machine.set_tracer outer None;
+  check_same_machine "outer" expected outer
+
 (* --- Partial state (paper §4.4 / §7.3) ------------------------------------- *)
 
 let test_partial_state_verify () =
@@ -758,6 +872,14 @@ let () =
         [
           Alcotest.test_case "run_until stop rules" `Quick test_run_until_stops;
           prop_kernel_matches_stepping;
+        ] );
+      ( "decode-cache",
+        [
+          Alcotest.test_case "two images alternate on one domain" `Quick
+            test_icache_machines_alternate;
+          Alcotest.test_case "store over the next instruction" `Quick test_icache_self_modifying;
+          Alcotest.test_case "two domains at once" `Quick test_icache_two_domains;
+          Alcotest.test_case "nested run grows the cache" `Quick test_icache_nested_growth;
         ] );
       ( "devices",
         [

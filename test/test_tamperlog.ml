@@ -422,6 +422,89 @@ let test_compression_accounting () =
   Alcotest.(check bool) "transfer bytes positive" true
     (Log.transfer_bytes zip ~from:1 ~upto:(Log.length zip) > 0)
 
+(* A compressed segment sealed directly, with the index record [Log]
+   would write for it. *)
+let compressed_run ~prev ~first contents =
+  let _, rev =
+    List.fold_left
+      (fun (prev, acc) c ->
+        let e = Entry.seal ~prev ~seq:(first + List.length acc) c in
+        (e.Entry.hash, e :: acc))
+      (prev, []) contents
+  in
+  let entries = Array.of_list (List.rev rev) in
+  let n = Array.length entries in
+  let info =
+    {
+      Segment_store.first_seq = first;
+      last_seq = first + n - 1;
+      prev_hash = prev;
+      head_hash = entries.(n - 1).Entry.hash;
+      byte_size = Array.fold_left (fun acc e -> acc + Entry.wire_size e) 0 entries;
+      snapshot_boundary = None;
+    }
+  in
+  (entries, Segment_store.seal Segment_store.Compressed ~info entries)
+
+let io_run values =
+  List.map
+    (fun v -> Entry.Exec (Avm_machine.Event.Io_in { port = 0x20; value = v; msg = -1 }))
+    values
+
+let expect_corrupt what ~reason seg =
+  match Segment_store.inflate seg with
+  | _ -> Alcotest.failf "%s: inflated" what
+  | exception Avm_compress.Codec.Corrupt m -> Alcotest.(check string) what reason m
+
+let with_blob seg blob = { seg with Segment_store.repr = Segment_store.Blob blob }
+
+let blob_of (seg : Segment_store.seg) =
+  match seg.Segment_store.repr with
+  | Segment_store.Blob blob -> blob
+  | Segment_store.Entries _ -> Alcotest.fail "compressed seal kept entries"
+
+let test_inflate_checks_index () =
+  let genesis = Log.genesis_hash in
+  let e1, s1 = compressed_run ~prev:genesis ~first:1 (io_run [ 1000; 1001; 1002; 1003 ]) in
+  let _, s2 = compressed_run ~prev:e1.(3).Entry.hash ~first:5 (io_run [ 1004; 1005; 1006; 1007 ]) in
+  (* The same seqs with other values: same length, other chain. *)
+  let _, s1' = compressed_run ~prev:genesis ~first:1 (io_run [ 2000; 2001; 2002; 2003 ]) in
+  let hashes a = Array.to_list (Array.map (fun e -> e.Entry.hash) a) in
+  Alcotest.(check (list string)) "honest blob inflates" (hashes e1)
+    (hashes (Segment_store.inflate s1));
+  let index_says what = "segment blob: " ^ what ^ " differs from the index" in
+  expect_corrupt "swapped: other seqs" ~reason:(index_says "first seq")
+    (with_blob s1 (blob_of s2));
+  expect_corrupt "swapped: other chain" ~reason:(index_says "head hash")
+    (with_blob s1 (blob_of s1'));
+  (* Two entries indexed; one entry of the same body length shipped. *)
+  let two = [ Entry.Note (String.make 10 'a'); Entry.Note (String.make 10 'b') ] in
+  let _, s_two = compressed_run ~prev:genesis ~first:1 two in
+  let one_of_len l =
+    snd (compressed_run ~prev:genesis ~first:1 [ Entry.Note (String.make l 'c') ])
+  in
+  let size (seg : Segment_store.seg) = seg.Segment_store.info.Segment_store.byte_size in
+  let rec same_size l =
+    let seg = one_of_len l in
+    if size seg = size s_two then seg else same_size (l + 1)
+  in
+  expect_corrupt "short: fewer entries" ~reason:(index_says "entry count")
+    (with_blob s_two (blob_of (same_size 0)));
+  (* Three entries where the index records four. *)
+  let _, s_three = compressed_run ~prev:genesis ~first:1 (io_run [ 1000; 1001; 1002 ]) in
+  expect_corrupt "short: fewer bytes" ~reason:(index_says "length")
+    (with_blob s1 (blob_of s_three));
+  let blob = blob_of s1 in
+  expect_corrupt "truncated blob" ~reason:"truncated payload"
+    (with_blob s1 (String.sub blob 0 (String.length blob - 3)));
+  (* A valid stream one byte longer than the index allows: refused by
+     the cap, before the output buffer is sized. *)
+  let raw = Segment_store.encode_entries (Array.to_list e1) in
+  let over = Avm_compress.Codec.compress (raw ^ "x") in
+  expect_corrupt "over-claiming blob" ~reason:"length exceeds cap" (with_blob s1 over);
+  Alcotest.check_raises "cap refuses the claim" (Avm_compress.Codec.Corrupt "length exceeds cap")
+    (fun () -> ignore (Avm_compress.Codec.decompress ~max_len:(String.length raw) over))
+
 (* --- authenticators ------------------------------------------------------------- *)
 
 let test_auth_verify () =
@@ -592,6 +675,7 @@ let () =
           Alcotest.test_case "tamper ops on sealed logs" `Quick test_tamper_on_sealed;
           Alcotest.test_case "fork with sealed segments" `Quick test_fork_with_sealed_segments;
           Alcotest.test_case "compression accounting" `Quick test_compression_accounting;
+          Alcotest.test_case "inflate checked against the index" `Quick test_inflate_checks_index;
         ] );
       ( "authenticators",
         [
