@@ -97,6 +97,25 @@ let () =
   Printf.printf "cache on:  %d semantic entries in %d us (hits %d, misses %d, spots %d)\n%!"
     on.Fleet_run.semantic_entries on.Fleet_run.semantic_us stats.Replay_cache.hits
     stats.Replay_cache.misses stats.Replay_cache.spot_checks;
+  (* Where a replayed chunk's time goes: Spot_check's per-stage
+     counters over the cache-on pass, per replayed chunk (misses plus
+     spots; the fingerprint is paid by every cached chunk, hits too). *)
+  let counters = (Metrics.snapshot ()).Metrics.counters in
+  let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let replayed = max 1 (stats.Replay_cache.misses + stats.Replay_cache.spot_checks) in
+  let looked_up = replayed + stats.Replay_cache.hits in
+  let per_chunk name = float_of_int (counter name) /. float_of_int replayed in
+  Printf.printf
+    "replayed chunk split (us/chunk over %d): fingerprint %.1f (per lookup, over %d), restore \
+     %.1f, pre-digest %.1f, replay %.1f, post-digest %.1f; %d started from a remembered state\n%!"
+    replayed
+    (float_of_int (counter "spot_check.fingerprint_us") /. float_of_int looked_up)
+    looked_up
+    (per_chunk "spot_check.restore_us")
+    (per_chunk "spot_check.pre_digest_us")
+    (per_chunk "spot_check.replay_us")
+    (per_chunk "spot_check.post_digest_us")
+    (counter "spot_check.states_reused");
   (* --- hard checks -------------------------------------------------------- *)
   let sig_on = Fleet_run.signature on and sig_off = Fleet_run.signature off in
   if sig_on <> sig_off then begin

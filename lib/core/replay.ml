@@ -290,6 +290,12 @@ let engine ~image ?mem_words ?start ?(strict_landmarks = true) ~peers () =
   in
   e
 
+(* Wall seconds this domain has spent recomputing state digests in
+   [check_snapshots], so a caller can split its replay time without a
+   span per check. *)
+let digest_clock = Domain.DLS.new_key (fun () -> ref 0.0)
+let digest_seconds () = !(Domain.DLS.get digest_clock)
+
 (* Verify any due snapshot digests at the current instruction count. *)
 let check_snapshots e =
   let continue = ref true in
@@ -306,7 +312,10 @@ let check_snapshots e =
                entry_seq = Some seq;
                detail = Printf.sprintf "snapshot %d was due at icount %d" snapshot_seq at_icount;
              });
+      let t0 = Avm_obs.Clock.now_s () in
       let recomputed = Snapshot.machine_digest ~at_icount e.machine in
+      let spent = Domain.DLS.get digest_clock in
+      spent := !spent +. (Avm_obs.Clock.now_s () -. t0);
       if not (String.equal recomputed digest) then
         raise
           (Fault_exn
@@ -481,7 +490,7 @@ let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landma
       ~pre_state:(Snapshot.machine_digest ~at_icount:(Machine.icount m) m)
       (Lazy.force entries)
   in
-  match Replay_cache.lookup cache ~fuel print with
+  Replay_cache.exclusive cache ~fuel print @@ function
   | Replay_cache.Off ->
     replay_chunks_raw ~image ?mem_words ?start ~fuel ?strict_landmarks ~peers ~chunks ()
   | Replay_cache.Hit { instructions; entries_consumed } ->

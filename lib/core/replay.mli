@@ -143,3 +143,9 @@ val consumed_entries : engine -> int
 
 val pending_entries : engine -> int
 (** Active entries fed but not yet reproduced — the auditor's lag. *)
+
+val digest_seconds : unit -> float
+(** Wall seconds the calling domain has spent, since it started,
+    recomputing state digests at [Snapshot_ref] entries. The
+    difference across a replay is that replay's digest share
+    ({!Spot_check.check_chunk}'s post-digest stage). *)

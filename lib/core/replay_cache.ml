@@ -25,6 +25,7 @@
 
 module Metrics = Avm_obs.Metrics
 module Sha256 = Avm_crypto.Sha256
+module Machine = Avm_machine.Machine
 open Avm_tamperlog
 
 let enabled = Atomic.make true
@@ -51,6 +52,19 @@ type stripe = {
   lock : Mutex.t;
   tbl : (string, slot) Hashtbl.t;
   order : string Queue.t; (* insertion order, for FIFO eviction *)
+  flight : (string, unit) Hashtbl.t; (* keys an [exclusive] caller is replaying *)
+  landed : Condition.t; (* signalled when a key leaves [flight] *)
+}
+
+(* States the auditor verified itself, keyed by the digest it
+   recomputed (DESIGN.md §24). An entry is never mutated once stored:
+   callers replay on a copy. FIFO within [state_budget] words of
+   memory and disk. *)
+type states = {
+  st_lock : Mutex.t;
+  st_tbl : (string, int * Machine.t) Hashtbl.t; (* digest -> (at_icount, state) *)
+  st_order : string Queue.t;
+  mutable st_words : int;
 }
 
 type stats = {
@@ -65,6 +79,7 @@ type stats = {
 
 type t = {
   stripes : stripe array;
+  states : states;
   stripe_cap : int;
   rate : int;
   seed : int64;
@@ -79,6 +94,8 @@ type t = {
 
 let rec pow2_above n k = if k >= n then k else pow2_above n (k * 2)
 
+let state_budget = 1 lsl 21
+
 let create ?(capacity = 8192) ?(stripes = 16) ?(spot_rate = 8) ?(seed = 0L) () =
   if capacity < 1 then invalid_arg "Replay_cache.create: capacity < 1";
   if spot_rate < 0 then invalid_arg "Replay_cache.create: spot_rate < 0";
@@ -86,7 +103,20 @@ let create ?(capacity = 8192) ?(stripes = 16) ?(spot_rate = 8) ?(seed = 0L) () =
   {
     stripes =
       Array.init stripes (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 64; order = Queue.create () });
+          {
+            lock = Mutex.create ();
+            tbl = Hashtbl.create 64;
+            order = Queue.create ();
+            flight = Hashtbl.create 4;
+            landed = Condition.create ();
+          });
+    states =
+      {
+        st_lock = Mutex.create ();
+        st_tbl = Hashtbl.create 64;
+        st_order = Queue.create ();
+        st_words = 0;
+      };
     stripe_cap = max 1 ((capacity + stripes - 1) / stripes);
     rate = spot_rate;
     seed;
@@ -102,10 +132,15 @@ let create ?(capacity = 8192) ?(stripes = 16) ?(spot_rate = 8) ?(seed = 0L) () =
 let capacity t = t.stripe_cap * Array.length t.stripes
 let spot_rate t = t.rate
 
+let stripe t key = t.stripes.(Hashtbl.hash key land (Array.length t.stripes - 1))
+
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
 let with_stripe t key f =
-  let s = t.stripes.(Hashtbl.hash key land (Array.length t.stripes - 1)) in
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) (fun () -> f s)
+  let s = stripe t key in
+  with_lock s.lock (fun () -> f s)
 
 let clear t =
   Array.iter
@@ -114,7 +149,12 @@ let clear t =
       Hashtbl.reset s.tbl;
       Queue.clear s.order;
       Mutex.unlock s.lock)
-    t.stripes
+    t.stripes;
+  let st = t.states in
+  with_lock st.st_lock (fun () ->
+      Hashtbl.reset st.st_tbl;
+      Queue.clear st.st_order;
+      st.st_words <- 0)
 
 let size t =
   Array.fold_left
@@ -258,7 +298,12 @@ let fingerprint ~image ?mem_words ?strict_landmarks ~peers ~pre_state entries =
    key): 1-in-rate keys always replay fully, hit or not, regardless of
    cache contents, worker count or audit order — which is exactly what
    keeps verdict vectors deterministic AND denies a cache-poisoning
-   adversary any fingerprint that is safe to lie about. *)
+   adversary any fingerprint that is safe to lie about. One verdict
+   does depend on the table: a hit, or a replay that starts from a
+   remembered state (DESIGN.md §24), fetches no snapshot, so a target
+   that serves a forged one is caught by whichever of its jobs first
+   needs the download. Which job that is can vary with the lane count;
+   for targets whose snapshots match their logs, verdicts do not. *)
 let spot_due t (p : print) =
   t.rate > 0
   && (let h = ref (Int64.to_int t.seed land max_int) in
@@ -270,8 +315,8 @@ let miss t =
   Metrics.incr "replay.cache_misses";
   `Miss
 
-let find t ~fuel (p : print) =
-  let found = with_stripe t p.key (fun s -> Hashtbl.find_opt s.tbl p.key) in
+(* Decide and count a lookup of [p], given what its stripe holds. *)
+let find t ~fuel (p : print) found =
   match found with
   | Some { s_peers; s_peers_sensitive; s_post; s_outputs; s_counts = c }
     when String.equal s_post p.post_state
@@ -318,20 +363,22 @@ let remember t (p : print) ?(peers_sensitive = true) ~instructions ~entries_cons
           Queue.add p.key s.order
         end)
 
-(* Whether a replay thunk emitted guest packets, read off a process
-   atomic the replay engine bumps per emission (mapped or not) via
-   {!note_packet_emitted}. A dedicated atomic rather than the metrics
-   counter: reading a counter means merging every shard's full table,
-   far too slow for once-per-miss. Concurrent domains can only inflate
-   the delta, so pollution errs toward peers-sensitive — fewer
-   cross-peer hits, never an unsound one. *)
-let packets_emitted = Atomic.make 0
-let note_packet_emitted () = ignore (Atomic.fetch_and_add packets_emitted 1)
+(* Whether a replay thunk emitted guest packets, read off a per-domain
+   count the replay engine bumps per emission (mapped or not) via
+   {!note_packet_emitted}. A replay runs on the domain that called the
+   thunk, so another domain's replay cannot move the count: whether a
+   remembered chunk is peers-sensitive does not depend on what ran
+   beside it. A dedicated cell rather than the metrics counter:
+   reading a counter means merging every shard's full table, far too
+   slow for once-per-miss. *)
+let packets_emitted = Domain.DLS.new_key (fun () -> ref 0)
+let note_packet_emitted () = incr (Domain.DLS.get packets_emitted)
 
 let measure_replay f =
-  let e0 = Atomic.get packets_emitted in
+  let c = Domain.DLS.get packets_emitted in
+  let e0 = !c in
   let r = f () in
-  (r, Atomic.get packets_emitted > e0)
+  (r, !c > e0)
 
 let confirm_spot t (p : print) ~matched =
   if not matched then begin
@@ -344,14 +391,46 @@ let confirm_spot t (p : print) ~matched =
 
 type lookup = Off | Hit of cached | Spot of t * print * cached | Miss of t * print
 
-let lookup cache ~fuel print =
+(* The in-flight mark: a key being replayed by one [exclusive] caller
+   is not looked up by another until the first has settled it, so each
+   key is decided against the same table contents at any lane count.
+   [decide] waits out a mark, looks the key up and, with [~mark], holds
+   the mark itself unless the key hit. *)
+let decide t ~fuel ~mark (p : print) =
+  let s = stripe t p.key in
+  with_lock s.lock (fun () ->
+      while Hashtbl.mem s.flight p.key do
+        Condition.wait s.landed s.lock
+      done;
+      match find t ~fuel p (Hashtbl.find_opt s.tbl p.key) with
+      | `Hit c -> Hit c
+      | `Spot c ->
+        if mark then Hashtbl.replace s.flight p.key ();
+        Spot (t, p, c)
+      | `Miss ->
+        if mark then Hashtbl.replace s.flight p.key ();
+        Miss (t, p))
+
+(* The mark is dropped however [f] returns. *)
+let exclusive cache ~fuel print f =
   match cache with
   | Some t when Atomic.get enabled -> (
     let p = print () in
-    match find t ~fuel p with
-    | `Hit c -> Hit c
-    | `Spot c -> Spot (t, p, c)
-    | `Miss -> Miss (t, p))
+    match decide t ~fuel ~mark:true p with
+    | Hit _ as l -> f l
+    | l ->
+      let s = stripe t p.key in
+      Fun.protect
+        ~finally:(fun () ->
+          with_lock s.lock (fun () ->
+              Hashtbl.remove s.flight p.key;
+              Condition.broadcast s.landed))
+        (fun () -> f l))
+  | _ -> f Off
+
+let lookup cache ~fuel print =
+  match cache with
+  | Some t when Atomic.get enabled -> decide t ~fuel ~mark:false (print ())
   | _ -> Off
 
 (* A spot-designated hit must reproduce the cached counts exactly; a
@@ -362,3 +441,37 @@ let settle l ~emitted verified =
   | Miss (t, p), Some { instructions; entries_consumed } ->
     remember t p ~peers_sensitive:emitted ~instructions ~entries_consumed ()
   | (Off | Hit _ | Miss _), _ -> ()
+
+(* --- verified states ------------------------------------------------------ *)
+
+let states t = with_lock t.states.st_lock (fun () -> Hashtbl.length t.states.st_tbl)
+
+let find_state t ~digest ~at_icount =
+  if not (Atomic.get enabled) then None
+  else
+    let st = t.states in
+    match with_lock st.st_lock (fun () -> Hashtbl.find_opt st.st_tbl digest) with
+    | Some (a, m) when a = at_icount -> Some m
+    | _ -> None
+
+let remember_state t ~digest ~at_icount m =
+  let st = t.states in
+  let words = Machine.state_words m in
+  Atomic.get enabled
+  && words <= state_budget
+  && with_lock st.st_lock (fun () ->
+         if Hashtbl.mem st.st_tbl digest then false
+         else begin
+           while st.st_words + words > state_budget do
+             let old = Queue.pop st.st_order in
+             (match Hashtbl.find_opt st.st_tbl old with
+             | Some (_, o) -> st.st_words <- st.st_words - Machine.state_words o
+             | None -> ());
+             Hashtbl.remove st.st_tbl old
+           done;
+           Hashtbl.replace st.st_tbl digest (at_icount, m);
+           Queue.add digest st.st_order;
+           st.st_words <- st.st_words + words;
+           Metrics.set "replay_cache.states" (float_of_int (Hashtbl.length st.st_tbl));
+           true
+         end)

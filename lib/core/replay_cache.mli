@@ -44,7 +44,16 @@ val create : ?capacity:int -> ?stripes:int -> ?spot_rate:int -> ?seed:int64 -> u
     1-in-[spot_rate] fingerprints for full replay even on hit
     (default 8; [0] disables spot checks, [1] replays every hit);
     [seed] keys the designation so an adversary cannot predict — or a
-    test can force — which chunks escape the cache. *)
+    test can force — which chunks escape the cache. The verified-state
+    table ({!find_state}) is bounded by {!state_budget}. *)
+
+val state_budget : int
+(** The verified-state table's budget: the total
+    {!Avm_machine.Machine.state_words} (memory plus disk sectors) of
+    the states it holds, 2{^21} words (16 MiB of word arrays: 1,024
+    states of the 2,048-word fleet guest, 32 of a 65,536-word game
+    guest). The per-page hash caches a stored memory keeps add a few
+    percent on top and are not counted. *)
 
 val set_enabled : bool -> unit
 (** Global kill-switch (all caches, every domain). Off by one
@@ -52,7 +61,10 @@ val set_enabled : bool -> unit
     audits behave exactly as if no cache were threaded through. *)
 
 val is_enabled : unit -> bool
+
 val clear : t -> unit
+(** Forget every remembered chunk and every verified state. *)
+
 val size : t -> int
 val capacity : t -> int
 val spot_rate : t -> int
@@ -136,7 +148,22 @@ val lookup : t option -> fuel:int -> (unit -> print) -> lookup
     [replay.cache_claim_mismatches]), or the cached replay needed more
     than [fuel] instructions. Bumps [replay.cache_hits] /
     [replay.cache_misses] / [replay.cache_spot_checks] /
-    [replay.cache_bytes_saved]. *)
+    [replay.cache_bytes_saved]. A key that an {!exclusive} caller is
+    replaying is looked up only once that caller has settled it;
+    [lookup] itself marks nothing. *)
+
+val exclusive : t option -> fuel:int -> (unit -> print) -> (lookup -> 'a) -> 'a
+(** [exclusive cache ~fuel print f] is [f (lookup cache ~fuel print)]
+    with the key marked in flight while [f] replays a [Spot] or [Miss]
+    ([f] must {!settle} before it returns). A concurrent lookup of a
+    key in flight waits until the mark is dropped, then looks the key
+    up afresh and finds what the first replay remembered (nothing,
+    after a divergence). Each key is thus decided against the same
+    table contents on one lane or several, and hit, miss and spot
+    counts do not depend on the lane count. The mark is dropped
+    however [f] returns, exceptions included. Batch replay and spot
+    checks use it; an online session, whose replay of a chunk spans
+    calls, uses {!lookup}. *)
 
 val settle : lookup -> emitted:bool -> cached option -> unit
 (** Report the replay of a [Spot] or [Miss] chunk: [Some counts] if it
@@ -171,10 +198,48 @@ val note_packet_emitted : unit -> unit
 
 val measure_replay : (unit -> 'a) -> 'a * bool
 (** Run a replay thunk and report whether it emitted guest packets
-    (the {!note_packet_emitted} delta around the call). Deltas from
-    concurrent domains can only inflate the answer — pollution makes
-    an entry peers-sensitive that needn't be, costing cross-peer hits
-    but never soundness. *)
+    (the calling domain's {!note_packet_emitted} delta around the
+    call: replays on other domains do not count). *)
+
+(** {1 Verified states}
+
+    The states the auditor has itself verified against a logged
+    [Snapshot_ref] digest, so that a spot check starting from one need
+    not download, rebuild and re-hash it (DESIGN.md §24). A state gets
+    in only after the auditor recomputed its digest: a download that
+    {!Spot_check.authenticate} accepted, or the machine a [Verified]
+    replay left at the chunk's closing [Snapshot_ref]. A stored
+    machine is never run: callers copy it ({!Avm_machine.Machine.copy})
+    before replaying. The table is FIFO within {!state_budget};
+    {!clear} and {!set_enabled} cover it, and [replay_cache.states]
+    gauges its size.
+
+    A chunk that starts from a remembered state fetches no snapshot,
+    just as a [Hit] fetches none, so a target's forged snapshot is
+    reported only by a job that needs the download. Whether a given
+    job does depends on what earlier jobs, on any lane, left in the
+    table: for a target that serves a snapshot its log does not
+    commit to, the [Snapshot_mismatch] can move between its jobs with
+    the lane count. Verdicts on targets whose snapshots match their
+    logs do not depend on the table. *)
+
+val find_state : t -> digest:string -> at_icount:int -> Avm_machine.Machine.t option
+(** The remembered state whose digest, taken at [at_icount], is
+    [digest]. [None] when absent, when it was stored for another
+    [at_icount], or when the kill switch is off. The result is shared:
+    do not mutate it. *)
+
+val remember_state : t -> digest:string -> at_icount:int -> Avm_machine.Machine.t -> bool
+(** [remember_state t ~digest ~at_icount m] stores [m], whose digest
+    {!Avm_machine.Snapshot.machine_digest} [~at_icount m] the caller
+    has just computed and found equal to [digest]. [true] means the
+    table now owns [m] and the caller must not touch it again;
+    [false] (digest already present, [m] larger than the budget, or
+    the kill switch off) leaves [m] with the caller. Evicts the oldest
+    states to stay within the budget. *)
+
+val states : t -> int
+(** Number of states held. *)
 
 type stats = {
   hits : int;

@@ -9,7 +9,10 @@
     part (state transfer, decompression) plus a part linear in [k] —
     Figure 9. A check pays for the download, the fingerprint, the two
     state digests and the replay; what the log range would cost to
-    ship is left to the caller that prints it (DESIGN.md §23). *)
+    ship is left to the caller that prints it (DESIGN.md §23). With a
+    {!Replay_cache}, a chunk that starts from a state the auditor has
+    already verified restores that state instead of downloading it
+    (DESIGN.md §24). *)
 
 type boundary = { entry_seq : int; snapshot_seq : int; at_icount : int }
 
@@ -19,11 +22,11 @@ val boundaries : Avm_tamperlog.Log.t -> boundary list
 type plan
 (** A prepared audit plan over one log + snapshot set: the boundary
     index as an array/hashtable (O(1) lookup instead of a list scan
-    per chunk) and the snapshot chain sorted and filtered {e once}, so
-    each chunk slices a prefix instead of re-filtering the full
-    snapshot list. Build it once and pass it to every chunk check of
-    the same session. Read-only after construction — safe to share
-    across worker domains. *)
+    per chunk) and the snapshot chain sorted and filtered {e once}, on
+    the first download, so each chunk slices a prefix instead of
+    re-filtering the full snapshot list. Build it once and pass it to
+    every chunk check of the same session. Safe to share across
+    worker domains. *)
 
 val plan : log:Avm_tamperlog.Log.t -> snapshots:Avm_machine.Snapshot.t list -> plan
 val plan_boundaries : plan -> boundary list
@@ -72,9 +75,11 @@ type chunk_report = {
           auditor ships with the state. The check does not price it; a
           caller that prints a transfer size does (DESIGN.md §23). *)
   state_bytes : int;
-      (** authenticated state downloaded at chunk start; 0 exactly when
-          nothing was downloaded or replayed (a forged download, a
-          cache hit), and so no log range shipped either *)
+      (** authenticated state downloaded at chunk start; 0 when nothing
+          was downloaded: a forged download or a cache hit (nothing
+          replayed, so no log range shipped either), or a replay that
+          started from a state the cache had already verified (the log
+          range did ship) *)
   replay_instructions : int;
   outcome : Replay.outcome;
 }
@@ -103,7 +108,28 @@ val check_chunk :
 
     With [cache], the chunk is fingerprinted against the {e logged}
     boundary digest (no state materialized) and the {!Replay_cache}
-    lookup/settle protocol applies: a hit skips the state download and
-    the replay outright — the fleet dedup fast path — which is sound
-    because entries are only remembered after a miss authenticated
-    that same claimed digest. *)
+    protocol applies ({!Replay_cache.exclusive}): a hit skips the state
+    download and the replay outright — the fleet dedup fast path —
+    which is sound because entries are only remembered after a miss
+    authenticated that same claimed digest. A chunk that must replay
+    starts from the cache's verified state at its opening digest when
+    there is one ({!Replay_cache.find_state}), and a verified replay
+    leaves its closing state there for the next chunk. Whether the
+    snapshot at the chunk start was served is checked before the
+    cache is consulted, so a withheld one is [Error] whatever the
+    cache holds, a hit included. A forged download is then only seen when the state is not
+    already known: with a warm table, a chunk whose target serves a
+    forged snapshot at a digest the table holds replays from the
+    remembered state and is judged on its log alone, as a hit is.
+    The
+    [Snapshot_mismatch] for a forged download therefore depends on
+    which chunks the cache has seen before, and with several lanes on
+    their order ({!Replay_cache.find_state}).
+
+    Each check adds its stages, in rounded microseconds, to the
+    counters [spot_check.fingerprint_us] (cached checks only),
+    [spot_check.restore_us] (a remembered state restored, or a
+    download rebuilt), [spot_check.pre_digest_us] (authenticating a
+    download), [spot_check.replay_us] and [spot_check.post_digest_us]
+    (the state digests replay recomputes); [spot_check.states_reused]
+    counts the chunks that started from a remembered state. *)

@@ -68,9 +68,13 @@ type target_view = {
 
 type verdict = { job : job; ok : bool; detail : string }
 
-let audit_job ?cache ~view ~auths (job : job) =
+let audit_job ?cache ?plan ~view ~auths (job : job) =
   (* Epoch [e] is the 1-chunk between snapshots [e - 1] and [e]. *)
-  let pl = Spot_check.plan ~log:view.log ~snapshots:view.snapshots in
+  let pl =
+    match plan with
+    | Some pl -> pl
+    | None -> Spot_check.plan ~log:view.log ~snapshots:view.snapshots
+  in
   let failed detail = { job; ok = false; detail } in
   match job.mode with
   | Syntactic -> (

@@ -65,6 +65,7 @@ type verdict = { job : job; ok : bool; detail : string }
 
 val audit_job :
   ?cache:Replay_cache.t ->
+  ?plan:Spot_check.plan ->
   view:target_view ->
   auths:Avm_tamperlog.Auth.t list ->
   job ->
@@ -78,13 +79,25 @@ val audit_job :
     driver creates {e one} cache and passes it to every (target,
     witness) job it hands {!run_sharded}, so an epoch chunk identical
     across the idle majority replays once and hits everywhere else.
-    Verdicts are unchanged; semantic jobs additionally bump
+    Verdicts are those of an uncached audit except for a forged
+    snapshot (below); semantic jobs additionally bump
     [witness.semantic_entries] / [witness.semantic_us].
 
-    The epoch range comes from the {!Spot_check.plan} of the target's
-    log. A job that cannot run — an epoch boundary missing from the
-    log, or a snapshot the target never handed over — fails
-    ([ok = false]) with a [detail] naming the snapshot. *)
+    The epoch range comes from [plan], the {!Spot_check.plan} of the
+    view's log and snapshots; build it once per view and pass it to
+    every job of that target (without it, each job builds its own). A
+    job that cannot run — an epoch boundary missing from the log, or a
+    snapshot the target never handed over — fails ([ok = false]) with
+    a [detail] naming the snapshot.
+
+    The cache also carries the states the semantic jobs verified, so a
+    witness replays an epoch from a state it already holds rather than
+    downloading it (DESIGN.md §24). Neither that nor a hit fetches the
+    target's snapshot, so a snapshot forged against the log fails only
+    a job that downloads it: which of a forging target's semantic jobs
+    fail can depend on job order, and so on the pool's lane count.
+    For targets whose snapshots match their logs, verdicts do not
+    depend on the cache. *)
 
 (** {1 The sharded auditor pool} *)
 

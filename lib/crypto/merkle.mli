@@ -31,6 +31,12 @@ val leaf_hash_bytes : Bytes.t -> string
 (** [leaf_hash_bytes b] is [leaf_hash (Bytes.to_string b)] without the
     copy. *)
 
+val node_hash : string -> string -> string
+(** [node_hash left right] is the interior node over two child
+    digests. A node without a right sibling is promoted unchanged, so
+    callers that keep their own interior nodes ({!Avm_machine.Memory})
+    reproduce {!of_leaf_hashes} exactly. *)
+
 type proof = { index : int; path : string list }
 (** Authentication path from leaf [index] to the root; [path] lists the
     sibling digest at each level, bottom-up. *)

@@ -456,17 +456,30 @@ let restore_meta m blob =
 
 let set_tracer m hook = m.tracer <- hook
 
-let copy m =
-  {
-    m with
-    tracer = None;
-    regs = Array.copy m.regs;
-    mem = Memory.copy m.mem;
-    disk =
-      (let h = Hashtbl.create (Hashtbl.length m.disk) in
-       Hashtbl.iter (fun k v -> Hashtbl.replace h k (Array.copy v)) m.disk;
-       h);
-  }
+let state_words m = Memory.size m.mem + (Hashtbl.length m.disk * sector_words)
+
+let copy_disk m h =
+  Hashtbl.iter (fun k v -> Hashtbl.replace h k (Array.copy v)) m.disk;
+  h
+
+(* Reusing [into] keeps its arrays and disk table and copies the
+   scalar state through [{ m with ... }], so a field added to [t] is
+   copied either way. *)
+let copy ?into m =
+  match into with
+  | Some d when Memory.page_count d.mem = Memory.page_count m.mem ->
+    Array.blit m.regs 0 d.regs 0 (Array.length m.regs);
+    Memory.assign ~dst:d.mem m.mem;
+    Hashtbl.clear d.disk;
+    { m with tracer = None; regs = d.regs; mem = d.mem; disk = copy_disk m d.disk }
+  | _ ->
+    {
+      m with
+      tracer = None;
+      regs = Array.copy m.regs;
+      mem = Memory.copy m.mem;
+      disk = copy_disk m (Hashtbl.create (Hashtbl.length m.disk));
+    }
 
 let state_equal a b =
   String.equal (serialize_meta a) (serialize_meta b)

@@ -127,9 +127,17 @@ val set_tracer : t -> (t -> Avm_isa.Isa.instr -> unit) option -> unit
     run during audit replay, never in the live system. Costs one
     branch per instruction when unset. *)
 
-val copy : t -> t
+val state_words : t -> int
+(** Words of guest state held in arrays: memory plus every disk sector
+    written so far. *)
+
+val copy : ?into:t -> t -> t
 (** Deep copy (for forking executions in tests and spot checks;
-    tracers are not copied). *)
+    tracers are not copied). With [into], a machine the caller no
+    longer uses, the copy reuses its registers, memory and disk table
+    when the memory sizes match ({!Memory.assign}), so restoring a
+    remembered state allocates no memory-sized array; [into] must not
+    be used afterwards. *)
 
 val state_equal : t -> t -> bool
 (** Full-state comparison: meta and all memory words. *)

@@ -7,10 +7,12 @@
     - incremental snapshots ({!Snapshot}): a snapshot ships the pages
       stamped since its tracker's last {!mark};
     - the leaf-hash cache: each page's {!Avm_crypto.Merkle.leaf_hash}
-      is computed once and reused until the page is written again, so
-      {!root} rehashes only the pages written since the previous
-      digest. Every state digest in the system (AVMM snapshots, replay
-      checks, downloaded-state authentication) reads this cache. *)
+      is computed once and reused until the page is written again, and
+      each interior node of the tree is kept until one of its children
+      is rehashed. {!root} therefore rehashes only the pages written
+      since the previous digest and their ancestors. Every state
+      digest in the system (AVMM snapshots, replay checks,
+      downloaded-state authentication) reads this cache. *)
 
 type t
 
@@ -70,7 +72,9 @@ val merkle : t -> Avm_crypto.Merkle.t
     [Merkle.of_leaves (List.init (page_count m) (page_data m))]. *)
 
 val root : t -> string
-(** [Merkle.root (merkle m)]. *)
+(** [Merkle.root (merkle m)], from the cached interior nodes: only the
+    ancestors of pages rehashed since the last root are recomputed,
+    each counted under [memory.nodes_hashed]. *)
 
 (** {1 Write clock} *)
 
@@ -84,8 +88,15 @@ val written_since : t -> int -> int list
     {!mark} call that returned [mark], ascending. *)
 
 val copy : t -> t
-(** Deep copy (stamps, clock and leaf cache included; the watch hook
-    is not copied). *)
+(** Deep copy (stamps, clock and both hash caches included; the watch
+    hook is not copied). *)
+
+val assign : dst:t -> t -> unit
+(** [assign ~dst src] makes [dst] a copy of [src] in place, as {!copy}
+    would, without allocating: word arrays are copied by a typed loop
+    rather than a per-element [caml_modify]. The watch hook of [dst]
+    is cleared.
+    @raise Invalid_argument if the page counts differ. *)
 
 val set_watch : t -> (int -> old:int -> value:int -> unit) option -> unit
 (** [set_watch m hook] installs (or clears) a write observer, invoked

@@ -206,6 +206,11 @@ let run ?par spec =
     done;
     run_seconds := !run_seconds +. (Unix.gettimeofday () -. t0);
     let views = Array.init spec.nodes view_of in
+    let plans =
+      Array.map
+        (fun (v : Witness.target_view) -> Spot_check.plan ~log:v.log ~snapshots:v.snapshots)
+        views
+    in
     let auth_tbl = Hashtbl.create (spec.nodes * asg.Witness.k) in
     Array.iteri
       (fun t set ->
@@ -222,7 +227,8 @@ let run ?par spec =
         | Some l -> l
         | None -> []
       in
-      Witness.audit_job ~view:views.(job.Witness.target) ~auths job
+      Witness.audit_job ~plan:plans.(job.Witness.target) ~view:views.(job.Witness.target)
+        ~auths job
     in
     let jobs = Witness.epoch_jobs asg ~epoch in
     let t1 = Unix.gettimeofday () in

@@ -190,10 +190,15 @@ let run ?par spec =
     Array.iter (fun n -> ignore (Avmm.take_snapshot (Net.node_avmm n))) (Net.nodes net);
     run_seconds := !run_seconds +. (Unix.gettimeofday () -. t0);
     (* Audit: every (target, witness) pair, each witness armed with the
-       authenticators its own ledger collected for the target. Views
-       and auth lists are materialized before the pool starts so the
-       worker domains share nothing mutable. *)
+       authenticators its own ledger collected for the target. Views,
+       their audit plans and auth lists are materialized before the
+       pool starts so the worker domains share nothing mutable. *)
     let views = Array.init spec.nodes view_of in
+    let plans =
+      Array.map
+        (fun (v : Witness.target_view) -> Spot_check.plan ~log:v.log ~snapshots:v.snapshots)
+        views
+    in
     let auth_tbl = Hashtbl.create (spec.nodes * asg.Witness.k) in
     Array.iteri
       (fun t set ->
@@ -210,7 +215,8 @@ let run ?par spec =
         | Some l -> l
         | None -> []
       in
-      Witness.audit_job ?cache ~view:views.(job.Witness.target) ~auths job
+      Witness.audit_job ?cache ~plan:plans.(job.Witness.target) ~view:views.(job.Witness.target)
+        ~auths job
     in
     let jobs = Witness.epoch_jobs asg ~epoch in
     let t1 = Unix.gettimeofday () in

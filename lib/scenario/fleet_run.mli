@@ -21,7 +21,11 @@
       on the sharded auditor pool.
 
     Verdicts are bit-deterministic in [seed] and independent of the
-    auditor worker count ({!signature} compares runs). *)
+    auditor worker count ({!signature} compares runs). This rests on
+    every node serving snapshots that match its log, as the run's
+    cheats do: a replay-cache hit or a remembered verified state
+    fetches no snapshot, so which semantic job would catch a forged
+    one depends on job order ({!Avm_core.Witness.audit_job}). *)
 
 module Faults = Avm_netsim.Faults
 

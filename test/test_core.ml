@@ -1740,6 +1740,160 @@ let test_check_chunk_unavailable () =
   | Error e -> Alcotest.(check string) "names the boundary" "no snapshot 99 in log" e
   | Ok _ -> Alcotest.fail "checked a chunk the log does not have"
 
+(* --- the verified-state table (DESIGN.md §24) ------------------------------------ *)
+
+let states_reused () =
+  Avm_obs.Metrics.counter (Avm_obs.Metrics.snapshot ()) "spot_check.states_reused"
+
+let logged_digest log (b : Spot_check.boundary) =
+  match (Log.entry log b.Spot_check.entry_seq).Entry.content with
+  | Entry.Snapshot_ref { digest; _ } -> digest
+  | _ -> Alcotest.fail "boundary is not a Snapshot_ref"
+
+let boundary log s =
+  List.find
+    (fun (b : Spot_check.boundary) -> b.Spot_check.snapshot_seq = s)
+    (Spot_check.boundaries log)
+
+let test_state_table_cold_download () =
+  (* With a cold table every chunk downloads: forged and malformed
+     downloads are Snapshot_mismatch exactly as without a cache, and
+     nothing the auditor did not verify is remembered. *)
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  List.iter
+    (fun (what, snapshots) ->
+      let cache = Replay_cache.create ~spot_rate:0 () in
+      let r =
+        chunk_ok
+          (Spot_check.check_chunk ~cache ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+             ~peers:peers_b ~start_snapshot:0 ~k:1 ())
+      in
+      expect_diverged Replay.Snapshot_mismatch r.Spot_check.outcome;
+      Alcotest.(check int) (what ^ ": nothing transferred") 0 r.Spot_check.state_bytes;
+      Alcotest.(check int) (what ^ ": nothing remembered") 0 (Replay_cache.states cache))
+    [
+      ("forged", forge_snapshot ~seq:0 (Avmm.snapshots b));
+      ("bad index", malform_snapshot ~seq:0 bad_index (Avmm.snapshots b));
+      ("bad length", malform_snapshot ~seq:0 bad_length (Avmm.snapshots b));
+    ]
+
+let test_state_table_withheld_snapshot () =
+  (* The table holds the state at snapshot 1 (chunk 0's verified
+     closing state), but a target that withholds snapshot 1 still
+     leaves chunk 1 unchecked: availability is checked before either
+     table is consulted. *)
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  let cache = Replay_cache.create ~spot_rate:0 () in
+  let check ~snapshots ~start_snapshot =
+    Spot_check.check_chunk ~cache ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+      ~peers:peers_b ~start_snapshot ~k:1 ()
+  in
+  expect_verified
+    (chunk_ok (check ~snapshots:(Avmm.snapshots b) ~start_snapshot:0)).Spot_check.outcome;
+  let b1 = boundary log 1 in
+  Alcotest.(check bool) "closing state remembered" true
+    (Replay_cache.find_state cache ~digest:(logged_digest log b1)
+       ~at_icount:b1.Spot_check.at_icount
+    <> None);
+  let withheld =
+    List.filter
+      (fun (s : Avm_machine.Snapshot.t) -> s.Avm_machine.Snapshot.seq <> 1)
+      (Avmm.snapshots b)
+  in
+  (match check ~snapshots:withheld ~start_snapshot:1 with
+  | Error e -> Alcotest.(check string) "names the snapshot" "snapshot 1 not available" e
+  | Ok _ -> Alcotest.fail "checked a chunk whose state was withheld");
+  (* Served, the same chunk starts from the remembered state and
+     downloads nothing. *)
+  let reused0 = states_reused () in
+  let r = chunk_ok (check ~snapshots:(Avmm.snapshots b) ~start_snapshot:1) in
+  expect_verified r.Spot_check.outcome;
+  Alcotest.(check int) "started from the remembered state" (reused0 + 1) (states_reused ());
+  Alcotest.(check int) "nothing downloaded" 0 r.Spot_check.state_bytes;
+  Alcotest.(check bool) "but replayed" true (r.Spot_check.replay_instructions > 0);
+  (* Now the chunk's fingerprint is a replay-cache hit, and withholding
+     its snapshot still leaves it unchecked. *)
+  let hits0 = (Replay_cache.stats cache).Replay_cache.hits in
+  expect_verified
+    (chunk_ok (check ~snapshots:(Avmm.snapshots b) ~start_snapshot:1)).Spot_check.outcome;
+  Alcotest.(check int) "served again: a hit" (hits0 + 1)
+    (Replay_cache.stats cache).Replay_cache.hits;
+  match check ~snapshots:withheld ~start_snapshot:1 with
+  | Error e -> Alcotest.(check string) "a hit names the snapshot too" "snapshot 1 not available" e
+  | Ok _ -> Alcotest.fail "a cache hit checked a chunk whose state was withheld"
+
+let test_state_table_warm_forged_download () =
+  (* The trade-off DESIGN.md §24 makes, pinned: once the table holds
+     the state at snapshot 1, a chunk from snapshot 1 whose download is
+     forged or malformed restores the remembered state, never fetches
+     the download and verifies on its log alone. The same chunk
+     against a cold table is a Snapshot_mismatch, so which of a
+     forging target's chunks reports it depends on what ran before. *)
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  let check ~cache ~snapshots =
+    chunk_ok
+      (Spot_check.check_chunk ~cache ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+         ~peers:peers_b ~start_snapshot:1 ~k:1 ())
+  in
+  let warm () =
+    let cache = Replay_cache.create ~spot_rate:0 () in
+    expect_verified
+      (chunk_ok
+         (Spot_check.check_chunk ~cache ~image:(guest_image ()) ~mem_words:4096
+            ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b ~start_snapshot:0 ~k:1 ()))
+        .Spot_check.outcome;
+    cache
+  in
+  let honest = check ~cache:(warm ()) ~snapshots:(Avmm.snapshots b) in
+  expect_verified honest.Spot_check.outcome;
+  List.iter
+    (fun (what, snapshots) ->
+      let reused0 = states_reused () in
+      let r = check ~cache:(warm ()) ~snapshots in
+      Alcotest.(check int) (what ^ ": started from the remembered state") (reused0 + 1)
+        (states_reused ());
+      Alcotest.(check bool) (what ^ ": warm = honest download") true (r = honest);
+      let cold = check ~cache:(Replay_cache.create ~spot_rate:0 ()) ~snapshots in
+      expect_diverged Replay.Snapshot_mismatch cold.Spot_check.outcome)
+    [
+      ("forged", forge_snapshot ~seq:1 (Avmm.snapshots b));
+      ("bad index", malform_snapshot ~seq:1 bad_index (Avmm.snapshots b));
+      ("bad length", malform_snapshot ~seq:1 bad_length (Avmm.snapshots b));
+    ]
+
+let test_state_table_tampered_closing () =
+  (* A chunk whose closing digest was tampered diverges and leaves no
+     state behind; the next chunk, which opens at the tampered digest,
+     downloads and fails exactly as without a cache. *)
+  let _, b = run_pair ~slices:60 () in
+  let log = Log.fork (Avmm.log b) in
+  let b1 = boundary log 1 in
+  let bad = Avm_crypto.Sha256.digest (logged_digest log b1) in
+  (match (Log.entry log b1.Spot_check.entry_seq).Entry.content with
+  | Entry.Snapshot_ref sr ->
+    Log.tamper_reseal log b1.Spot_check.entry_seq (Entry.Snapshot_ref { sr with digest = bad })
+  | _ -> assert false);
+  let snapshots = Avmm.snapshots b in
+  let check ?cache start_snapshot =
+    chunk_ok
+      (Spot_check.check_chunk ?cache ~image:(guest_image ()) ~mem_words:4096 ~snapshots ~log
+         ~peers:peers_b ~start_snapshot ~k:1 ())
+  in
+  let cache = Replay_cache.create ~spot_rate:0 () in
+  let r0 = check ~cache 0 in
+  expect_diverged Replay.Snapshot_mismatch r0.Spot_check.outcome;
+  Alcotest.(check bool) "tampered digest not remembered" true
+    (Replay_cache.find_state cache ~digest:bad ~at_icount:b1.Spot_check.at_icount = None);
+  Alcotest.(check int) "only the authenticated download is held" 1 (Replay_cache.states cache);
+  let reused0 = states_reused () in
+  let r1 = check ~cache 1 in
+  Alcotest.(check int) "next chunk downloads" reused0 (states_reused ());
+  Alcotest.(check bool) "same report as without a cache" true (r1 = check 1);
+  expect_diverged Replay.Snapshot_mismatch r1.Spot_check.outcome
+
 (* A session over [log] stepped until it has a verdict or nothing is
    left to replay (or it stops making progress, as a stalled one
    does). *)
@@ -2160,6 +2314,14 @@ let () =
             test_check_chunk_unavailable;
           Alcotest.test_case "check_chunk: malformed download" `Quick
             test_check_chunk_malformed_download;
+          Alcotest.test_case "state table: cold download forged or malformed" `Quick
+            test_state_table_cold_download;
+          Alcotest.test_case "state table: withheld snapshot unavailable" `Quick
+            test_state_table_withheld_snapshot;
+          Alcotest.test_case "state table: warm table skips a forged download" `Quick
+            test_state_table_warm_forged_download;
+          Alcotest.test_case "state table: tampered closing digest" `Quick
+            test_state_table_tampered_closing;
           Alcotest.test_case "session: forged after cache hit" `Quick
             test_session_forged_snapshot_after_hit;
           Alcotest.test_case "session: stalls until shipped" `Quick

@@ -45,44 +45,45 @@ let cert_of name = Identity.certificate (if name = "alice" then alice else bob)
 let peers_a = [ (0, "alice"); (1, "bob") ]
 let peers_b = [ (0, "bob"); (1, "alice") ]
 
-(* One recorded session (bob is the node under audit), with the
-   authenticators a witness would have collected. Recorded once; every
-   test forks the log rather than re-running the session. *)
-let session =
-  lazy
-    (let config = Config.make ~snapshot_every_us:(Some 100_000) Config.Avmm_rsa768 in
-     let a_out = Queue.create () and b_out = Queue.create () in
-     let a =
-       Avmm.create ~identity:alice ~config ~image:(image ()) ~mem_words:4096
-         ~peers:peers_a
-         ~on_send:(fun e -> Queue.add e a_out)
-         ()
-     in
-     let b =
-       Avmm.create ~identity:bob ~config ~image:(image ()) ~mem_words:4096 ~peers:peers_b
-         ~on_send:(fun e -> Queue.add e b_out)
-         ()
-     in
-     let auths = ref [] in
-     let shuttle src dst outq =
-       while not (Queue.is_empty outq) do
-         let env = Queue.pop outq in
-         auths := env.Wireformat.auth :: !auths;
-         match Avmm.deliver dst env ~sender_cert:(cert_of env.Wireformat.src) with
-         | `Ack ack | `Duplicate ack ->
-           ignore (Avmm.accept_ack src ack ~acker_cert:(cert_of ack.Wireformat.acker))
-         | `Rejected r -> Alcotest.failf "rejected: %s" r
-       done
-     in
-     let t = ref 0.0 in
-     for _ = 1 to 30 do
-       t := !t +. 10_000.0;
-       ignore (Avmm.run_slice a ~until_us:!t);
-       ignore (Avmm.run_slice b ~until_us:!t);
-       shuttle a b a_out;
-       shuttle b a b_out
-     done;
-     (b, !auths))
+(* A recorded session of [slices] 10 ms slices (bob is the node under
+   audit), with the authenticators a witness would have collected. *)
+let record ?(mem_words = 4096) ~slices () =
+  let config = Config.make ~snapshot_every_us:(Some 100_000) Config.Avmm_rsa768 in
+  let a_out = Queue.create () and b_out = Queue.create () in
+  let a =
+    Avmm.create ~identity:alice ~config ~image:(image ()) ~mem_words
+      ~peers:peers_a
+      ~on_send:(fun e -> Queue.add e a_out)
+      ()
+  in
+  let b =
+    Avmm.create ~identity:bob ~config ~image:(image ()) ~mem_words ~peers:peers_b
+      ~on_send:(fun e -> Queue.add e b_out)
+      ()
+  in
+  let auths = ref [] in
+  let shuttle src dst outq =
+    while not (Queue.is_empty outq) do
+      let env = Queue.pop outq in
+      auths := env.Wireformat.auth :: !auths;
+      match Avmm.deliver dst env ~sender_cert:(cert_of env.Wireformat.src) with
+      | `Ack ack | `Duplicate ack ->
+        ignore (Avmm.accept_ack src ack ~acker_cert:(cert_of ack.Wireformat.acker))
+      | `Rejected r -> Alcotest.failf "rejected: %s" r
+    done
+  in
+  let t = ref 0.0 in
+  for _ = 1 to slices do
+    t := !t +. 10_000.0;
+    ignore (Avmm.run_slice a ~until_us:!t);
+    ignore (Avmm.run_slice b ~until_us:!t);
+    shuttle a b a_out;
+    shuttle b a b_out
+  done;
+  (b, !auths)
+
+(* Recorded once; the tests fork its log rather than re-running it. *)
+let session = lazy (record ~slices:30 ())
 
 let bob_entries () =
   let b, _ = Lazy.force session in
@@ -246,6 +247,126 @@ let test_fifo_bound_and_kill_switch () =
   Replay_cache.clear cache;
   Alcotest.(check int) "disabled remember is a no-op" 0 (Replay_cache.size cache)
 
+(* --- the in-flight mark ----------------------------------------------------- *)
+
+let print_of pre_state =
+  Replay_cache.fingerprint ~image:(image ()) ~peers:[] ~pre_state []
+
+(* A second lane's lookup of a key the first lane is replaying waits
+   for it, then finds what the first lane remembered: a hit, not a
+   second miss. *)
+let test_exclusive_waits_for_settle () =
+  let cache = Replay_cache.create ~spot_rate:0 () in
+  let p = print_of "in-flight" in
+  let kind = function
+    | Replay_cache.Off -> "off"
+    | Replay_cache.Hit _ -> "hit"
+    | Replay_cache.Spot _ -> "spot"
+    | Replay_cache.Miss _ -> "miss"
+  in
+  let other_done = Atomic.make false in
+  let other = ref None in
+  let first =
+    Replay_cache.exclusive (Some cache) ~fuel:max_int (fun () -> p) (fun l ->
+        other :=
+          Some
+            (Domain.spawn (fun () ->
+                 let k = Replay_cache.exclusive (Some cache) ~fuel:max_int (fun () -> p) kind in
+                 Atomic.set other_done true;
+                 k));
+        Unix.sleepf 0.05;
+        (* The other lane cannot have decided while the mark is held. *)
+        let waited = not (Atomic.get other_done) in
+        Replay_cache.settle l ~emitted:false
+          (Some { Replay_cache.instructions = 5; entries_consumed = 0 });
+        (kind l, waited))
+  in
+  let second = Domain.join (Option.get !other) in
+  Alcotest.(check (pair string bool)) "first lane replays, second waits" ("miss", true) first;
+  Alcotest.(check string) "second lane hits" "hit" second;
+  let s = Replay_cache.stats cache in
+  Alcotest.(check (pair int int)) "one miss, one hit" (1, 1)
+    (s.Replay_cache.misses, s.Replay_cache.hits)
+
+(* The mark is dropped when the replay raises: a later lookup of the
+   key, on another domain, neither waits forever nor finds anything. *)
+let test_exclusive_releases_on_exception () =
+  let cache = Replay_cache.create ~spot_rate:0 () in
+  let p = print_of "raises" in
+  (try Replay_cache.exclusive (Some cache) ~fuel:max_int (fun () -> p) (fun _ -> raise Exit)
+   with Exit -> ());
+  let finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let miss =
+          Replay_cache.exclusive (Some cache) ~fuel:max_int (fun () -> p) (function
+            | Replay_cache.Miss _ -> true
+            | _ -> false)
+        in
+        Atomic.set finished true;
+        miss)
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get finished) then Alcotest.fail "mark leaked: the second lookup never returned";
+  Alcotest.(check bool) "nothing remembered by the failed replay" true (Domain.join d)
+
+(* --- the verified-state table bound ----------------------------------------- *)
+
+(* Check every k=1 chunk of bob's log twice with one cache, every hit
+   spot-designated so each chunk replays from a start state. With a
+   4,096-word guest every state fits; with a 2^20-word one only two fit
+   in [Replay_cache.state_budget], so the table evicts as it goes.
+   Either way it stays within the budget and the outcomes equal the
+   cacheless ones. *)
+let test_state_table_bound () =
+  List.iter
+    (fun (mem_words, slices, max_states) ->
+      let what = Printf.sprintf "%d-word guest" mem_words in
+      let b, _ = record ~mem_words ~slices () in
+      let log = Avmm.log b and snapshots = Avmm.snapshots b in
+      let plan = Spot_check.plan ~log ~snapshots in
+      let check ?cache (bd : Spot_check.boundary) =
+        match
+          Spot_check.check_chunk ~plan ?cache ~image:(image ()) ~mem_words ~snapshots ~log
+            ~peers:peers_b ~start_snapshot:bd.Spot_check.snapshot_seq ~k:1 ()
+        with
+        | Ok r -> Ok (r.Spot_check.outcome, r.Spot_check.replay_instructions)
+        | Error e -> Error e
+      in
+      let bounds = Spot_check.plan_boundaries plan in
+      Alcotest.(check bool) (what ^ ": several chunks") true (List.length bounds >= 4);
+      let baseline = List.map (fun bd -> check bd) bounds in
+      let cache = Replay_cache.create ~spot_rate:1 () in
+      let held = ref 0 in
+      let pass () =
+        List.map
+          (fun bd ->
+            let r = check ~cache bd in
+            held := max !held (Replay_cache.states cache);
+            r)
+          bounds
+      in
+      let reused () =
+        Avm_obs.Metrics.counter (Avm_obs.Metrics.snapshot ()) "spot_check.states_reused"
+      in
+      let reused0 = reused () in
+      let cold = pass () in
+      let warm = pass () in
+      Alcotest.(check bool) (what ^ ": states reused") true (reused () > reused0);
+      Alcotest.(check bool) (what ^ ": cold = cacheless") true (cold = baseline);
+      Alcotest.(check bool) (what ^ ": warm = cacheless") true (warm = baseline);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: at most %d states held (saw %d)" what max_states !held)
+        true (!held <= max_states);
+      Alcotest.(check bool) (what ^ ": the table filled") true (!held >= min 2 max_states))
+    [
+      (4096, 80, Replay_cache.state_budget / 4096);
+      (1 lsl 20, 60, Replay_cache.state_budget / (1 lsl 20));
+    ]
+
 (* --- QCheck: audit equivalence cache-on/off/cleared, jobs 1 and 4 -------- *)
 
 (* One audit's verdict-relevant projection. *)
@@ -342,6 +463,12 @@ let () =
             test_spot_check_confirms_honest_entry;
           Alcotest.test_case "fifo bound and kill switch" `Quick
             test_fifo_bound_and_kill_switch;
+          Alcotest.test_case "exclusive: concurrent lookup waits for settle" `Quick
+            test_exclusive_waits_for_settle;
+          Alcotest.test_case "exclusive: mark dropped on exception" `Quick
+            test_exclusive_releases_on_exception;
+          Alcotest.test_case "state table: bounded, verdicts unchanged" `Quick
+            test_state_table_bound;
         ] );
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest ~long:false equivalence_prop ] );

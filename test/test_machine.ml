@@ -509,6 +509,45 @@ let prop_leaf_cache_matches_oracle =
          in
          List.for_all step ops && root_ok ()))
 
+(* The interior-node cache against [Merkle.of_leaf_hashes] over leaf
+   hashes computed from scratch: memories of 1..13 pages (odd widths
+   promote nodes), rounds of random writes, a root after each round,
+   and sometimes a restore into another machine ([Machine.copy
+   ~into]) before the next round. *)
+let prop_node_cache_matches_scratch_root =
+  let open QCheck2.Gen in
+  let gen =
+    int_range 1 13 >>= fun pages ->
+    let words = pages * Memory.page_size in
+    let round = pair bool (list_size (int_bound 6) (pair (int_bound (words - 1)) int)) in
+    map (fun rounds -> (pages, rounds)) (list_size (int_range 1 8) round)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"node cache: cached root = Merkle.of_leaf_hashes"
+       ~print:(fun (pages, rounds) ->
+         Printf.sprintf "%d pages, %d rounds" pages (List.length rounds))
+       gen
+       (fun (pages, rounds) ->
+         let words = pages * Memory.page_size in
+         let scratch_root m =
+           let mem = Machine.mem m in
+           Avm_crypto.Merkle.root
+             (Avm_crypto.Merkle.of_leaf_hashes
+                (List.init pages (fun p -> Avm_crypto.Merkle.leaf_hash (Memory.page_data mem p))))
+         in
+         let m = ref (Machine.create ~mem_words:words [| 1; 2; 3 |]) in
+         let spare = ref (Machine.create ~mem_words:words [||]) in
+         List.for_all
+           (fun (restore, writes) ->
+             if restore then begin
+               let c = Machine.copy ~into:!spare !m in
+               spare := !m;
+               m := c
+             end;
+             List.iter (fun (a, v) -> Memory.write (Machine.mem !m) a v) writes;
+             String.equal (Memory.root (Machine.mem !m)) (scratch_root !m))
+           rounds))
+
 let prop_event_roundtrip =
   let open QCheck2.Gen in
   let gen =
@@ -907,5 +946,6 @@ let () =
           Alcotest.test_case "digest detects poke" `Quick test_snapshot_digest_detects_poke;
           Alcotest.test_case "empty chain" `Quick test_snapshot_empty_chain;
           prop_leaf_cache_matches_oracle;
+          prop_node_cache_matches_scratch_root;
         ] );
     ]

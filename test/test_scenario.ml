@@ -326,6 +326,39 @@ let test_fleet_run () =
     (Fleet_run.signature o2);
   Alcotest.(check bool) "events flowed" true (o.Fleet_run.sim_events > 0)
 
+(* Deduplication does the same work at any lane count: a lane that
+   looks up a fingerprint another lane is replaying waits for its
+   verdict instead of replaying it too, so hit, miss and spot counts
+   at jobs 2 equal those at jobs 1. Lanes race only now and then at
+   this size, so jobs 2 runs three times. *)
+let test_fleet_cache_counts_lane_invariant () =
+  let spec =
+    {
+      Fleet_run.default_spec with
+      Fleet_run.nodes = 100;
+      witnesses = 2;
+      epochs = 2;
+      activity = 0.1;
+      cheat_frac = 0.05;
+      spot_rate = 3;
+    }
+  in
+  let counts (o : Fleet_run.outcome) =
+    match o.Fleet_run.cache with
+    | Some s -> (s.Replay_cache.hits, s.Replay_cache.misses, s.Replay_cache.spot_checks)
+    | None -> Alcotest.fail "dedup run without a cache"
+  in
+  let one = Fleet_run.run ~par:Audit_ctx.sequential spec in
+  Alcotest.(check bool) "cheats planted" true (one.Fleet_run.cheats <> []);
+  let h, _, _ = counts one in
+  Alcotest.(check bool) "the cache hit" true (h > 0);
+  for _ = 1 to 3 do
+    let two = Fleet_run.run ~par:(Audit_ctx.parallel 2) spec in
+    Alcotest.(check (triple int int int)) "hits, misses, spots at jobs 1 = jobs 2" (counts one)
+      (counts two);
+    Alcotest.(check string) "verdicts" (Fleet_run.signature one) (Fleet_run.signature two)
+  done
+
 let () =
   Alcotest.run "scenario"
     [
@@ -369,5 +402,9 @@ let () =
         ] );
       ( "experiments", [ Alcotest.test_case "fig5 shape" `Quick test_fig5_shape ] );
       ( "fleet",
-        [ Alcotest.test_case "witness audits catch the cheating minority" `Slow test_fleet_run ] );
+        [
+          Alcotest.test_case "witness audits catch the cheating minority" `Slow test_fleet_run;
+          Alcotest.test_case "cache counts equal at jobs 1 and 2" `Slow
+            test_fleet_cache_counts_lane_invariant;
+        ] );
     ]
