@@ -3,9 +3,9 @@
 # observability smoke (record, audit with --metrics, assert counters),
 # and the fault-vs-verdict sweep.
 
-.PHONY: verify build test bench-smoke bench obs-smoke fault-smoke crypto-smoke backend-crosscheck fleet-smoke fleet-bench dedup-smoke dedup-bench service-smoke service-bench equiv-smoke equiv-bench bench-check loc clean
+.PHONY: verify build test bench-smoke bench obs-smoke evidence-smoke fault-smoke crypto-smoke backend-crosscheck fleet-smoke fleet-bench dedup-smoke dedup-bench service-smoke service-bench equiv-smoke equiv-bench bench-check loc clean
 
-verify: build test bench-smoke obs-smoke fault-smoke crypto-smoke backend-crosscheck fleet-smoke dedup-smoke service-smoke equiv-smoke bench-check
+verify: build test bench-smoke obs-smoke evidence-smoke fault-smoke crypto-smoke backend-crosscheck fleet-smoke dedup-smoke service-smoke equiv-smoke bench-check
 
 build:
 	dune build
@@ -53,6 +53,27 @@ obs-smoke:
 	  --counter audit.links_trusted --counter replay.kernel_stops --counter machine.decodes \
 	  --span audit.chunk --span audit.semantic
 	rm -rf obs_smoke_recordings obs_smoke_j1.json obs_smoke_j4.json
+
+# One audit engine (DESIGN.md §25): record a game with a cheater, audit
+# the cheater in batch and online mode, each writing evidence, and have
+# a third party confirm both evidence files; the honest player must
+# audit CORRECT in both modes. avm_audit exits 1 on a FAULTY verdict,
+# which is what the cheater's audits must give. Artifacts land under
+# _build/.
+EVIDENCE_SMOKE := _build/evidence_smoke
+evidence-smoke:
+	@rm -rf $(EVIDENCE_SMOKE) && mkdir -p $(EVIDENCE_SMOKE)
+	dune exec bin/avm_run.exe -- --cheat bigclip --cheater 1 --out $(EVIDENCE_SMOKE)
+	dune exec bin/avm_audit.exe -- $(EVIDENCE_SMOKE)/player1.avmrec \
+	  --evidence $(EVIDENCE_SMOKE)/batch.ev; test $$? -eq 1
+	dune exec bin/avm_audit.exe -- --online $(EVIDENCE_SMOKE)/player1.avmrec \
+	  --evidence $(EVIDENCE_SMOKE)/online.ev; test $$? -eq 1
+	dune exec bin/avm_audit.exe -- --check-evidence $(EVIDENCE_SMOKE)/batch.ev \
+	  $(EVIDENCE_SMOKE)/player1.avmrec | grep CONFIRMED
+	dune exec bin/avm_audit.exe -- --check-evidence $(EVIDENCE_SMOKE)/online.ev \
+	  $(EVIDENCE_SMOKE)/player1.avmrec | grep CONFIRMED
+	dune exec bin/avm_audit.exe -- $(EVIDENCE_SMOKE)/player0.avmrec
+	dune exec bin/avm_audit.exe -- --online $(EVIDENCE_SMOKE)/player0.avmrec
 
 # Crypto hot path (DESIGN.md §12): the FIPS/RFC vector + Montgomery
 # equivalence + sig-cache test suite, then the crypto bench's verdict

@@ -4,7 +4,8 @@
    compressed at rest, sealing a segment at every snapshot boundary),
    then measures how fast the streaming auditor consumes it:
 
-   - syntactic entries/sec: the single-pass checks of Audit.syntactic,
+   - syntactic entries/sec: the single-pass checks of
+     Audit.syntactic_of_log,
      streamed segment-by-segment off the compressed store;
    - semantic entries/sec: deterministic replay via
      Replay.replay_chunks over the same segment feed;
@@ -167,8 +168,7 @@ let () =
 
   (* Verdict cross-check: list-fed vs segment-driven audit. *)
   let full_list =
-    Audit.full ~ctx ~image:guest_image ~mem_words:4096 ~peers:peers_b
-      ~prev_hash:Log.genesis_hash ~entries ()
+    Audit.full ~ctx ~image:guest_image ~mem_words:4096 ~peers:peers_b ~entries ()
   in
   let full_seg =
     Audit.full_of_log ~ctx ~image:guest_image ~mem_words:4096 ~peers:peers_b ~log ()
@@ -206,11 +206,7 @@ let () =
   let tamper_check ?(expect_detect = true) name tamper =
     let forked = Log.fork log in
     tamper forked;
-    let bad = Log.segment forked ~from:1 ~upto:(Log.length forked) in
-    let audit j =
-      Audit.syntactic ~ctx ~prev_hash:Log.genesis_hash ~entries:bad
-        ~par:(Audit.parallel j) ()
-    in
+    let audit j = Audit.syntactic_of_log ~ctx ~log:forked ~par:(Audit.parallel j) () in
     let seq = audit 1 and par = audit jobs in
     if expect_detect && seq.Audit.failures = [] then begin
       Printf.eprintf "FATAL: %s went undetected\n" name;

@@ -181,13 +181,11 @@ let () =
   let n = Log.length log in
   let forked = Log.fork log in
   Log.tamper_replace forked (n / 2) (Log.entry log 1).Entry.content;
-  let bad = Log.segment forked ~from:1 ~upto:(Log.length forked) in
   let ctx = Audit.ctx ~node_cert ~peer_certs ~auths () in
   let audit ~cache ~jobs =
     Sigcache.set_enabled cache;
     Sigcache.clear ();
-    Audit.syntactic ~ctx ~prev_hash:Log.genesis_hash ~entries:bad ~par:(Audit.parallel jobs)
-      ()
+    Audit.syntactic_of_log ~ctx ~log:forked ~par:(Audit.parallel jobs) ()
   in
   let reference = audit ~cache:false ~jobs:1 in
   if reference.Audit.failures = [] then begin

@@ -30,7 +30,7 @@
 
 module Fleet_run = Avm_scenario.Fleet_run
 module Replay_cache = Avm_core.Replay_cache
-module Audit_ctx = Avm_core.Audit_ctx
+module Audit = Avm_core.Audit
 module Metrics = Avm_obs.Metrics
 
 let () =
@@ -71,13 +71,13 @@ let () =
   Metrics.reset ();
   Avm_crypto.Sigcache.clear ();
   let off =
-    Fleet_run.run ~par:Audit_ctx.sequential { spec with Fleet_run.dedup = false }
+    Fleet_run.run ~par:Audit.sequential { spec with Fleet_run.dedup = false }
   in
   Printf.printf "cache off: %d semantic entries in %d us\n%!" off.Fleet_run.semantic_entries
     off.Fleet_run.semantic_us;
   Metrics.reset ();
   Avm_crypto.Sigcache.clear ();
-  let on = Fleet_run.run ~par:Audit_ctx.sequential spec in
+  let on = Fleet_run.run ~par:Audit.sequential spec in
   let hist name =
     match List.assoc_opt name (Metrics.snapshot ()).Metrics.histograms with
     | Some h -> h

@@ -12,7 +12,7 @@
    numbers land in a small JSON file (default BENCH_equiv.json). *)
 
 module Equiv = Avm_scenario.Equivocation_run
-module Audit_ctx = Avm_core.Audit_ctx
+module Audit = Avm_core.Audit
 
 let () =
   let nodes = ref 200 in
@@ -50,10 +50,10 @@ let () =
   in
   Printf.printf "equiv: %d nodes, %d epochs, k=%d, fork-frac %.2f, seed %d\n%!" !nodes !epochs
     !witnesses !fork_frac !seed;
-  let seq = Equiv.run ~par:Audit_ctx.sequential spec in
+  let seq = Equiv.run ~par:Audit.sequential spec in
   Printf.printf "sequential pass: %d sim events in %.2fs, audits %.2fs, exchange %.2fs\n%!"
     seq.Equiv.sim_events seq.Equiv.run_seconds seq.Equiv.audit_seconds seq.Equiv.exchange_seconds;
-  let par = Equiv.run ~par:(Audit_ctx.parallel jobs) spec in
+  let par = Equiv.run ~par:(Audit.parallel jobs) spec in
   Printf.printf "parallel pass (%d jobs): audits %.2fs\n%!" jobs par.Equiv.audit_seconds;
   let sig_seq = Equiv.signature seq and sig_par = Equiv.signature par in
   if sig_seq <> sig_par then begin

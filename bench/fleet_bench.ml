@@ -14,7 +14,7 @@
 
 module Fleet_run = Avm_scenario.Fleet_run
 module Faults = Avm_netsim.Faults
-module Audit_ctx = Avm_core.Audit_ctx
+module Audit = Avm_core.Audit
 
 let () =
   let nodes = ref 10_000 in
@@ -70,11 +70,11 @@ let () =
   in
   Printf.printf "fleet: %d nodes, %d epochs, k=%d, faults on, seed %d\n%!" !nodes !epochs
     !witnesses !seed;
-  let seq = Fleet_run.run ~par:Audit_ctx.sequential spec in
+  let seq = Fleet_run.run ~par:Audit.sequential spec in
   Printf.printf "sequential pass: %d sim events in %.2fs, %d audit jobs in %.2fs\n%!"
     seq.Fleet_run.sim_events seq.Fleet_run.run_seconds seq.Fleet_run.audit_jobs
     seq.Fleet_run.audit_seconds;
-  let par = Fleet_run.run ~par:(Audit_ctx.parallel jobs) spec in
+  let par = Fleet_run.run ~par:(Audit.parallel jobs) spec in
   Printf.printf "parallel pass (%d jobs): %d audit jobs in %.2fs\n%!" jobs
     par.Fleet_run.audit_jobs par.Fleet_run.audit_seconds;
   let sig_seq = Fleet_run.signature seq and sig_par = Fleet_run.signature par in

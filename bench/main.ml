@@ -92,6 +92,7 @@ let entries_of avmm =
   Log.segment log ~from:1 ~upto:(Log.length log)
 
 let honest_entries = entries_of honest
+let honest_list_log = Log.of_entries honest_entries
 let cheater_entries = entries_of cheater
 let honest_segment_raw = Log.encode_segment honest_entries
 let honest_segment_packed = Avm_compress.Codec.compress honest_segment_raw
@@ -153,12 +154,13 @@ let tests =
       (stage (fun () ->
            clock_now := !clock_now +. 2.0;
            ignore (Clock_opt.on_read clock_opt ~now_us:!clock_now)));
-    (* §6.6: the two audit phases, list-fed and streamed off the
-       segment store (the AVMM's log is compressed at rest). *)
+    (* §6.6: the two audit phases, over an in-memory store and
+       streamed off the compressed one (the AVMM's log is compressed at
+       rest). *)
     Test.make ~name:"s6.6/syntactic-check"
       (stage (fun () ->
            ignore
-             (Audit.syntactic
+             (Audit.syntactic_of_log
                 ~ctx:
                   (Audit.ctx
                      ~node_cert:(Identity.certificate bob)
@@ -168,7 +170,7 @@ let tests =
                          ("bob", Identity.certificate bob);
                        ]
                      ())
-                ~prev_hash:Log.genesis_hash ~entries:honest_entries ())));
+                ~log:honest_list_log ())));
     Test.make ~name:"s6.6/syntactic-streaming-compressed"
       (stage (fun () ->
            ignore

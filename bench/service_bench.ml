@@ -13,7 +13,7 @@
 
 module Service_run = Avm_scenario.Service_run
 module Replay_cache = Avm_core.Replay_cache
-module Audit_ctx = Avm_core.Audit_ctx
+module Audit = Avm_core.Audit
 module Metrics = Avm_obs.Metrics
 
 let () =

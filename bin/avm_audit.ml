@@ -15,6 +15,15 @@ let write_metrics = function
     Avm_obs.Report.write_file path;
     Printf.printf "metrics written to %s\n" path
 
+let write_evidence evidence_out (outcome : Audit.outcome) =
+  match (evidence_out, outcome.evidence) with
+  | None, _ | _, None -> ()
+  | Some out, Some ev ->
+    let oc = open_out_bin out in
+    output_string oc (Evidence.encode ev);
+    close_out oc;
+    Printf.printf "evidence written to %s (give it to any third party)\n" out
+
 let audit_file path evidence_out jobs metrics_out metrics_table =
   let r = Recording.load ~path in
   Printf.printf "auditing %s (%s scenario, %d entries, %d authenticators)\n%!"
@@ -37,20 +46,12 @@ let audit_file path evidence_out jobs metrics_out metrics_table =
   in
   let par = Audit.parallel jobs in
   let image = Recording.image_of_scenario r.Recording.scenario in
-  (* Load into a segment store and audit it with the streaming
-     pipeline; [of_entries] keeps the recorded hashes verbatim, so
-     tampering in the file still reaches the auditor. A recording whose
-     sequence numbers do not even form a contiguous run cannot be
-     indexed as segments — audit the raw list instead, which reports
-     the gap as a chain failure. *)
+  (* The recorded hashes are audited verbatim, so tampering in the file
+     still reaches the auditor; a recording whose sequence numbers do
+     not form a contiguous run is a chain failure like any other. *)
   let outcome =
-    match Avm_tamperlog.Log.of_entries r.Recording.entries with
-    | log ->
-      Audit.full_of_log ~ctx ~image ~mem_words:r.Recording.mem_words
-        ~peers:r.Recording.peers ~log ~par ()
-    | exception Invalid_argument _ ->
-      Audit.full ~ctx ~image ~mem_words:r.Recording.mem_words ~peers:r.Recording.peers
-        ~prev_hash:Avm_tamperlog.Log.genesis_hash ~entries:r.Recording.entries ~par ()
+    Audit.full ~ctx ~image ~mem_words:r.Recording.mem_words ~peers:r.Recording.peers
+      ~entries:r.Recording.entries ~par ()
   in
   Format.printf "%a@." Audit.pp_outcome outcome;
   write_metrics metrics_out;
@@ -58,13 +59,7 @@ let audit_file path evidence_out jobs metrics_out metrics_table =
   match outcome.Audit.verdict with
   | Ok () -> 0
   | Error _ ->
-    (match (evidence_out, outcome.Audit.evidence) with
-    | None, _ | _, None -> ()
-    | Some out, Some ev ->
-      let oc = open_out_bin out in
-      output_string oc (Evidence.encode ev);
-      close_out oc;
-      Printf.printf "evidence written to %s (give it to any third party)\n" out);
+    write_evidence evidence_out outcome;
     1
 
 (* Stream the recording through the session-oriented online auditor —
@@ -138,17 +133,9 @@ let audit_online path slice evidence_out metrics_out metrics_table =
     0
   | Some v ->
     Format.printf "online audit: FAILED — %a@." Avm_core.Online_audit.pp_verdict v;
-    (match Session.outcome s with
-    | Some { Audit.evidence = Some ev; _ } -> (
-      Format.printf "%a@." Audit.pp_outcome (Option.get (Session.outcome s));
-      match evidence_out with
-      | None -> ()
-      | Some out ->
-        let oc = open_out_bin out in
-        output_string oc (Evidence.encode ev);
-        close_out oc;
-        Printf.printf "evidence written to %s (give it to any third party)\n" out)
-    | _ -> ());
+    let outcome = Session.outcome s in
+    Format.printf "%a@." Audit.pp_outcome outcome;
+    write_evidence evidence_out outcome;
     1
 
 let check_evidence path recording_path =

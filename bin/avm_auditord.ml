@@ -8,7 +8,7 @@
    verify` on it. *)
 
 module Service_run = Avm_scenario.Service_run
-module Audit_ctx = Avm_core.Audit_ctx
+module Audit = Avm_core.Audit
 
 let usage =
   "avm_auditord [--sessions N] [--epochs E] [--max-lag L] [--budget I] [--cheat-frac F]\n\
@@ -75,7 +75,7 @@ let () =
     }
   in
   let say fmt = Printf.ksprintf (fun s -> if not !quiet then print_endline s) fmt in
-  let par j = if j > 1 then Audit_ctx.parallel j else Audit_ctx.sequential in
+  let par j = if j > 1 then Audit.parallel j else Audit.sequential in
   let o = Service_run.run ~par:(par !jobs) spec in
   let s = Service_run.signature o in
   say "service: %d sessions, %d epochs, lag bound %d, seed %d" !sessions !epochs !max_lag

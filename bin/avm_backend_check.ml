@@ -127,7 +127,7 @@ let () =
     let verbatim = List.map (fun e -> Entry.forge e) entries in
     let audit entries () =
       Sigcache.clear ();
-      Audit.syntactic ~ctx ~prev_hash:Log.genesis_hash ~entries ()
+      Audit.syntactic_of_log ~ctx ~log:(Log.of_entries entries) ()
     in
     let optimized = Crypto_backend.with_backend Crypto_backend.default (audit entries) in
     let oracle = Crypto_backend.with_backend Crypto_backend.reference (audit verbatim) in

@@ -7,7 +7,7 @@
    equiv-smoke` can gate `make verify` on it. *)
 
 module Equiv = Avm_scenario.Equivocation_run
-module Audit_ctx = Avm_core.Audit_ctx
+module Audit = Avm_core.Audit
 
 let usage =
   "avm_equiv [--nodes N] [--epochs E] [--witnesses K] [--fork-frac F] [--seed S] [--quiet]"
@@ -56,8 +56,8 @@ let () =
     }
   in
   let say fmt = Printf.ksprintf (fun s -> if not !quiet then print_endline s) fmt in
-  let o1 = Equiv.run ~par:Audit_ctx.sequential spec in
-  let o4 = Equiv.run ~par:(Audit_ctx.parallel 4) spec in
+  let o1 = Equiv.run ~par:Audit.sequential spec in
+  let o4 = Equiv.run ~par:(Audit.parallel 4) spec in
   let s1 = Equiv.signature o1 and s4 = Equiv.signature o4 in
   say "equiv: %d nodes, %d epochs, k=%d, fork-frac %.2f, seed %d" !nodes !epochs !witnesses
     !fork_frac !seed;

@@ -5,7 +5,7 @@
    fleet-smoke` can gate `make verify` on it. *)
 
 module Fleet_run = Avm_scenario.Fleet_run
-module Audit_ctx = Avm_core.Audit_ctx
+module Audit = Avm_core.Audit
 
 let usage = "avm_fleet [--nodes N] [--epochs E] [--witnesses K] [--seed S] [--quiet]"
 
@@ -48,8 +48,8 @@ let () =
     }
   in
   let say fmt = Printf.ksprintf (fun s -> if not !quiet then print_endline s) fmt in
-  let o1 = Fleet_run.run ~par:Audit_ctx.sequential spec in
-  let o4 = Fleet_run.run ~par:(Audit_ctx.parallel 4) spec in
+  let o1 = Fleet_run.run ~par:Audit.sequential spec in
+  let o4 = Fleet_run.run ~par:(Audit.parallel 4) spec in
   let s1 = Fleet_run.signature o1 and s4 = Fleet_run.signature o4 in
   say "fleet: %d nodes, %d epochs, k=%d, seed %d" !nodes !epochs !witnesses !seed;
   say "  sim events %d, audit jobs %d, cheats %d (detected %d, missed %d, false %d)"

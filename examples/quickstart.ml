@@ -118,16 +118,15 @@ let () =
 
   print_endline "== 3. Alice audits: fetch the log, check it, replay it ==";
   let log = Avmm.log bob_avmm in
-  let entries = Log.segment log ~from:1 ~upto:(Log.length log) in
   let audit_ctx () =
     Audit.ctx ~node_cert:(Identity.certificate bob)
       ~peer_certs:[ ("alice", Identity.certificate alice); ("bob", Identity.certificate bob) ]
       ~auths:!alice_auths ()
   in
   let report =
-    Audit.full ~ctx:(audit_ctx ()) ~image ~mem_words:4096
+    Audit.full_of_log ~ctx:(audit_ctx ()) ~image ~mem_words:4096
       ~peers:[ (0, "bob"); (1, "alice") ]
-      ~prev_hash:Log.genesis_hash ~entries ()
+      ~log ()
   in
   Format.printf "   %a@." Audit.pp_outcome report;
 
@@ -144,11 +143,10 @@ let () =
   done;
 
   print_endline "== 5. the next audit detects it and produces evidence ==";
-  let entries = Log.segment log ~from:1 ~upto:(Log.length log) in
   let report =
-    Audit.full ~ctx:(audit_ctx ()) ~image ~mem_words:4096
+    Audit.full_of_log ~ctx:(audit_ctx ()) ~image ~mem_words:4096
       ~peers:[ (0, "bob"); (1, "alice") ]
-      ~prev_hash:Log.genesis_hash ~entries ()
+      ~log ()
   in
   Format.printf "   %a@." Audit.pp_outcome report;
   (* A faulty outcome already carries transferable evidence — no need

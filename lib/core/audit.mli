@@ -1,51 +1,64 @@
-(** The audit tool (paper §4.5): syntactic check, then semantic check.
+(** The audit engine (paper §4.5): syntactic check, then semantic
+    check, then transferable evidence — run as one streaming session
+    per audited log, online (paper §6.11) or in batch.
 
-    The {b syntactic} check needs no execution: it verifies the hash
-    chain, matches every collected authenticator against the log,
-    verifies the sender signatures inside RECV entries, checks that
-    sends were acknowledged, and sanity-checks the cross-references
-    from the input stream into the message stream. All five checks run
-    in a {e single pass} over the entry stream ({!syn_stream}), so a
-    segmented log is audited one sealed segment at a time without ever
-    materializing the whole log.
+    - The {b syntactic} check needs no execution: it verifies the hash
+      chain, matches every collected authenticator against the log,
+      verifies the sender signatures inside RECV entries, checks that
+      sends were acknowledged, and sanity-checks the cross-references
+      from the input stream into the message stream, all in a single
+      pass over the entries as they are ingested.
+    - The {b semantic} check is deterministic replay ({!Replay})
+      against the reference image, chunk by chunk at the log's
+      [Snapshot_ref] boundaries.
 
-    The {b semantic} check is {!Replay.replay}: deterministic replay
-    of the segment against the reference image. {!full_of_log} streams
-    it segment-by-segment via {!Replay.replay_chunks}.
+    A {!Session.t} is the engine. It tails one growing log: the
+    producer {!Session.ingest}s newly sealed entries (subject to
+    backpressure when the auditor has fallen too far behind) and the
+    auditor {!Session.step}s replay forward under an instruction
+    budget. {!full_of_log} and {!full} are its batch front ends: they
+    open a session over a complete log, ingest all of it, settle the
+    cut point and replay what was ingested. Either way the verdict is
+    packaged by one builder, {!Session.outcome}.
 
-    Both are deterministic, so any third party repeating them obtains
-    the same verdict — that is what makes the output {!Evidence};
-    failed audits come back with the transferable {!Evidence.t}
-    already attached ({!outcome.evidence}), and {!check_evidence} is
-    the third party's side of the exchange.
+    Both checks are deterministic, so any third party repeating them
+    obtains the same verdict — that is what makes the output
+    {!Evidence}; failed audits come back with the transferable
+    {!Evidence.t} already attached ({!outcome.evidence}), and
+    {!check_evidence} is the third party's side of the exchange.
 
     {b Configuration.} Every entry point takes [~ctx] (who is audited,
     whose signatures appear in its log, the collected authenticators,
-    the ack grace window — see {!ctx}) and [?par] (worker count or a
-    borrowed {!Avm_util.Domain_pool.t} — see {!parallelism}). With
-    more than one lane the syntactic pass runs one ordinary stream per
-    sealed segment on the pool and stitches them, so that the outcome
-    — verdict, counters and the failure list, byte for byte — is
-    identical to the sequential pass; the default [par] runs the
-    single stream. The semantic pass is always one sequential replay
-    (DESIGN.md §19).
+    the ack grace window — see {!ctx}); the batch front ends also take
+    [?par] (worker count or a borrowed {!Avm_util.Domain_pool.t} — see
+    {!parallelism}). With more than one lane the syntactic check runs
+    one stream per sealed segment on the pool and stitches them into
+    the session's own, with an outcome — verdict, counters and the
+    failure list, byte for byte — identical to the sequential pass.
+    Replay is always one sequential pass (DESIGN.md §19).
 
     {b Observability.} Timing fields are monotonic wall-clock
-    ({!Avm_obs.Clock}), correct under parallelism. Each pass bumps
+    ({!Avm_obs.Clock}), correct under parallelism. An audit bumps
     [audit.*] counters in {!Avm_obs.Metrics} and records one
-    [audit.chunk] span per sealed segment (sequential and parallel
-    alike) plus [audit.syntactic] / [audit.semantic] phase spans in
+    [audit.chunk] span per sealed segment it ingests (sequential and
+    parallel alike); the batch front ends wrap them in
+    [audit.syntactic] and [audit.semantic] phase spans in
     {!Avm_obs.Trace}. *)
 
-type ctx = Audit_ctx.ctx = {
+type ctx = {
   node_cert : Avm_crypto.Identity.certificate;
+      (** certificate of the node under audit *)
   peer_certs : (string * Avm_crypto.Identity.certificate) list;
+      (** certificates of its correspondents, for RECV signatures *)
   auths : Avm_tamperlog.Auth.t list;
+      (** authenticators the auditor collected for this node *)
   ack_grace : int;
+      (** most recent sends exempt from the every-send-is-acked rule
+          (conventionally 50): their acks may legitimately still be in
+          flight when the log was cut *)
 }
-(** See {!Audit_ctx.ctx}. [ack_grace] (conventionally 50) exempts the
-    most recent sends from the every-send-is-acked rule: their acks
-    may legitimately still be in flight when the log was cut. *)
+(** Who is audited, whose signatures appear in its log, and what the
+    auditor collected — the configuration every entry point takes. *)
 
 val ctx :
   node_cert:Avm_crypto.Identity.certificate ->
@@ -54,17 +67,27 @@ val ctx :
   ?ack_grace:int ->
   unit ->
   ctx
-(** {!Audit_ctx.ctx}: the smart constructor ([peer_certs], [auths]
-    default empty, [ack_grace] 50). *)
+(** Smart constructor; [peer_certs] and [auths] default to [[]],
+    [ack_grace] to 50. *)
 
-type parallelism = Audit_ctx.parallelism = {
-  jobs : int;
+type parallelism = {
+  jobs : int;  (** worker count; 1 = sequential *)
   pool : Avm_util.Domain_pool.t option;
+      (** run on this (borrowed) pool instead of spawning one *)
 }
-(** See {!Audit_ctx.parallelism}. *)
 
 val sequential : parallelism
+(** [{ jobs = 1; pool = None }] — the default everywhere. *)
+
 val parallel : ?pool:Avm_util.Domain_pool.t -> int -> parallelism
+(** [parallel jobs] spawns a scoped pool per call; [parallel ~pool jobs]
+    borrows [pool] (its lane count wins over [jobs]). *)
+
+val with_parallelism : ?par:parallelism -> (Avm_util.Domain_pool.t option -> 'a) -> 'a
+(** Resolve [?par] the way every entry point does: an explicit
+    multi-lane [pool] is borrowed as-is; otherwise [jobs > 1] spawns a
+    pool scoped to the callback; anything else passes [None] (the
+    sequential path). *)
 
 type syntactic_report = {
   entries_checked : int;
@@ -72,68 +95,6 @@ type syntactic_report = {
   recv_signatures_verified : int;
   failures : string list;  (** empty means the check passed *)
 }
-
-(** {1 The incremental syntactic stream}
-
-    The single-pass core as a long-lived value: a session pushes
-    entries as they arrive (possibly over minutes of wall clock) and
-    reads failures mid-stream — what {!Online_audit} and the service
-    daemon run per session; {!syntactic} and {!syntactic_of_log} drive
-    the same machinery over a complete segment. *)
-
-type syn_stream
-
-val syn_stream : ctx:ctx -> prev_hash:string -> syn_stream
-(** A fresh stream positioned just after the entry whose hash is
-    [prev_hash] ([Log.genesis_hash] for a whole log). The collected
-    authenticators in [ctx] are signature-checked and indexed here,
-    once. *)
-
-val syn_push : syn_stream -> Avm_tamperlog.Entry.t -> unit
-(** Feed the next entry, in log order. Structural checks (chain hash
-    through {!Avm_tamperlog.Entry.chain_ok}, so a decoder-marked link
-    is not rehashed; sequence, authenticator match, cross-references)
-    are evaluated immediately; RECV sender-signature checks are
-    deferred into a pending batch that {!Avm_crypto.Rsa.verify_batch}
-    settles — either when the batch fills or on the next read
-    accessor. Every accessor below flushes first, so a failure pushed
-    by this entry is visible in {!syn_failures} as soon as any of them
-    is consulted, at the exact position an immediate check would have
-    reported. *)
-
-val syn_failure_count : syn_stream -> int
-(** Failures recorded so far (flushes pending signature checks, so
-    the count is exact) — a streaming session detects "this entry
-    broke something" by comparing counts around a {!syn_push}. *)
-
-val syn_failures : syn_stream -> string list
-(** Failures so far, oldest first (flushes pending signature
-    checks). *)
-
-val syn_report : syn_stream -> syntactic_report
-(** The report as of now, {e without} settling cut-point obligations
-    (unacked sends) and without recording metrics — a mid-session
-    progress view. *)
-
-val syn_finish : syn_stream -> syntactic_report
-(** Settle the cut-point obligations (every send older than the ack
-    grace window must be acknowledged), record the [audit.*] metrics
-    (including [audit.links_trusted] and [audit.links_hashed], the
-    chain links taken on a decoder mark and the links rehashed), and
-    return the final report. *)
-
-val syntactic :
-  ctx:ctx ->
-  prev_hash:string ->
-  entries:Avm_tamperlog.Entry.t list ->
-  ?par:parallelism ->
-  unit ->
-  syntactic_report
-(** The single stream over a materialized list. With more than one
-    lane, the list is cut into several contiguous chunks per lane
-    (finer than one-per-lane so work stealing can rebalance uneven
-    chunks) and checked in parallel, with a report identical to the
-    sequential pass. *)
 
 val syntactic_of_log :
   ctx:ctx ->
@@ -143,83 +104,218 @@ val syntactic_of_log :
   ?par:parallelism ->
   unit ->
   syntactic_report
-(** The single stream over a segment store: streams [from..upto]
-    (default: the whole log) segment by segment, inflating compressed
-    segments one at a time. [prev_hash] is taken from the log's own
-    index. With more than one lane, sealed segments are checked
-    concurrently (each worker inflating through its own domain-local
-    cache) and the per-segment results stitched into the same report
-    the sequential stream produces. *)
+(** The syntactic check alone, over [from..upto] of a log (default: the
+    whole log), starting from the log's own chain hash before [from] —
+    what a witness's syntactic job needs. With more than one lane the
+    sealed segments are checked concurrently, each worker inflating
+    through its own domain-local cache. *)
 
-(** {1 The unified audit outcome} *)
+(** {1 Verdicts and outcomes} *)
+
+(** A terminal finding. [Tampered] comes from the syntactic stream (a
+    broken hash chain, a bad signature, a shrunk log); [Diverged] from
+    replay (the execution does not reproduce the log); [Equivocated]
+    from the cross-session authenticator exchange (two verified
+    commitments by the producer at the same seq with different hashes
+    — see {!Session.equivocate} and {!Avm_core.Witness.offer}). *)
+type verdict =
+  | Tampered of { reason : string; entry_seq : int option }
+  | Diverged of Replay.divergence
+  | Equivocated of { a : Avm_tamperlog.Auth.t; b : Avm_tamperlog.Auth.t }
+
+val pp_verdict : Format.formatter -> verdict -> unit
+
+val verdict_entry : verdict -> int option
+(** The log entry a verdict names, if any: the first failing entry, the
+    divergence's entry, or the seq of the equivocated commitments. *)
+
+type status = {
+  ingested_entries : int;  (** entries accepted so far *)
+  retired_entries : int;  (** entries of fully verified (retired) chunks *)
+  chunks_retired : int;  (** snapshot-delimited chunks fully verified *)
+  lag_entries : int;  (** ingested but not yet reproduced *)
+  lag_us_estimate : float;
+      (** [lag_entries] x an EMA of observed wall-clock per retired
+          entry — the bounded-lag gauge the service daemon enforces *)
+  replayed_instructions : int;  (** actually executed (cache hits excluded) *)
+  cache_hits : int;  (** chunks retired straight from the {!Replay_cache} *)
+  throttled : bool;  (** backpressure currently engaged *)
+  verdict : verdict option;  (** terminal once set *)
+}
 
 type outcome = {
   node : string;
   syntactic : syntactic_report;
-  semantic : Replay.outcome option;  (** [None] if syntactic failed *)
-  syntactic_seconds : float;  (** wall-clock *)
-  semantic_seconds : float;  (** wall-clock *)
+  semantic : Replay.outcome option;  (** [None] if the syntactic check failed *)
+  syntactic_seconds : float;  (** wall-clock spent ingesting and closing *)
+  semantic_seconds : float;  (** wall-clock spent replaying *)
   verdict : (unit, string) result;
   evidence : Evidence.t option;
       (** on [Error _]: the transferable evidence, ready to hand to a
-          third party ({!check_evidence}); [None] on [Ok ()] *)
+          third party ({!check_evidence}) *)
 }
+(** What an audit found. *)
 
-val full :
-  ctx:ctx ->
-  image:int array ->
-  ?mem_words:int ->
-  ?start:Avm_machine.Machine.t ->
-  ?fuel:int ->
-  peers:(int * string) list ->
-  ?cache:Replay_cache.t ->
-  prev_hash:string ->
-  entries:Avm_tamperlog.Entry.t list ->
-  ?par:parallelism ->
-  unit ->
-  outcome
-(** Complete audit of one log segment. The semantic check runs only if
-    the syntactic check passes (a broken chain is already evidence).
-    [par] parallelizes the syntactic pass; the semantic replay is
-    sequential. [cache] memoizes the semantic pass fleet-wide
-    ({!Replay_cache}); verdicts are identical cache-on vs cache-off. *)
+(** {1 The session} *)
+
+module Session : sig
+  type t
+
+  val open_session :
+    ctx:ctx ->
+    image:int array ->
+    ?mem_words:int ->
+    ?replay_rate:float ->
+    ?high_watermark:int ->
+    ?low_watermark:int ->
+    ?cache:Replay_cache.t ->
+    ?snapshot_of:(unit -> Avm_machine.Snapshot.t list) ->
+    peers:(int * string) list ->
+    unit ->
+    t
+  (** Open a streaming audit session of [ctx]'s node against the boot
+      [image]. [ctx] supplies the certificates the syntactic check
+      needs (the node's, for collected authenticators; its peers', for
+      RECV signatures) and the authenticators collected for it.
+
+      [high_watermark] (default 4096) and [low_watermark] (default
+      half of high) bound the ingest queue: once [lag_entries] exceeds
+      the high mark, {!ingest} refuses with [`Backpressure] until
+      replay drains the lag back under the low mark (hysteresis, so the
+      producer is not toggled every entry).
+
+      [cache] plus [snapshot_of] (the producer's downloadable snapshot
+      set, polled lazily) enable the fleet-wide memo protocol: a cache
+      hit retires a whole chunk, and replay re-seats itself from the
+      downloaded state at the chunk's end boundary — authenticated
+      by {!Spot_check.authenticate}, exactly as a spot check is, so a
+      forged snapshot is a [Diverged] verdict, not a silent skip, and a
+      snapshot not yet shipped stalls replay (no verdict) until
+      [snapshot_of] returns it. Hits are never taken without
+      [snapshot_of] (there would be no state to resume from); verified
+      misses are still remembered for the rest of the fleet.
+
+      [replay_rate] (default 0.955) scales the budget each {!step}
+      gets, modeling replay running a few percent slower than the
+      original execution (paper §6.11). *)
+
+  val ingest : ?upto:int -> t -> Avm_tamperlog.Log.t -> [ `Accepted | `Backpressure of int ]
+  (** Pull any entries appended since the last call ([?upto] caps the
+      observed sequence number — the producer offering a partial
+      segment). Every pulled entry is syntactically checked; the RECV
+      signature batch settles once, at the end of the call, and a
+      failure sets the session verdict for the first failing entry
+      before the call returns. [`Backpressure lag] means the watermark
+      is exceeded: nothing was pulled, the entries stay in the
+      producer's log, try again after {!step}. After a terminal
+      verdict, ingest is a no-op [`Accepted]. The session keeps [log]
+      as the source of its evidence.
+
+      The log must not be mutated during the call; the observed length
+      is snapshotted up front and re-checked after the walk, so a
+      concurrent append raises [Invalid_argument] instead of corrupting
+      the chain walk. *)
+
+  val step : t -> budget_instructions:int -> verdict option
+  (** Advance verification by up to [budget_instructions x replay_rate]
+      instructions (saturating: [max_int] means no limit): take cache
+      hits on fully ingested chunks, replay the rest, retire chunks as
+      their closing snapshot digests verify. Returns the session
+      verdict — [Some] is terminal and repeats on every later call. *)
+
+  val status : t -> status
+
+  val lag_entries : t -> int
+  (** [= (status t).lag_entries], without building the record. *)
+
+  val node_cert : t -> Avm_crypto.Identity.certificate
+  (** The audited producer's certificate — what the service daemon
+      verifies offered authenticators against before they can accuse
+      this session. *)
+
+  val equivocate : t -> a:Avm_tamperlog.Auth.t -> b:Avm_tamperlog.Auth.t -> unit
+  (** Land an externally derived equivocation proof as this session's
+      terminal verdict (first verdict wins, like any other). The
+      caller — normally {!Avm_service.Daemon.offer_auth} — must have
+      verified both authenticators against the producer's certificate;
+      here only {!Avm_tamperlog.Auth.conflicts} is re-checked (a
+      non-conflicting pair is ignored). Counted in
+      [online_audit.equivocations]. *)
+
+  val close : t -> verdict option
+  (** Settle the cut-point obligations of the syntactic stream (every
+      send older than the ack grace window must be acknowledged) and
+      return the final verdict. Idempotent. A failure found here, or a
+      bad collected authenticator never reached by an ingest, is a
+      [Tampered] verdict naming no entry. *)
+
+  val outcome : t -> outcome
+  (** The session's verdict as a transferable {!outcome} — what the
+      service daemon emits the moment a verdict lands, mid-session, and
+      what the batch front ends return. Clean ([Ok ()], with the replay
+      totals) while there is no verdict. The evidence segment starts at
+      genesis: entries 1 up to the end of the chunk holding the
+      offending entry, or everything ingested when the verdict names
+      none. A divergence found only in a forged {e downloaded} snapshot
+      ships no evidence: the log itself replays clean from boot. *)
+end
+
+(** {1 The batch front ends} *)
 
 val full_of_log :
   ctx:ctx ->
   image:int array ->
   ?mem_words:int ->
-  ?start:Avm_machine.Machine.t ->
   ?fuel:int ->
-  peers:(int * string) list ->
   ?cache:Replay_cache.t ->
+  peers:(int * string) list ->
   log:Avm_tamperlog.Log.t ->
-  ?from:int ->
-  ?upto:int ->
   ?par:parallelism ->
   unit ->
   outcome
-(** {!full} driven straight off a segment store: both checks stream
-    [from..upto] (default: the whole log) one sealed segment at a
-    time — the syntactic pass via {!syntactic_of_log}, the semantic
-    pass via {!Replay.replay_chunks} — with identical verdicts to
-    {!full} on the materialized entry list. The log segment is
-    materialized into {!outcome.evidence} only when the audit fails.
-    With more than one lane the syntactic pass runs one worker per
-    sealed segment. *)
+(** Complete audit of a log, streamed one sealed segment at a time.
+    The semantic check runs only if the syntactic check passes (a
+    broken chain is already evidence); [fuel] (default
+    {!Replay.default_fuel}) bounds the whole replay, and running out
+    of it is a [Guest_stalled] divergence. [par] parallelizes the
+    syntactic check. [cache] lets each verified chunk seed the
+    fleet-wide {!Replay_cache}; verdicts are identical cache-on vs
+    cache-off. *)
+
+val full :
+  ctx:ctx ->
+  image:int array ->
+  ?mem_words:int ->
+  ?fuel:int ->
+  ?cache:Replay_cache.t ->
+  peers:(int * string) list ->
+  entries:Avm_tamperlog.Entry.t list ->
+  ?par:parallelism ->
+  unit ->
+  outcome
+(** {!full_of_log} over a recorded entry list, starting at genesis. A
+    list whose sequence numbers do not run contiguously from 1 cannot
+    be indexed as a log; it is pushed as it is, and the gap is a chain
+    failure of the same stream. *)
+
+(** {1 The third party} *)
 
 val check_evidence :
   Evidence.t ->
   ctx:ctx ->
   image:int array ->
   ?mem_words:int ->
-  ?start:Avm_machine.Machine.t ->
-  ?fuel:int ->
   peers:(int * string) list ->
   unit ->
   bool
 (** The third party's verification: re-run the audit on the evidence
     (its own segment and authenticators; [ctx] supplies the
-    certificates) and confirm a fault really is present. [true] means
+    certificates) and confirm the accused fault really is present. A
+    {!Evidence.Tampered_log} or {!Evidence.Replay_divergence} segment
+    carries no start state, so it must start at genesis (entry 1,
+    [prev_hash] {!Avm_tamperlog.Log.genesis_hash}), and the re-run must
+    reproduce the accusation: a syntactic failure for the former, a
+    syntactic pass and a divergence for the latter. [true] means
     the evidence is valid and the accused is provably faulty; [false]
     means the evidence does not hold up (and the accuser is making an
     unsupported claim). For {!Evidence.Unanswered_challenge}, validity

@@ -409,6 +409,14 @@ let crank e ~fuel =
 
 let default_fuel = 200_000_000
 
+let stall e ~fuel =
+  {
+    kind = Guest_stalled;
+    at = Machine.landmark e.machine;
+    entry_seq = Option.map (fun (x : Entry.t) -> x.seq) (peek e);
+    detail = Printf.sprintf "fuel (%d instructions) exhausted" fuel;
+  }
+
 let verified = function
   | Verified { instructions; entries_consumed } ->
     Some { Replay_cache.instructions; entries_consumed }
@@ -421,15 +429,6 @@ let verified = function
 let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks
     ~peers ~chunks () =
   let e = engine ~image ?mem_words ?start ?strict_landmarks ~peers () in
-  let stalled () =
-    Diverged
-      {
-        kind = Guest_stalled;
-        at = Machine.landmark e.machine;
-        entry_seq = Option.map (fun (x : Entry.t) -> x.seq) (peek e);
-        detail = Printf.sprintf "fuel (%d instructions) exhausted" fuel;
-      }
-  in
   (* Crank until blocked on the current feed, or a terminal result. *)
   let rec drain remaining =
     match crank e ~fuel:(min remaining 10_000_000) with
@@ -437,7 +436,7 @@ let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_la
     | `Fault d -> `Done (Diverged d)
     | `Fuel_exhausted ->
       let left = fuel - replayed_instructions e in
-      if left <= 0 then `Done (stalled ()) else drain left
+      if left <= 0 then `Done (Diverged (stall e ~fuel)) else drain left
   in
   (* Each drain after a feed replays exactly that chunk ([`Blocked]
      means every fed entry was consumed), so spanning the drain gives

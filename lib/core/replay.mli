@@ -131,6 +131,11 @@ val crank : engine -> fuel:int -> [ `Blocked | `Fuel_exhausted | `Fault of diver
     snapshot, backend call) to the next; outcomes are those of
     stepping every instruction. *)
 
+val stall : engine -> fuel:int -> divergence
+(** The [Guest_stalled] divergence of an engine whose total [fuel] ran
+    out with fed entries left: at the machine's landmark, naming the
+    next unconsumed entry. *)
+
 val engine_machine : engine -> Avm_machine.Machine.t
 (** The machine being replayed — replay-time analyses
     ({!Avm_analysis}) attach their tracer/watch hooks to it before

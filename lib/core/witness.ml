@@ -149,7 +149,7 @@ let run_sharded ?par ?(shards = default_shards) ~f jobs =
   in
   let shard_specs = List.init shards slice in
   let per_shard =
-    Audit_ctx.with_parallelism ?par (fun p ->
+    Audit.with_parallelism ?par (fun p ->
         match p with
         | Some pool -> Avm_util.Domain_pool.map_list pool run_shard shard_specs
         | None -> List.map run_shard shard_specs)

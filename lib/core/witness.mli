@@ -102,7 +102,7 @@ val audit_job :
 (** {1 The sharded auditor pool} *)
 
 val run_sharded :
-  ?par:Audit_ctx.parallelism ->
+  ?par:Audit.parallelism ->
   ?shards:int ->
   f:(job -> verdict) ->
   job list ->

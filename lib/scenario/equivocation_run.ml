@@ -292,7 +292,7 @@ let run ?par spec =
       (List.filter
          (fun (ev : Evidence.t) ->
            let idx = Scanf.sscanf ev.Evidence.accused "n%d" (fun i -> i) in
-           let ctx = Audit_ctx.ctx ~node_cert:(cert_of idx) () in
+           let ctx = Audit.ctx ~node_cert:(cert_of idx) () in
            Audit.check_evidence ev ~ctx ~image:[||] ~peers:[] ())
          proofs)
   in

@@ -56,7 +56,7 @@ type outcome = {
   exchange_seconds : float;
 }
 
-val run : ?par:Avm_core.Audit_ctx.parallelism -> spec -> outcome
+val run : ?par:Avm_core.Audit.parallelism -> spec -> outcome
 (** Drive the fleet for [epochs] epochs; after each epoch's seal,
     every node appends a commitment Note and sends an authenticator
     over it to its k witnesses (a forker inside its fault-layer fork

@@ -466,8 +466,14 @@ let fig8 ?(scale = Full) () =
         auditors :=
           List.init audits (fun j ->
               ( j + 1,
-                Online_audit.Session.open_session ~image:(Game_run.reference_image ())
-                  ~mem_words:Guests.mem_words ~peers:(Net.peers net) () ));
+                Online_audit.Session.open_session
+                  ~ctx:
+                    (Audit.ctx
+                       ~node_cert:
+                         (List.assoc (Net.node_name (Net.node net (j + 1))) (Net.certificates net))
+                       ~peer_certs:(Net.certificates net) ())
+                  ~image:(Game_run.reference_image ()) ~mem_words:Guests.mem_words
+                  ~peers:(Net.peers net) () ));
       let auditor_avmm = Net.node_avmm (Net.node net 0) in
       ignore now;
       List.iter

@@ -78,7 +78,7 @@ type outcome = {
   cache : Avm_core.Replay_cache.stats option;  (** [None] when [dedup = false] *)
 }
 
-val run : ?par:Avm_core.Audit_ctx.parallelism -> spec -> outcome
+val run : ?par:Avm_core.Audit.parallelism -> spec -> outcome
 
 val signature : outcome -> string
 (** Hex digest of the full verdict vector (epoch, target, witness,

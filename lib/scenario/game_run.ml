@@ -118,19 +118,18 @@ let audit_player ?par outcome ~auditor ~target =
   let node = Net.node net target in
   let name = Net.node_name node in
   let log = Avmm.log (Net.node_avmm node) in
-  let entries = Avm_tamperlog.Log.segment log ~from:1 ~upto:(Avm_tamperlog.Log.length log) in
   let certs = Net.certificates net in
   let fuel =
     (* The recorded run's instruction count bounds honest replay; give
        slack for divergence hunting. *)
     (2 * Avm_machine.Machine.icount (Avmm.machine (Net.node_avmm node))) + 5_000_000
   in
-  Audit.full
+  Audit.full_of_log
     ~ctx:
       (Audit.ctx ~node_cert:(List.assoc name certs) ~peer_certs:certs
          ~auths:(collect_auths net ~target) ())
-    ~image:(reference_image ()) ~mem_words:Guests.mem_words ~fuel ~peers:(Net.peers net)
-    ~prev_hash:Avm_tamperlog.Log.genesis_hash ~entries ?par ()
+    ~image:(reference_image ()) ~mem_words:Guests.mem_words ~fuel ~peers:(Net.peers net) ~log
+    ?par ()
 
 let audit_inputs outcome ~target =
   let node = Net.node outcome.net target in

@@ -186,7 +186,6 @@ let audit outcome ~target =
   let node = Net.node net target in
   let name = Net.node_name node in
   let log = Avmm.log (Net.node_avmm node) in
-  let entries = Avm_tamperlog.Log.segment log ~from:1 ~upto:(Avm_tamperlog.Log.length log) in
   let pool = Multiparty.create ~self:"pool" in
   Array.iter
     (fun n -> Multiparty.merge_auths pool ~from:(Net.node_ledger n) ~node:name)
@@ -194,11 +193,11 @@ let audit outcome ~target =
   let fuel =
     (2 * Avm_machine.Machine.icount (Avmm.machine (Net.node_avmm node))) + 5_000_000
   in
-  Audit.full
+  Audit.full_of_log
     ~ctx:
       (Audit.ctx
          ~node_cert:(List.assoc name (Net.certificates net))
          ~peer_certs:(Net.certificates net)
          ~auths:(Multiparty.auths_for pool name) ())
     ~image:(p2p_image ()).Avm_isa.Asm.words ~mem_words:Guests.mem_words ~fuel
-    ~peers:(Net.peers net) ~prev_hash:Avm_tamperlog.Log.genesis_hash ~entries ()
+    ~peers:(Net.peers net) ~log ()

@@ -69,7 +69,7 @@ type outcome = {
   drain_rounds : int;
 }
 
-val run : ?par:Avm_core.Audit_ctx.parallelism -> spec -> outcome
+val run : ?par:Avm_core.Audit.parallelism -> spec -> outcome
 
 val signature : outcome -> string
 (** MD5 over the sorted per-session verdict lines — identical across

@@ -8,7 +8,7 @@ type event = {
   ev_entry_seq : int option;
   ev_chunk : int;
   ev_lag_entries : int;
-  ev_outcome : Avm_core.Audit.outcome option;
+  ev_outcome : Avm_core.Audit.outcome;
 }
 
 type session = {
@@ -48,11 +48,11 @@ let create ?high_watermark ?low_watermark ?(max_lag_entries = 4096) ?cache
 
 let cache t = t.d_cache
 
-let attach t ~id ?ctx ~image ?mem_words ?replay_rate ?snapshot_of ~peers () =
+let attach t ~id ~ctx ~image ?mem_words ?replay_rate ?snapshot_of ~peers () =
   if Hashtbl.mem t.sessions id then
     invalid_arg (Printf.sprintf "Daemon.attach: duplicate session id %S" id);
   let s_session =
-    OA.Session.open_session ?ctx ~image ?mem_words ?replay_rate ~high_watermark:t.high
+    OA.Session.open_session ~ctx ~image ?mem_words ?replay_rate ~high_watermark:t.high
       ~low_watermark:t.low ~cache:t.d_cache ?snapshot_of ~peers ()
   in
   Hashtbl.replace t.sessions id { s_id = id; s_session; s_fired = false };
@@ -65,16 +65,10 @@ let find t id =
 
 let event_of s v =
   let st = OA.Session.status s.s_session in
-  let ev_entry_seq =
-    match v with
-    | OA.Tampered { entry_seq; _ } -> entry_seq
-    | OA.Diverged d -> d.Avm_core.Replay.entry_seq
-    | OA.Equivocated { a; _ } -> Some a.Avm_tamperlog.Auth.seq
-  in
   {
     ev_session = s.s_id;
     ev_verdict = v;
-    ev_entry_seq;
+    ev_entry_seq = Avm_core.Audit.verdict_entry v;
     ev_chunk = st.OA.chunks_retired;
     ev_lag_entries = st.OA.lag_entries;
     ev_outcome = OA.Session.outcome s.s_session;
@@ -110,20 +104,17 @@ let ingest t ~id log =
 
 let offer_auth t ~id auth =
   let s = find t id in
-  match OA.Session.node_cert s.s_session with
-  | None -> Avm_core.Witness.Rejected "session has no certificate context"
-  | Some cert ->
-    let r = Avm_core.Witness.offer t.d_equiv ~cert auth in
-    (match r with
-    | Avm_core.Witness.Conflict ev ->
-      Metrics.incr "service.equivocations";
-      (match ev.Avm_core.Evidence.accusation with
-      | Avm_core.Evidence.Equivocation { a; b } ->
-        OA.Session.equivocate s.s_session ~a ~b;
-        ignore (fire_pending t s : event option)
-      | _ -> ())
-    | _ -> ());
-    r
+  let r = Avm_core.Witness.offer t.d_equiv ~cert:(OA.Session.node_cert s.s_session) auth in
+  (match r with
+  | Avm_core.Witness.Conflict ev ->
+    Metrics.incr "service.equivocations";
+    (match ev.Avm_core.Evidence.accusation with
+    | Avm_core.Evidence.Equivocation { a; b } ->
+      OA.Session.equivocate s.s_session ~a ~b;
+      ignore (fire_pending t s : event option)
+    | _ -> ())
+  | _ -> ());
+  r
 
 let equiv_proofs t = Avm_core.Witness.equiv_proofs t.d_equiv
 
@@ -149,7 +140,7 @@ let refresh_gauges t =
   Metrics.set "service.lag_entries_p99" (float_of_int (nth_pct 99));
   List.iter (fun l -> Metrics.observe "service.lag_entries" (float_of_int l)) lags
 
-let pump t ~budget_instructions ?(par = Avm_core.Audit_ctx.sequential) () =
+let pump t ~budget_instructions ?(par = Avm_core.Audit.sequential) () =
   Trace.with_span ~name:"service.pump"
     ~attrs:[ ("sessions", string_of_int (Hashtbl.length t.sessions)) ]
   @@ fun () ->
@@ -162,12 +153,12 @@ let pump t ~budget_instructions ?(par = Avm_core.Audit_ctx.sequential) () =
     |> List.map snd
   in
   let step s = ignore (OA.Session.step s.s_session ~budget_instructions : OA.verdict option) in
-  (match par.Avm_core.Audit_ctx.pool with
+  (match par.Avm_core.Audit.pool with
   | Some pool when Avm_util.Domain_pool.jobs pool > 1 ->
     ignore (Avm_util.Domain_pool.map_list pool step order : unit list)
   | _ ->
-    if par.Avm_core.Audit_ctx.jobs > 1 then
-      Avm_util.Domain_pool.with_pool ~jobs:par.Avm_core.Audit_ctx.jobs (fun pool ->
+    if par.Avm_core.Audit.jobs > 1 then
+      Avm_util.Domain_pool.with_pool ~jobs:par.Avm_core.Audit.jobs (fun pool ->
           ignore (Avm_util.Domain_pool.map_list pool step order : unit list))
     else List.iter step order);
   (* Verdicts are delivered sequentially on the calling domain, in

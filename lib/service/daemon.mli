@@ -26,8 +26,7 @@ type event = {
   ev_entry_seq : int option;  (** offending log entry, if identified *)
   ev_chunk : int;  (** snapshot-delimited chunks retired before the verdict *)
   ev_lag_entries : int;  (** session lag when the verdict landed *)
-  ev_outcome : Avm_core.Audit.outcome option;
-      (** transferable evidence; [None] when the session has no ctx *)
+  ev_outcome : Avm_core.Audit.outcome;  (** the verdict with its transferable evidence *)
 }
 
 type t
@@ -53,7 +52,7 @@ val cache : t -> Avm_core.Replay_cache.t
 val attach :
   t ->
   id:string ->
-  ?ctx:Avm_core.Audit_ctx.ctx ->
+  ctx:Avm_core.Audit.ctx ->
   image:int array ->
   ?mem_words:int ->
   ?replay_rate:float ->
@@ -74,8 +73,7 @@ val offer_auth :
     the daemon's shared {!Avm_core.Witness.equiv_store} (one store per
     daemon, persistent across sessions and epochs). The authenticator
     is verified against the session's producer certificate
-    ({!Avm_core.Online_audit.Session.node_cert}); a session opened
-    without [ctx] rejects everything. On [Conflict] — two verified
+    ({!Avm_core.Online_audit.Session.node_cert}). On [Conflict] — two verified
     commitments at the same seq with different hashes — the session's
     verdict becomes [Equivocated] and [on_verdict] fires before the
     call returns, mid-session, with the transferable proof attached
@@ -90,7 +88,7 @@ val equiv_proofs : t -> Avm_core.Evidence.t list
 val session_status : t -> id:string -> Avm_core.Online_audit.status
 val session_ids : t -> string list
 
-val pump : t -> budget_instructions:int -> ?par:Avm_core.Audit_ctx.parallelism -> unit -> int
+val pump : t -> budget_instructions:int -> ?par:Avm_core.Audit.parallelism -> unit -> int
 (** One service cycle: give every live (verdict-free) session
     [budget_instructions] of replay, laggiest sessions first, firing
     [on_verdict] for each new verdict, then refresh the [service.*]

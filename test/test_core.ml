@@ -51,6 +51,7 @@ let bob = Identity.issue ca rng ~bits:512 "bob"
 let cert_of name = Identity.certificate (if name = "alice" then alice else bob)
 let peers_a = [ (0, "alice"); (1, "bob") ]
 let peers_b = [ (0, "bob"); (1, "alice") ]
+let peer_certs_ab = [ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
 
 let make_pair ?(config = Config.make ~snapshot_every_us:(Some 100_000) Config.Avmm_rsa768) () =
   let img = guest_image () in
@@ -337,8 +338,7 @@ let test_full_audit_honest () =
         (Audit.ctx ~node_cert:(cert_of "bob")
            ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
            ~auths:!auths_b ())
-      ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~prev_hash:Log.genesis_hash
-      ~entries:(entries_of b) ()
+      ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~entries:(entries_of b) ()
   in
   (match report.Audit.verdict with
   | Ok () -> ()
@@ -371,12 +371,12 @@ let test_audit_detects_reseal () =
   | Some seq ->
     Log.tamper_reseal log seq (Entry.Send { dest = "alice"; nonce = 12345; payload = "forged" }));
   let syn =
-    Audit.syntactic
+    Audit.syntactic_of_log
       ~ctx:
         (Audit.ctx ~node_cert:(cert_of "bob")
            ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
            ~auths:!auths_b ())
-      ~prev_hash:Log.genesis_hash ~entries:(entries_of b) ()
+      ~log ()
   in
   Alcotest.(check bool) "syntactic failure" true (syn.Audit.failures <> [])
 
@@ -395,12 +395,12 @@ let test_audit_detects_forged_recv () =
     Log.tamper_reseal log seq
       (Entry.Recv { src = "alice"; nonce = 9; payload = "gift"; signature = "forged" }));
   let syn =
-    Audit.syntactic
+    Audit.syntactic_of_log
       ~ctx:
         (Audit.ctx ~node_cert:(cert_of "bob")
            ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
            ())
-      ~prev_hash:Log.genesis_hash ~entries:(entries_of b) ()
+      ~log ()
   in
   Alcotest.(check bool) "forged recv caught" true
     (List.exists (fun f -> String.length f > 0) syn.Audit.failures)
@@ -473,6 +473,66 @@ let test_unanswered_challenge_evidence () =
     (Audit.check_evidence forged
        ~ctx:(Audit.ctx ~node_cert:(cert_of "bob") ())
        ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
+
+(* Evidence carries no start state, so a third party replays its
+   segment from the boot image: a chunk cut from the middle of an
+   honest log always "diverges" that way, and must not convict. *)
+let test_honest_chunk_is_no_evidence () =
+  let _, b = run_pair ~slices:65 () in
+  let log = Avmm.log b in
+  let ctx = Audit.ctx ~node_cert:(cert_of "bob") ~peer_certs:peer_certs_ab () in
+  let audit =
+    Audit.full_of_log ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~log ()
+  in
+  Alcotest.(check bool) "whole log audits clean" true (audit.Audit.verdict = Ok ());
+  let check what ev =
+    Alcotest.(check bool) what false
+      (Audit.check_evidence ev ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
+  in
+  let cuts =
+    List.map (fun (bd : Spot_check.boundary) -> bd.Spot_check.entry_seq) (Spot_check.boundaries log)
+  in
+  let rec chunks = function
+    | a :: (b :: _ as rest) -> (a + 1, b) :: chunks rest
+    | _ -> []
+  in
+  Alcotest.(check bool) "several mid-log chunks" true (List.length (chunks cuts) >= 3);
+  List.iter
+    (fun (from, upto) ->
+      let segment = Log.segment log ~from ~upto in
+      let divergence =
+        match
+          Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~entries:segment ()
+        with
+        | Replay.Diverged d -> d
+        | Replay.Verified _ -> Alcotest.failf "chunk %d..%d replays clean from boot" from upto
+      in
+      let ev accusation =
+        {
+          Evidence.accused = "bob";
+          prev_hash = Log.prev_hash log from;
+          segment;
+          auths = [];
+          accusation;
+        }
+      in
+      check
+        (Printf.sprintf "chunk %d..%d: divergence" from upto)
+        (ev (Evidence.Replay_divergence divergence));
+      check (Printf.sprintf "chunk %d..%d: tampered" from upto)
+        (ev (Evidence.Tampered_log { reason = "mid-log chunk" })))
+    (chunks cuts);
+  (* From genesis the accusation must be reproduced, not just any failure. *)
+  let whole accusation =
+    {
+      Evidence.accused = "bob";
+      prev_hash = Log.genesis_hash;
+      segment = entries_of b;
+      auths = [];
+      accusation;
+    }
+  in
+  check "whole honest log: tampered" (whole (Evidence.Tampered_log { reason = "none" }))
 
 (* --- spot checks --------------------------------------------------------------------- *)
 
@@ -773,9 +833,9 @@ let test_witness_run_sharded_stable () =
       detail = Printf.sprintf "t%dw%d" j.Witness.target j.Witness.witness;
     }
   in
-  let seq = Witness.run_sharded ~par:Audit_ctx.sequential ~f jobs in
-  let par = Witness.run_sharded ~par:(Audit_ctx.parallel 3) ~f jobs in
-  let one = Witness.run_sharded ~par:Audit_ctx.sequential ~shards:1 ~f jobs in
+  let seq = Witness.run_sharded ~par:Audit.sequential ~f jobs in
+  let par = Witness.run_sharded ~par:(Audit.parallel 3) ~f jobs in
+  let one = Witness.run_sharded ~par:Audit.sequential ~shards:1 ~f jobs in
   Alcotest.(check bool) "order preserved" true
     (List.map (fun (v : Witness.verdict) -> v.Witness.job) seq = jobs);
   Alcotest.(check bool) "jobs 1 = jobs 3" true (seq = par);
@@ -1206,8 +1266,7 @@ let test_property_any_tamper_detected () =
         (Audit.ctx ~node_cert:(cert_of "bob")
            ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
            ~auths:!auths ())
-      ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
-      ~prev_hash:Log.genesis_hash ~entries ()
+      ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~entries ()
   in
   (match (audit_bob (entries_of b)).Audit.verdict with
   | Ok () -> ()
@@ -1249,8 +1308,6 @@ let test_property_any_tamper_detected () =
 
 (* --- segmented audit (segment store vs materialized list) ------------------- *)
 
-let peer_certs_ab = [ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
-
 let record_with_auths ?poke_at () =
   let a, b, a_out, b_out = make_pair () in
   let auths = ref [] in
@@ -1280,7 +1337,7 @@ let ctx_ab auths = Audit.ctx ~node_cert:(cert_of "bob") ~peer_certs:peer_certs_a
 let check_equivalent ~name entries auths =
   let whole =
     Audit.full ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
-      ~prev_hash:Log.genesis_hash ~entries ()
+      ~entries ()
   in
   let seg_log = Log.of_entries ~seal_every:50 entries in
   Alcotest.(check bool) (name ^ ": several sealed segments") true
@@ -1349,25 +1406,47 @@ let test_segmented_audit_cheats () =
   check_equivalent ~name:"forged-recv" (entries_of b) auths
 
 let test_syntactic_single_pass () =
-  (* The syntactic stream settles each entry on the push that delivers
-     it — the whole point of folding the five passes into one — and
-     the list entry point is exactly that stream. *)
+  (* The syntactic stream checks each entry on the ingest that delivers
+     it — the whole point of folding the five passes into one — and the
+     store entry point is exactly that stream. *)
   let b, auths = record_with_auths () in
-  let entries = entries_of b in
-  let s = Audit.syn_stream ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash in
-  List.iteri
-    (fun i e ->
-      Audit.syn_push s e;
-      if (Audit.syn_report s).Audit.entries_checked <> i + 1 then
-        Alcotest.failf "entry %d not checked on its push" e.Entry.seq)
-    entries;
-  let syn = Audit.syn_finish s in
-  Alcotest.(check int) "every entry checked" (List.length entries) syn.Audit.entries_checked;
-  Alcotest.(check (list string)) "clean" [] syn.Audit.failures;
-  let listed =
-    Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries ()
+  let log = Avmm.log b in
+  let n = Log.length log in
+  let s =
+    Audit.Session.open_session ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
+      ~high_watermark:max_int ~peers:peers_b ()
   in
-  Alcotest.(check bool) "same report" true (syn = listed)
+  for upto = 1 to n do
+    ignore (Audit.Session.ingest ~upto s log);
+    if (Audit.Session.outcome s).Audit.syntactic.Audit.entries_checked <> upto then
+      Alcotest.failf "entry %d not checked on its ingest" upto
+  done;
+  Alcotest.(check bool) "clean" true (Audit.Session.close s = None);
+  let syn = (Audit.Session.outcome s).Audit.syntactic in
+  Alcotest.(check int) "every entry checked" n syn.Audit.entries_checked;
+  Alcotest.(check (list string)) "no failures" [] syn.Audit.failures;
+  Alcotest.(check bool) "same report" true
+    (syn = Audit.syntactic_of_log ~ctx:(ctx_ab auths) ~log ())
+
+(* A recording whose sequence numbers skip cannot be indexed as a log;
+   the list front end pushes it as it is, and the gap is a chain
+   failure of the same stream, with evidence a third party confirms. *)
+let test_non_contiguous_recording () =
+  let b, auths = record_with_auths () in
+  let gapped = List.filter (fun (e : Entry.t) -> e.Entry.seq <> 11) (entries_of b) in
+  let ctx = ctx_ab auths in
+  let o =
+    Audit.full ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~entries:gapped ()
+  in
+  Alcotest.(check (option string)) "chain failure first"
+    (Some "chain: sequence gap: expected 11, found 12")
+    (List.nth_opt o.Audit.syntactic.Audit.failures 0);
+  Alcotest.(check bool) "semantic skipped" true (o.Audit.semantic = None);
+  match o.Audit.evidence with
+  | Some ({ Evidence.accusation = Evidence.Tampered_log _; _ } as ev) ->
+    Alcotest.(check bool) "third party confirms" true
+      (Audit.check_evidence ev ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
+  | _ -> Alcotest.fail "no tampered-log evidence"
 
 (* --- parallel audit = sequential audit --------------------------------------- *)
 
@@ -1376,29 +1455,18 @@ let test_syntactic_single_pass () =
    identical* to the sequential pass — same counters, same failure
    strings in the same order — on honest logs and on every tamper op. *)
 let check_parallel_syntactic ~name entries auths =
-  let syn ?par ~entries () =
-    Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries ?par ()
-  in
-  let seq = syn ~entries () in
   let seg_log = Log.of_entries ~seal_every:50 entries in
+  let syn ?par () = Audit.syntactic_of_log ~ctx:(ctx_ab auths) ~log:seg_log ?par () in
+  let seq = syn () in
   List.iter
     (fun jobs ->
-      let par = syn ~par:(Audit.parallel jobs) ~entries () in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: list failures (jobs=%d)" name jobs)
-        seq.Audit.failures par.Audit.failures;
-      Alcotest.(check bool) (Printf.sprintf "%s: list report (jobs=%d)" name jobs) true
-        (seq = par);
-      let par_log =
-        Audit.syntactic_of_log ~ctx:(ctx_ab auths) ~log:seg_log
-          ~par:(Audit.parallel jobs) ()
-      in
+      let par = syn ~par:(Audit.parallel jobs) () in
       Alcotest.(check (list string))
         (Printf.sprintf "%s: store failures (jobs=%d)" name jobs)
-        seq.Audit.failures par_log.Audit.failures;
+        seq.Audit.failures par.Audit.failures;
       Alcotest.(check bool) (Printf.sprintf "%s: store report (jobs=%d)" name jobs) true
-        (seq = par_log))
-    [ 1; 2; 4 ]
+        (seq = par))
+    [ 2; 4 ]
 
 let test_parallel_syntactic_honest_and_tampered () =
   let b, auths = record_with_auths () in
@@ -1429,7 +1497,7 @@ let test_parallel_syntactic_honest_and_tampered () =
       honest
   in
   let xrefs =
-    (Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries:no_recvs ())
+    (Audit.syntactic_of_log ~ctx:(ctx_ab auths) ~log:(Log.of_entries no_recvs) ())
       .Audit.failures
     |> List.filter (fun m ->
            let sub = "rx read references non-RECV" in
@@ -1485,7 +1553,7 @@ let check_marks_invisible ~name ~faulty entries auths =
   let audits ~par entries =
     let list =
       Audit.full ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
-        ~prev_hash:Log.genesis_hash ~entries ~par ()
+        ~entries ~par ()
     in
     let store =
       Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
@@ -1515,7 +1583,7 @@ let test_decoder_marks_invisible () =
       Avm_obs.Metrics.counter snap "audit.links_hashed" )
   in
   let syn entries =
-    ignore (Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries ())
+    ignore (Audit.syntactic_of_log ~ctx:(ctx_ab auths) ~log:(Log.of_entries entries) ())
   in
   let t0, h0 = links () in
   syn honest;
@@ -1906,9 +1974,9 @@ let drain_session s =
   in
   go 50
 
-let session_over ?ctx ?cache ?snapshot_of log =
+let session_over ?(ctx = ctx_ab []) ?cache ?snapshot_of log =
   let s =
-    Online_audit.Session.open_session ?ctx ~image:(guest_image ()) ~mem_words:4096
+    Online_audit.Session.open_session ~ctx ~image:(guest_image ()) ~mem_words:4096
       ~replay_rate:1.0 ?cache ?snapshot_of ~peers:peers_b ()
   in
   ignore (Online_audit.Session.ingest s log);
@@ -1940,11 +2008,14 @@ let test_session_forged_snapshot_after_hit () =
     ((Online_audit.Session.status honest).Online_audit.cache_hits > 0);
   let forged = forge_snapshot ~seq:(last_snapshot_seq b) (Avmm.snapshots b) in
   let s = session_over ~cache ~snapshot_of:(fun () -> forged) log in
-  match drain_session s with
+  (match drain_session s with
   | Some (Online_audit.Diverged d) ->
     Alcotest.(check string) "kind" "snapshot-mismatch" (Replay.kind_name d.Replay.kind)
   | Some v -> Alcotest.failf "wrong verdict: %a" Online_audit.pp_verdict v
-  | None -> Alcotest.fail "forged snapshot accepted"
+  | None -> Alcotest.fail "forged snapshot accepted");
+  (* The log itself replays clean from boot: nothing to hand a third party. *)
+  Alcotest.(check bool) "no evidence against the log" true
+    ((Online_audit.Session.outcome s).Audit.evidence = None)
 
 let test_session_stalls_until_snapshot_shipped () =
   let _, b = run_pair ~slices:65 () in
@@ -1965,7 +2036,7 @@ let test_session_stalls_until_snapshot_shipped () =
 let test_online_audit_honest_keeps_up () =
   let a, b, a_out, b_out = make_pair () in
   let s =
-    Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
+    Online_audit.Session.open_session ~ctx:(ctx_ab []) ~image:(guest_image ()) ~mem_words:4096
       ~replay_rate:1.0 ~peers:peers_b ()
   in
   let t = ref 0.0 in
@@ -1987,7 +2058,7 @@ let test_online_audit_honest_keeps_up () =
 let test_online_audit_catches_cheat_mid_game () =
   let a, b, a_out, b_out = make_pair () in
   let s =
-    Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
+    Online_audit.Session.open_session ~ctx:(ctx_ab []) ~image:(guest_image ()) ~mem_words:4096
       ~replay_rate:1.0 ~peers:peers_b ()
   in
   let addr = Avm_isa.Asm.symbol (Avm_mlang.Compile.compile ~stack_top:4096 guest_src) "g_quiet" in
@@ -2019,7 +2090,16 @@ let test_online_audit_catches_cheat_mid_game () =
     Alcotest.(check bool) "fault is terminal" true
       (match Online_audit.Session.step s ~budget_instructions:1_000_000 with
       | Some (Online_audit.Diverged _) -> true
-      | _ -> false)
+      | _ -> false);
+    (* The mid-game evidence starts at genesis and convicts on its own. *)
+    match (Online_audit.Session.outcome s).Audit.evidence with
+    | Some
+        ({ Evidence.accusation = Evidence.Replay_divergence _; segment = first :: _; _ } as ev) ->
+      Alcotest.(check int) "evidence starts at entry 1" 1 first.Entry.seq;
+      Alcotest.(check bool) "third party confirms" true
+        (Audit.check_evidence ev ~ctx:(ctx_ab []) ~image:(guest_image ()) ~mem_words:4096
+           ~peers:peers_b ())
+    | _ -> Alcotest.fail "no divergence evidence"
 
 let test_online_audit_parallel_chain_check () =
   (* Every ingested entry runs through the chain check before replay
@@ -2027,7 +2107,7 @@ let test_online_audit_parallel_chain_check () =
      ingest that delivers it. *)
   let a, b, a_out, b_out = make_pair () in
   let s =
-    Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
+    Online_audit.Session.open_session ~ctx:(ctx_ab []) ~image:(guest_image ()) ~mem_words:4096
       ~replay_rate:1.0 ~peers:peers_b ()
   in
   let t = ref 0.0 in
@@ -2059,6 +2139,48 @@ let test_online_audit_parallel_chain_check () =
   | _ -> Alcotest.fail "in-place rewrite not caught on ingest");
   ignore (Online_audit.Session.close s)
 
+(* RECV signatures settle once per ingest call, yet the verdict is the
+   one checking each entry on its own push gives: the first failing
+   entry's failures, even when a later entry of the same call fails
+   structurally (and is reported) first. *)
+let test_online_signature_settle_per_ingest () =
+  let b, _ = record_with_auths () in
+  let log = Log.fork (Avmm.log b) in
+  let recv =
+    List.find_map
+      (fun (e : Entry.t) -> match e.content with Entry.Recv _ -> Some e.seq | _ -> None)
+      (Log.segment log ~from:1 ~upto:(Log.length log))
+    |> Option.get
+  in
+  Log.tamper_reseal log recv
+    (Entry.Recv { src = "alice"; nonce = 9; payload = "gift"; signature = "forged" });
+  let rewritten = Log.length log - 5 in
+  Alcotest.(check bool) "rewrite after the forged RECV" true (rewritten > recv);
+  Log.tamper_replace log rewritten (Entry.Note "rewritten");
+  let s = session_over log in
+  (match (Online_audit.Session.status s).Online_audit.verdict with
+  | Some (Online_audit.Tampered { reason; entry_seq }) ->
+    Alcotest.(check (option int)) "names the forged RECV" (Some recv) entry_seq;
+    Alcotest.(check string) "its failure only"
+      (Printf.sprintf "entry #%d: forged RECV — sender signature invalid" recv)
+      reason
+  | _ -> Alcotest.fail "forged RECV not caught on ingest");
+  Alcotest.(check bool) "the later rewrite was checked in the same call" true
+    (List.exists
+       (fun f -> f = Printf.sprintf "chain: hash chain broken at entry %d" rewritten)
+       (Online_audit.Session.outcome s).Audit.syntactic.Audit.failures)
+
+(* A [max_int] budget means "no limit": the fuel product saturates
+   instead of wrapping to a negative number that replays nothing. *)
+let test_step_max_int_budget () =
+  let _, b = run_pair ~slices:30 () in
+  let s = session_over (Avmm.log b) in
+  Alcotest.(check bool) "clean" true
+    (Online_audit.Session.step s ~budget_instructions:max_int = None);
+  Alcotest.(check int) "drained in one step" 0 (Online_audit.Session.lag_entries s);
+  Alcotest.(check bool) "replayed" true
+    ((Online_audit.Session.status s).Online_audit.replayed_instructions > 0)
+
 (* --- the batch audit and a streaming session agree ------------------------------- *)
 
 module Session_vs_batch = struct
@@ -2069,11 +2191,32 @@ module Session_vs_batch = struct
     | Tampered_log -> "tampered"
     | Diverged k -> "diverged:" ^ Replay.kind_name k
 
+  (* The batch audit is one session whatever the front end: the list
+     and the store, at jobs 1 and 2, reach identical outcomes (timings
+     aside), evidence bytes included. *)
   let batch ?cache ~auths log =
-    let o =
-      Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
-        ~peers:peers_b ?cache ~log ()
+    let strip (o : Audit.outcome) =
+      ( o.Audit.syntactic,
+        o.Audit.semantic,
+        o.Audit.verdict,
+        Option.map Evidence.encode o.Audit.evidence )
     in
+    let entries = Log.segment log ~from:1 ~upto:(Log.length log) in
+    let audits =
+      List.concat_map
+        (fun jobs ->
+          let par = Audit.parallel jobs in
+          [
+            Audit.full ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
+              ?cache ~entries ~par ();
+            Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
+              ~peers:peers_b ?cache ~log ~par ();
+          ])
+        [ 1; 2 ]
+    in
+    let o = List.hd audits in
+    if not (List.for_all (fun o' -> strip o' = strip o) audits) then
+      Alcotest.fail "batch front ends disagree";
     match (o.Audit.verdict, o.Audit.semantic) with
     | Ok (), _ -> Clean
     | Error _, Some (Replay.Diverged d) -> Diverged d.Replay.kind
@@ -2276,6 +2419,8 @@ let () =
           Alcotest.test_case "evidence roundtrip + third party" `Quick
             test_evidence_roundtrip_and_check;
           Alcotest.test_case "unanswered challenge" `Quick test_unanswered_challenge_evidence;
+          Alcotest.test_case "honest mid-log chunk is no evidence" `Quick
+            test_honest_chunk_is_no_evidence;
         ] );
       ( "divergence-kinds",
         [
@@ -2288,6 +2433,8 @@ let () =
           Alcotest.test_case "honest: store = list" `Quick test_segmented_audit_honest;
           Alcotest.test_case "cheats: store = list" `Quick test_segmented_audit_cheats;
           Alcotest.test_case "syntactic is single-pass" `Quick test_syntactic_single_pass;
+          Alcotest.test_case "non-contiguous list: chain failure" `Quick
+            test_non_contiguous_recording;
         ] );
       ( "online-audit",
         [
@@ -2296,6 +2443,9 @@ let () =
             test_online_audit_catches_cheat_mid_game;
           Alcotest.test_case "parallel chain pre-check" `Quick
             test_online_audit_parallel_chain_check;
+          Alcotest.test_case "signatures settle once per ingest" `Quick
+            test_online_signature_settle_per_ingest;
+          Alcotest.test_case "max_int budget drains" `Quick test_step_max_int_budget;
         ] );
       ( "parallel-audit",
         [

@@ -64,11 +64,11 @@ let test_evidence_roundtrip_and_check () =
   | _ -> Alcotest.fail "accusation tag lost in roundtrip");
   (* A third party verifies with only the accused's certificate — no
      log, no image, no peers. *)
-  let ctx = Audit_ctx.ctx ~node_cert:alice_cert () in
+  let ctx = Audit.ctx ~node_cert:alice_cert () in
   Alcotest.(check bool) "checks standalone" true
     (Audit.check_evidence ev' ~ctx ~image:[||] ~peers:[] ());
   (* Under the wrong certificate it proves nothing. *)
-  let bob_ctx = Audit_ctx.ctx ~node_cert:bob_cert () in
+  let bob_ctx = Audit.ctx ~node_cert:bob_cert () in
   Alcotest.(check bool) "wrong cert rejected" false
     (Audit.check_evidence ev ~ctx:bob_ctx ~image:[||] ~peers:[] ());
   (* A non-conflicting pair is an unsupported claim. *)
@@ -109,7 +109,7 @@ let test_offer_semantics () =
   (match Witness.offer store ~cert:alice_cert b with
   | Witness.Conflict ev ->
     Alcotest.(check string) "accuses alice" "alice" ev.Evidence.accused;
-    let ctx = Audit_ctx.ctx ~node_cert:alice_cert () in
+    let ctx = Audit.ctx ~node_cert:alice_cert () in
     Alcotest.(check bool) "proof verifies" true
       (Audit.check_evidence ev ~ctx ~image:[||] ~peers:[] ())
   | _ -> Alcotest.fail "conflicting head should be Conflict");
@@ -244,7 +244,7 @@ let test_window_config_validated () =
 let test_daemon_offer_auth () =
   let events = ref [] in
   let d = Daemon.create ~on_verdict:(fun ev -> events := ev :: !events) () in
-  let ctx = Audit_ctx.ctx ~node_cert:alice_cert () in
+  let ctx = Audit.ctx ~node_cert:alice_cert () in
   Daemon.attach d ~id:"alice" ~ctx ~image:[| 0 |] ~mem_words:1024 ~peers:[ (0, "alice") ] ();
   let a = List.nth (honest_auths 2) 1 in
   (match Daemon.offer_auth d ~id:"alice" a with
@@ -262,14 +262,11 @@ let test_daemon_offer_auth () =
     | Online_audit.Equivocated _ -> ()
     | _ -> Alcotest.fail "expected an Equivocated verdict");
     Alcotest.(check (option int)) "entry seq named" (Some a.Auth.seq) ev.Daemon.ev_entry_seq;
-    match ev.Daemon.ev_outcome with
-    | None -> Alcotest.fail "no outcome attached"
-    | Some o -> (
-      match o.Audit.evidence with
-      | None -> Alcotest.fail "outcome carries no evidence"
-      | Some ev ->
-        Alcotest.(check bool) "daemon evidence verifies standalone" true
-          (Audit.check_evidence ev ~ctx ~image:[||] ~peers:[] ())))
+    match ev.Daemon.ev_outcome.Audit.evidence with
+    | None -> Alcotest.fail "outcome carries no evidence"
+    | Some ev ->
+      Alcotest.(check bool) "daemon evidence verifies standalone" true
+        (Audit.check_evidence ev ~ctx ~image:[||] ~peers:[] ()))
   | l -> Alcotest.failf "expected exactly one event, got %d" (List.length l));
   Alcotest.(check int) "proof banked daemon-wide" 1 (List.length (Daemon.equiv_proofs d));
   (* Further offers for a session with a verdict change nothing. *)
@@ -291,8 +288,8 @@ let test_equivocation_run_small () =
       seed = 23L;
     }
   in
-  let o1 = Equiv.run ~par:Audit_ctx.sequential spec in
-  let o2 = Equiv.run ~par:(Audit_ctx.parallel 2) spec in
+  let o1 = Equiv.run ~par:Audit.sequential spec in
+  let o2 = Equiv.run ~par:(Audit.parallel 2) spec in
   Alcotest.(check string) "jobs 1 = jobs 2" (Equiv.signature o1) (Equiv.signature o2);
   Alcotest.(check bool) "at least one forker planted" true (o1.Equiv.forkers <> []);
   List.iter

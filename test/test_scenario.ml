@@ -205,8 +205,7 @@ let test_recording_roundtrip () =
         (Avm_core.Audit.ctx ~node_cert ~peer_certs:r.Recording.certificates
            ~auths:r.Recording.auths ())
       ~image:(Recording.image_of_scenario r.Recording.scenario)
-      ~mem_words:r.Recording.mem_words ~peers:r.Recording.peers
-      ~prev_hash:Avm_tamperlog.Log.genesis_hash ~entries:r.Recording.entries ()
+      ~mem_words:r.Recording.mem_words ~peers:r.Recording.peers ~entries:r.Recording.entries ()
   in
   Alcotest.(check bool) "audits clean" true (report.Avm_core.Audit.verdict = Ok ())
 
@@ -312,8 +311,8 @@ let test_fleet_run () =
       cheat_frac = 0.05;
     }
   in
-  let o = Fleet_run.run ~par:Audit_ctx.sequential spec in
-  let o2 = Fleet_run.run ~par:(Audit_ctx.parallel 2) spec in
+  let o = Fleet_run.run ~par:Audit.sequential spec in
+  let o2 = Fleet_run.run ~par:(Audit.parallel 2) spec in
   Alcotest.(check int) "all pairs audited" (30 * 2 * 2) (List.length o.Fleet_run.verdicts);
   List.iter
     (fun (r : Fleet_run.epoch_report) ->
@@ -348,12 +347,12 @@ let test_fleet_cache_counts_lane_invariant () =
     | Some s -> (s.Replay_cache.hits, s.Replay_cache.misses, s.Replay_cache.spot_checks)
     | None -> Alcotest.fail "dedup run without a cache"
   in
-  let one = Fleet_run.run ~par:Audit_ctx.sequential spec in
+  let one = Fleet_run.run ~par:Audit.sequential spec in
   Alcotest.(check bool) "cheats planted" true (one.Fleet_run.cheats <> []);
   let h, _, _ = counts one in
   Alcotest.(check bool) "the cache hit" true (h > 0);
   for _ = 1 to 3 do
-    let two = Fleet_run.run ~par:(Audit_ctx.parallel 2) spec in
+    let two = Fleet_run.run ~par:(Audit.parallel 2) spec in
     Alcotest.(check (triple int int int)) "hits, misses, spots at jobs 1 = jobs 2" (counts one)
       (counts two);
     Alcotest.(check string) "verdicts" (Fleet_run.signature one) (Fleet_run.signature two)

@@ -28,6 +28,7 @@ let rng = Rng.create 991L
 let ca = Identity.create_ca rng ~bits:512 "ca"
 let carol = Identity.issue ca rng ~bits:512 "carol"
 let peers = [ (0, "carol") ]
+let carol_ctx = Audit.ctx ~node_cert:(Identity.certificate carol) ()
 
 let recorded_log ~slices () =
   let config = Config.make ~snapshot_every_us:(Some 50_000) Config.Avmm_rsa768 in
@@ -54,7 +55,7 @@ let test_backpressure_watermarks () =
   let n = Log.length log in
   Alcotest.(check bool) "enough entries to overflow" true (n > 12);
   let s =
-    Session.open_session ~image:(guest_image ()) ~mem_words:4096 ~high_watermark:8
+    Session.open_session ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~high_watermark:8
       ~low_watermark:4 ~peers ()
   in
   let engaged0 = counter "online_audit.backpressure_engaged" in
@@ -108,7 +109,7 @@ let test_backpressure_watermarks () =
 let test_cheat_reported_before_close () =
   let log = recorded_log ~slices:40 () in
   let n = Log.length log in
-  let s = Session.open_session ~image:(guest_image ()) ~mem_words:4096 ~peers () in
+  let s = Session.open_session ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers () in
   let half = n / 2 in
   (match Session.ingest ~upto:half s log with
   | `Accepted -> ()
@@ -195,10 +196,10 @@ let test_cheats_located () =
 (* The verdict vector (who is flagged, with what, at which entry) must
    not depend on pump parallelism or on the shared replay cache. *)
 let test_verdicts_invariant_jobs_and_cache () =
-  let base = Service_run.run ~par:Audit_ctx.sequential cheat_spec in
+  let base = Service_run.run ~par:Audit.sequential cheat_spec in
   let sig_base = Service_run.signature base in
   Alcotest.(check bool) "baseline detects the cheats" true (base.Service_run.detected <> []);
-  let jobs4 = Service_run.run ~par:(Audit_ctx.parallel 4) cheat_spec in
+  let jobs4 = Service_run.run ~par:(Audit.parallel 4) cheat_spec in
   Alcotest.(check string) "jobs 1 = jobs 4" sig_base (Service_run.signature jobs4);
   let nocache = Service_run.run { cheat_spec with Service_run.dedup = false } in
   Alcotest.(check string) "cache on = cache off" sig_base (Service_run.signature nocache);
