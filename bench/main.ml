@@ -94,6 +94,24 @@ let entries_of avmm =
 let honest_entries = entries_of honest
 let honest_list_log = Log.of_entries honest_entries
 let cheater_entries = entries_of cheater
+let bob_ctx =
+  Audit.ctx ~node_cert:(Identity.certificate bob)
+    ~peer_certs:[ ("alice", Identity.certificate alice); ("bob", Identity.certificate bob) ]
+    ()
+
+(* The honest log as a live compressed log stands every 50 appends
+   (a fork pins each state), for the online ingest bench. *)
+let live_log_states =
+  let log = Log.create ~backend:Segment_store.Compressed () in
+  let states =
+    List.fold_left
+      (fun acc (e : Entry.t) ->
+        ignore (Log.append log e.Entry.content : Entry.t);
+        if Log.length log mod 50 = 0 then Log.fork log :: acc else acc)
+      [] honest_entries
+  in
+  List.rev (Log.fork log :: states)
+
 let honest_segment_raw = Log.encode_segment honest_entries
 let honest_segment_packed = Avm_compress.Codec.compress honest_segment_raw
 
@@ -161,29 +179,13 @@ let tests =
       (stage (fun () ->
            ignore
              (Audit.syntactic_of_log
-                ~ctx:
-                  (Audit.ctx
-                     ~node_cert:(Identity.certificate bob)
-                     ~peer_certs:
-                       [
-                         ("alice", Identity.certificate alice);
-                         ("bob", Identity.certificate bob);
-                       ]
-                     ())
+                ~ctx:bob_ctx
                 ~log:honest_list_log ())));
     Test.make ~name:"s6.6/syntactic-streaming-compressed"
       (stage (fun () ->
            ignore
              (Audit.syntactic_of_log
-                ~ctx:
-                  (Audit.ctx
-                     ~node_cert:(Identity.certificate bob)
-                     ~peer_certs:
-                       [
-                         ("alice", Identity.certificate alice);
-                         ("bob", Identity.certificate bob);
-                       ]
-                     ())
+                ~ctx:bob_ctx
                 ~log:(Avmm.log honest) ())));
     Test.make ~name:"s6.6/semantic-replay-chunked"
       (stage (fun () ->
@@ -230,6 +232,20 @@ let tests =
              | `Fault _ -> failwith "fault"
            in
            drain ()));
+    (* Figure 8, ingest side: a session reading a live compressed log
+       slice by slice, 50 entries at a time, across every seal the
+       producer made (DESIGN.md §26). Signatures are verified once:
+       the signature cache is warm after the first run, so this times
+       the chain walk and the segment reads. *)
+    Test.make ~name:"fig8/online-ingest-live-log"
+      (stage (fun () ->
+           let s =
+             Audit.Session.open_session ~ctx:bob_ctx ~image:guest_image ~mem_words:4096
+               ~high_watermark:max_int ~peers:peers_b ()
+           in
+           List.iter
+             (fun log -> ignore (Audit.Session.ingest s log : [ `Accepted | `Backpressure of int ]))
+             live_log_states));
     (* Figure 9 / §6.12: snapshot mechanics. *)
     Test.make ~name:"fig9/incremental-snapshot-3-dirty-pages"
       (stage (fun () ->

@@ -462,8 +462,9 @@ module Session = struct
     snapshot_of : (unit -> Snapshot.t list) option;
     syn : Syn.t;
     mutable syn_seen : int;  (* stream failures already turned into a verdict (or none) *)
-    mutable prefix : int -> Entry.t list;
-        (* entries 1..upto of what was ingested — the evidence segment *)
+    mutable source : [ `Log of Log.t | `List of Entry.t list ];
+        (* what the evidence segment is cut from: the producer's log
+           (forked, so pinned, once the verdict lands) or a pushed list *)
     chunks : chunk Queue.t;  (* head = oldest unretired; last = open tail *)
     mutable tail : chunk;
     mutable resume : resume;
@@ -524,7 +525,7 @@ module Session = struct
       snapshot_of;
       syn;
       syn_seen = 0;
-      prefix = (fun _ -> []);
+      source = `List [];
       chunks;
       tail;
       resume = R_engine e;
@@ -557,9 +558,14 @@ module Session = struct
     create ~ctx ~image ?mem_words ~replay_rate ~high:high_watermark ~low ?cache ?snapshot_of ~peers
       ()
 
+  (* The verdict pins the log the evidence is cut from: the producer may
+     append to or tamper with its own log afterwards, and the evidence
+     must be what was audited. A fork copies the segment index and the
+     tail array, no entry data. *)
   let set_verdict t v =
     if t.verdict = None then begin
       t.verdict <- Some v;
+      (match t.source with `Log log -> t.source <- `Log (Log.fork log) | `List _ -> ());
       (match v with
       | Tampered _ -> Metrics.incr "online_audit.tampering_detected"
       | Diverged _ -> Metrics.incr "online_audit.faults"
@@ -660,7 +666,7 @@ module Session = struct
                })
         else if limit > t.fed_upto then begin
           Metrics.incr ~by:(limit - t.fed_upto) "online_audit.entries_observed";
-          t.prefix <- (fun upto -> Log.segment log ~from:1 ~upto);
+          t.source <- `Log log;
           pull ?pool t (Log.chunk_specs log ~from:(t.fed_upto + 1) ~upto:limit);
           t.fed_upto <- limit;
           if Log.length log <> len0 then
@@ -843,8 +849,10 @@ module Session = struct
      image, so it always starts at genesis: entries 1 up to the end of
      the chunk holding the offending entry, or everything ingested
      when the verdict names none. A divergence of a forged download
-     is no fault of the log and ships no evidence. *)
-  let outcome t =
+     is no fault of the log and ships no evidence. Everything but the
+     evidence segment is read now; the segment is cut from the pinned
+     source when the outcome is forced. *)
+  let lazy_outcome t =
     let node = Avm_crypto.Identity.cert_name t.ctx.node_cert in
     let evidence accusation =
       let upto =
@@ -855,14 +863,19 @@ module Session = struct
             (fun acc c -> if c.c_from <= seq && seq <= c.c_upto then c.c_upto else acc)
             t.fed_upto t.chunks
       in
+      let source = t.source in
       Some
-        {
-          Evidence.accused = node;
-          prev_hash = Log.genesis_hash;
-          segment = t.prefix upto;
-          auths = t.ctx.auths;
-          accusation;
-        }
+        (fun () ->
+          {
+            Evidence.accused = node;
+            prev_hash = Log.genesis_hash;
+            segment =
+              (match source with
+              | `Log log -> Log.segment log ~from:1 ~upto
+              | `List entries -> entries);
+            auths = t.ctx.auths;
+            accusation;
+          })
     in
     let verdict, semantic, evidence =
       match t.verdict with
@@ -881,15 +894,20 @@ module Session = struct
       | Some (Equivocated { a; b } as v) ->
         (Error (Format.asprintf "%a" pp_verdict v), None, evidence (Evidence.Equivocation { a; b }))
     in
-    {
-      node;
-      syntactic = Syn.report t.syn;
-      semantic;
-      syntactic_seconds = t.syn_seconds;
-      semantic_seconds = t.sem_seconds;
-      verdict;
-      evidence;
-    }
+    let syntactic = Syn.report t.syn in
+    let syntactic_seconds = t.syn_seconds and semantic_seconds = t.sem_seconds in
+    lazy
+      {
+        node;
+        syntactic;
+        semantic;
+        syntactic_seconds;
+        semantic_seconds;
+        verdict;
+        evidence = Option.map (fun build -> build ()) evidence;
+      }
+
+  let outcome t = Lazy.force (lazy_outcome t)
 
   (* Batch replay: everything ingested, under one total [fuel]; fuel
      running out with entries left is a stalled guest. *)
@@ -938,7 +956,7 @@ let full ~ctx ~image ?mem_words ?fuel ?cache ~peers ~entries ?par () =
        stream. *)
     batch ~ctx ~image ?mem_words ?fuel ?cache ~peers (fun t ->
         let first = (List.hd entries).Entry.seq in
-        t.Session.prefix <- (fun _ -> entries);
+        t.Session.source <- `List entries;
         Session.pull t
           [
             {

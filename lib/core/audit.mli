@@ -257,7 +257,19 @@ module Session : sig
       genesis: entries 1 up to the end of the chunk holding the
       offending entry, or everything ingested when the verdict names
       none. A divergence found only in a forged {e downloaded} snapshot
-      ships no evidence: the log itself replays clean from boot. *)
+      ships no evidence: the log itself replays clean from boot.
+
+      The evidence is cut from the log the session last ingested, as
+      that log stood when the verdict landed: setting a verdict pins
+      it ({!Avm_tamperlog.Log.fork}), so appending to or tampering
+      with the producer's log afterwards changes no evidence. *)
+
+  val lazy_outcome : t -> outcome Lazy.t
+  (** {!outcome} with the evidence segment — entries 1.. of the pinned
+      log, which the log must inflate and re-derive — cut only when
+      forced. Every other field is read now; forced, it equals what
+      {!outcome} returns at this call. What the service daemon hands
+      out with each verdict. *)
 end
 
 (** {1 The batch front ends} *)

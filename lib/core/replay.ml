@@ -426,7 +426,7 @@ let verified = function
    segments inflate only when the replay actually reaches them: each
    chunk is fed, cranked until the engine blocks, and only then is the
    next chunk forced. *)
-let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks
+let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks
     ~peers ~chunks () =
   let e = engine ~image ?mem_words ?start ?strict_landmarks ~peers () in
   (* Crank until blocked on the current feed, or a terminal result. *)
@@ -465,46 +465,6 @@ let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_la
   in
   go chunks fuel
 
-(* Caching forces the stream up front: the fingerprint must cover every
-   entry before any outcome can be reused, and the chunks Seq is
-   single-shot, so a hit that had already forced it lazily would leave
-   nothing for the miss path. [Spot_check] keeps segment-at-a-time
-   laziness on its own cached paths by fingerprinting straight off the
-   log index instead. *)
-let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks ~peers
-    ?cache ~chunks () =
-  let entries = lazy (List.concat (List.of_seq chunks)) in
-  let machine =
-    lazy
-      (match start with
-      | Some m -> m
-      | None -> (
-        match mem_words with
-        | Some w -> Machine.create ~mem_words:w image
-        | None -> Machine.create image))
-  in
-  let print () =
-    let m = Lazy.force machine in
-    Replay_cache.fingerprint ~image ?mem_words ?strict_landmarks ~peers
-      ~pre_state:(Snapshot.machine_digest ~at_icount:(Machine.icount m) m)
-      (Lazy.force entries)
-  in
-  Replay_cache.exclusive cache ~fuel print @@ function
-  | Replay_cache.Off ->
-    replay_chunks_raw ~image ?mem_words ?start ~fuel ?strict_landmarks ~peers ~chunks ()
-  | Replay_cache.Hit { instructions; entries_consumed } ->
-    Verified { instructions; entries_consumed }
-  | l ->
-    let o, emitted =
-      Replay_cache.measure_replay (fun () ->
-          replay_chunks_raw ~image ?mem_words ~start:(Lazy.force machine) ~fuel
-            ?strict_landmarks ~peers
-            ~chunks:(Seq.return (Lazy.force entries))
-            ())
-    in
-    Replay_cache.settle l ~emitted (verified o);
-    o
-
-let replay ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ?cache ~entries () =
-  replay_chunks ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ?cache
+let replay ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ~entries () =
+  replay_chunks ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers
     ~chunks:(Seq.return entries) ()

@@ -59,7 +59,6 @@ val replay :
   ?fuel:int ->
   ?strict_landmarks:bool ->
   peers:(int * string) list ->
-  ?cache:Replay_cache.t ->
   entries:Avm_tamperlog.Entry.t list ->
   unit ->
   outcome
@@ -81,7 +80,6 @@ val replay_chunks :
   ?fuel:int ->
   ?strict_landmarks:bool ->
   peers:(int * string) list ->
-  ?cache:Replay_cache.t ->
   chunks:Avm_tamperlog.Entry.t list Seq.t ->
   unit ->
   outcome
@@ -89,14 +87,9 @@ val replay_chunks :
     (one per sealed segment — see [Log.chunk_seq]): each chunk is fed
     and the engine cranked until it blocks before the next chunk is
     forced, so compressed segments inflate only as the replay reaches
-    them. [replay] is [replay_chunks] over a singleton stream.
-
-    With [cache] (and the {!Replay_cache} kill-switch on) the stream
-    is forced up front, fingerprinted against the start state, and the
-    {!Replay_cache.lookup} / {!Replay_cache.settle} protocol applies:
-    a hit returns the original replay's [Verified] payload without
-    executing an instruction, a spot-designated or missing fingerprint
-    replays fully, and only verified outcomes are remembered. *)
+    them. [replay] is [replay_chunks] over a singleton stream. Neither
+    consults a {!Replay_cache}: the cached replays are the audit
+    session's chunks and {!Spot_check.check_chunk}. *)
 
 (** {1 Incremental engine}
 

@@ -8,7 +8,7 @@ type event = {
   ev_entry_seq : int option;
   ev_chunk : int;
   ev_lag_entries : int;
-  ev_outcome : Avm_core.Audit.outcome;
+  ev_outcome : Avm_core.Audit.outcome Lazy.t;
 }
 
 type session = {
@@ -71,7 +71,7 @@ let event_of s v =
     ev_entry_seq = Avm_core.Audit.verdict_entry v;
     ev_chunk = st.OA.chunks_retired;
     ev_lag_entries = st.OA.lag_entries;
-    ev_outcome = OA.Session.outcome s.s_session;
+    ev_outcome = OA.Session.lazy_outcome s.s_session;
   }
 
 (* Deliver a session's verdict exactly once. *)

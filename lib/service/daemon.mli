@@ -17,8 +17,8 @@
     - {b Incremental evidence.} The moment any session reaches a
       verdict — a chain break at ingest, a divergence mid-pump — the
       [on_verdict] callback fires with an {!event} carrying the
-      {!Avm_core.Audit.outcome}-compatible evidence, without waiting
-      for the session to close. *)
+      {!Avm_core.Audit.outcome}-compatible evidence (built when read),
+      without waiting for the session to close. *)
 
 type event = {
   ev_session : string;  (** session id given to {!attach} *)
@@ -26,7 +26,12 @@ type event = {
   ev_entry_seq : int option;  (** offending log entry, if identified *)
   ev_chunk : int;  (** snapshot-delimited chunks retired before the verdict *)
   ev_lag_entries : int;  (** session lag when the verdict landed *)
-  ev_outcome : Avm_core.Audit.outcome;  (** the verdict with its transferable evidence *)
+  ev_outcome : Avm_core.Audit.outcome Lazy.t;
+      (** the verdict with its transferable evidence. The evidence
+          segment (entries from genesis) is only cut when this is
+          forced, from the producer's log as it stood at the verdict
+          ({!Avm_core.Audit.Session.lazy_outcome}), so forcing it later
+          gives the same evidence. *)
 }
 
 type t

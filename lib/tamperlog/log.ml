@@ -9,7 +9,12 @@ let genesis_hash = String.make 32 '\000'
    live compressed at rest and are only inflated when a reader streams
    them; a per-domain one-slot cache keeps random access over a hot
    segment cheap, and lets parallel audit jobs inflate different
-   segments concurrently without sharing mutable state.
+   segments concurrently without sharing mutable state. The log also
+   keeps the entries of its newest sealed segment, the array sealing
+   just built: a reader that crosses a fresh seal (an online auditor
+   reading the slice it has not seen yet) gets the very entries it
+   would have read from the tail, with no inflation and no re-derived
+   links. That array is RAM, like the cache slot, not stored data.
 
    Tamper operations (the test adversary) first flatten the log back
    into a plain in-memory tail: a broken hash chain cannot survive the
@@ -21,6 +26,8 @@ type t = {
   mutable nsealed : int;
   mutable tail : Entry.t array;
   mutable tail_count : int;
+  mutable newest : Entry.t array;
+      (* entries of sealed.(nsealed - 1) as sealed here; [||] when not kept *)
   mutable tail_bytes : int;
   mutable bytes : int; (* total uncompressed wire bytes *)
   mutable snap_index : (int * int * int) list;
@@ -44,6 +51,7 @@ let create ?(backend = Segment_store.Memory) ?(seal_every = 1024) () =
     nsealed = 0;
     tail = Array.make 64 dummy_entry;
     tail_count = 0;
+    newest = [||];
     tail_bytes = 0;
     bytes = 0;
     snap_index = [];
@@ -96,7 +104,9 @@ let seal_active t =
         snapshot_boundary;
       }
     in
-    push_sealed t (Segment_store.seal t.backend ~info (Array.sub t.tail 0 t.tail_count));
+    let entries = Array.sub t.tail 0 t.tail_count in
+    push_sealed t (Segment_store.seal t.backend ~info entries);
+    t.newest <- entries;
     Avm_obs.Metrics.incr "log.segments_sealed";
     Avm_obs.Metrics.incr ~by:t.tail_bytes "log.bytes_sealed";
     t.tail_count <- 0;
@@ -165,17 +175,26 @@ let find_seg t seq =
 let inflate_slot : (int * int * Entry.t array) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* The newest sealed segment is answered from the entries sealing
+   kept, before any slot: they are the entries the log sealed in this
+   process, exactly what inflating its record would re-derive. *)
 let inflate t i =
-  let slot = Domain.DLS.get inflate_slot in
-  match !slot with
-  | Some (id, j, a) when id = t.id && j = i ->
-    Avm_obs.Metrics.incr "log.inflate_cache_hits";
-    a
-  | _ ->
-    Avm_obs.Metrics.incr "log.inflate_cache_misses";
-    let a = Segment_store.inflate t.sealed.(i) in
-    slot := Some (t.id, i, a);
-    a
+  if i = t.nsealed - 1 && Array.length t.newest > 0 then begin
+    Avm_obs.Metrics.incr "log.newest_segment_hits";
+    t.newest
+  end
+  else begin
+    let slot = Domain.DLS.get inflate_slot in
+    match !slot with
+    | Some (id, j, a) when id = t.id && j = i ->
+      Avm_obs.Metrics.incr "log.inflate_cache_hits";
+      a
+    | _ ->
+      Avm_obs.Metrics.incr "log.inflate_cache_misses";
+      let a = Segment_store.inflate t.sealed.(i) in
+      slot := Some (t.id, i, a);
+      a
+  end
 
 let entry t seq =
   if seq < 1 || seq > length t then invalid_arg "Log.entry: out of range";
@@ -330,7 +349,9 @@ let verify_segment ~prev entries =
    per-segment encode/decode out over a pool when one is given; the
    [t.sealed] writes happen on the calling domain only, after every
    job has settled. Entry identity is preserved, so cache slots keyed
-   by [t.id] stay valid and the id is not bumped. *)
+   by [t.id] stay valid and the id is not bumped; the newest segment's
+   kept entries stay valid too, as the entries themselves are
+   unchanged. *)
 
 let map_jobs pool f xs =
   match pool with
@@ -465,6 +486,7 @@ let flatten t =
         incr k);
     t.sealed <- no_seg;
     t.nsealed <- 0;
+    t.newest <- [||];
     (* fresh cache key: later re-seals must not hit a stale slot *)
     t.id <- fresh_id ();
     t.tail <- all;
@@ -505,3 +527,5 @@ let fork t =
     sealed = Array.copy t.sealed;
     tail = Array.copy t.tail;
   }
+
+let newest_segment t = if Array.length t.newest > 0 then Some t.newest else None

@@ -12,7 +12,17 @@
     [Snapshot_ref] is appended, so segments are bounded by snapshots
     exactly where spot-check auditors cut the log. With the
     [Compressed] backend, sealed segments live compressed at rest and
-    are only inflated while a reader streams across them. *)
+    are only inflated while a reader streams across them.
+
+    {b The newest sealed segment.} Sealing keeps the entry array it
+    built, and every reader serves that segment from it instead of
+    inflating: a reader crossing a fresh seal (an online auditor) gets
+    the same {!Entry.t} values, decoder marks included, it would have
+    read from the tail. The array is RAM, like the inflate cache, not
+    stored data ({!stored_bytes} and {!transfer_bytes} ignore it), and
+    holds one segment at most. Tamper operations drop it; {!fork},
+    {!compress_sealed} and {!inflate_sealed} keep it. Reads it serves
+    count as [log.newest_segment_hits]. *)
 
 type t
 
@@ -47,7 +57,7 @@ val head_hash : t -> string
 
 val entry : t -> int -> Entry.t
 (** [entry log seq] fetches by sequence number, inflating (and caching)
-    the covering segment if it is compressed.
+    the covering segment if it is compressed and not the newest.
     @raise Invalid_argument if out of range. *)
 
 val prev_hash : t -> int -> string
@@ -178,4 +188,10 @@ val tamper_reseal : t -> int -> Entry.content -> unit
     for. *)
 
 val fork : t -> t
-(** An independent copy sharing the prefix — for fork attacks. *)
+(** An independent copy sharing the prefix — for fork attacks, and for
+    pinning a log as it is now: the copy costs the segment index and
+    the tail array, no entry data, and later appends to or tampering
+    with either log leave the other as it was. *)
+
+val newest_segment : t -> Entry.t array option
+(** The entries kept for the newest sealed segment, if any. *)

@@ -2031,6 +2031,109 @@ let test_session_stalls_until_snapshot_shipped () =
   Alcotest.(check int) "drained" 0 (Online_audit.Session.lag_entries s);
   Alcotest.(check bool) "closes clean" true (Online_audit.Session.close s = None)
 
+(* --- ingest across a seal (DESIGN.md §26) ------------------------------------- *)
+
+let metric name = Avm_obs.Metrics.counter (Avm_obs.Metrics.snapshot ()) name
+
+(* What a session found, timings aside. *)
+let strip_outcome (o : Audit.outcome) =
+  (o.Audit.verdict, o.Audit.syntactic, o.Audit.semantic, Option.map Evidence.encode o.Audit.evidence)
+
+let fresh_session () =
+  Online_audit.Session.open_session ~ctx:(ctx_ab []) ~image:(guest_image ()) ~mem_words:4096
+    ~replay_rate:1.0 ~peers:peers_b ()
+
+(* Entries per ingest. *)
+let ingest_every = 50
+
+(* bob's honest entries re-appended one by one to a live Compressed log
+   (seals at every Snapshot_ref, as an AVMM's log does), a session
+   ingesting every [ingest_every] entries and replaying as it goes. [before]
+   runs on the live log just before each ingest. *)
+let live_ingest ?(before = fun _ -> ()) entries =
+  let log = Log.create ~backend:Segment_store.Compressed () in
+  let s = fresh_session () in
+  let ingest () =
+    before log;
+    ignore (Online_audit.Session.ingest s log : [ `Accepted | `Backpressure of int ]);
+    ignore (Online_audit.Session.step s ~budget_instructions:10_000_000 : Online_audit.verdict option)
+  in
+  List.iter
+    (fun (e : Entry.t) ->
+      ignore (Log.append log e.Entry.content : Entry.t);
+      if Log.length log mod ingest_every = 0 then ingest ())
+    entries;
+  ingest ();
+  ignore (drain_session s);
+  ignore (Online_audit.Session.close s);
+  (log, s)
+
+(* The same cadence over the same entries held in a Memory log. *)
+let memory_ingest entries =
+  let log = Log.of_entries entries in
+  let s = fresh_session () in
+  let rec go upto =
+    let upto = min upto (Log.length log) in
+    ignore (Online_audit.Session.ingest ~upto s log : [ `Accepted | `Backpressure of int ]);
+    ignore (Online_audit.Session.step s ~budget_instructions:10_000_000 : Online_audit.verdict option);
+    if upto < Log.length log then go (upto + ingest_every)
+  in
+  go ingest_every;
+  ignore (drain_session s);
+  ignore (Online_audit.Session.close s);
+  s
+
+let test_live_ingest_across_seals () =
+  let _, b = run_pair ~slices:60 () in
+  let entries = entries_of b in
+  let misses0 = metric "log.inflate_cache_misses" and hits0 = metric "log.newest_segment_hits" in
+  let log, live = live_ingest entries in
+  let misses = metric "log.inflate_cache_misses" - misses0 in
+  let hits = metric "log.newest_segment_hits" - hits0 in
+  Alcotest.(check bool) "crossed at least three seals" true (List.length (Log.segments log) >= 3);
+  Alcotest.(check bool) "same entries" true (Log.segment log ~from:1 ~upto:(Log.length log) = entries);
+  (* Every slice that crossed a seal read the segment sealing kept. *)
+  Alcotest.(check int) "no segment inflated" 0 misses;
+  Alcotest.(check bool) "slices served by the kept segment" true (hits > 0);
+  let o = Online_audit.Session.outcome live in
+  Alcotest.(check bool) "clean" true (o.Audit.verdict = Ok ());
+  Alcotest.(check bool) "live compressed = memory" true
+    (strip_outcome o = strip_outcome (Online_audit.Session.outcome (memory_ingest entries)))
+
+(* A producer that rewrites an entry of a sealed segment the session
+   has already started reading: an entry the session already checked
+   is past (no verdict), one it has not is the chain break it names. *)
+let test_live_tamper_after_seal () =
+  let _, b = run_pair ~slices:60 () in
+  let entries = entries_of b in
+  let second = List.nth (Log.segments (fst (live_ingest entries))) 1 in
+  (* The last ingest before [second] was sealed stopped inside it, at
+     a multiple of [ingest_every]: entries up to there were checked. *)
+  let last_fed = second.Segment_store.last_seq / ingest_every * ingest_every in
+  Alcotest.(check bool) "an ingest ended inside the segment" true
+    (last_fed > second.Segment_store.first_seq && last_fed < second.Segment_store.last_seq);
+  (* Rewrite [target] just before the first ingest after the seal. *)
+  let run target =
+    let tampered = ref false in
+    let before log =
+      if (not !tampered) && Log.length log > second.Segment_store.last_seq then begin
+        tampered := true;
+        Log.tamper_replace log target (Entry.Note "rewritten under the seal")
+      end
+    in
+    let _, s = live_ingest ~before entries in
+    (Online_audit.Session.status s).Online_audit.verdict
+  in
+  (match run (last_fed - 1) with
+  | None -> ()
+  | Some v -> Alcotest.failf "an already checked entry: %a" Online_audit.pp_verdict v);
+  match run (last_fed + 1) with
+  | Some (Online_audit.Tampered { entry_seq = Some seq; _ }) ->
+    Alcotest.(check int) "names the rewritten entry" (last_fed + 1) seq
+  | v ->
+    Alcotest.failf "expected a Tampered verdict, got %s"
+      (match v with None -> "none" | Some v -> Format.asprintf "%a" Online_audit.pp_verdict v)
+
 (* --- online auditing (paper §6.11) ------------------------------------------ *)
 
 let test_online_audit_honest_keeps_up () =
@@ -2438,6 +2541,9 @@ let () =
         ] );
       ( "online-audit",
         [
+          Alcotest.test_case "live ingest across seals" `Quick
+            test_live_ingest_across_seals;
+          Alcotest.test_case "tamper after a seal" `Quick test_live_tamper_after_seal;
           Alcotest.test_case "honest keeps up" `Quick test_online_audit_honest_keeps_up;
           Alcotest.test_case "cheat caught mid-game" `Quick
             test_online_audit_catches_cheat_mid_game;

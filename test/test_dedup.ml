@@ -10,7 +10,6 @@ open Avm_core
 open Avm_tamperlog
 module Identity = Avm_crypto.Identity
 module Rng = Avm_util.Rng
-module Machine = Avm_machine.Machine
 
 (* --- fixtures (a small echo session, as in test_core) -------------------- *)
 
@@ -85,20 +84,11 @@ let record ?(mem_words = 4096) ~slices () =
 (* Recorded once; the tests fork its log rather than re-running it. *)
 let session = lazy (record ~slices:30 ())
 
-let bob_entries () =
-  let b, _ = Lazy.force session in
-  let log = Avmm.log b in
-  Log.segment log ~from:1 ~upto:(Log.length log)
-
 let bob_ctx () =
   let _, auths = Lazy.force session in
   Audit.ctx ~node_cert:(cert_of "bob")
     ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
     ~auths ()
-
-let fresh_pre_state () =
-  let m = Machine.create ~mem_words:4096 (image ()) in
-  Avm_machine.Snapshot.machine_digest ~at_icount:(Machine.icount m) m
 
 let counts = function
   | Replay.Verified { instructions; entries_consumed } -> (instructions, entries_consumed)
@@ -106,16 +96,55 @@ let counts = function
 
 (* --- unit: the memo protocol --------------------------------------------- *)
 
-(* Second replay of the same chunk hits, and the hit reconstructs the
+(* The memo tests run the library's one cached replay, a spot check of
+   the chunk between bob's first two snapshots. *)
+let chunk_bounds log =
+  match Spot_check.boundaries log with
+  | b0 :: b1 :: _ -> (b0, b1)
+  | _ -> Alcotest.fail "session has fewer than two snapshots"
+
+(* The chunk's entries and the fingerprint a check computes for them:
+   keyed on the digest logged at the chunk's opening boundary. *)
+let chunk_fingerprint log =
+  let b0, b1 = chunk_bounds log in
+  let pre_state =
+    match (Log.entry log b0.Spot_check.entry_seq).Entry.content with
+    | Entry.Snapshot_ref { digest; _ } -> digest
+    | _ -> Alcotest.fail "boundary is not a Snapshot_ref"
+  in
+  let entries =
+    Log.segment log ~from:(b0.Spot_check.entry_seq + 1) ~upto:b1.Spot_check.entry_seq
+  in
+  (entries, Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~pre_state entries)
+
+let check_chunk ~cache log =
+  let b, _ = Lazy.force session in
+  let b0, _ = chunk_bounds log in
+  match
+    Spot_check.check_chunk ~cache ~image:(image ()) ~mem_words:4096
+      ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b
+      ~start_snapshot:b0.Spot_check.snapshot_seq ~k:1 ()
+  with
+  | Ok r -> r.Spot_check.outcome
+  | Error e -> Alcotest.failf "chunk not checkable: %s" e
+
+(* The first entry of [kind] inside the checked chunk. *)
+let first_in_chunk log kind =
+  let entries, _ = chunk_fingerprint log in
+  match List.find_opt (fun (e : Entry.t) -> kind e.Entry.content) entries with
+  | Some e -> e
+  | None -> Alcotest.fail "no such entry in the chunk"
+
+let is_send = function Entry.Send _ -> true | _ -> false
+
+(* Second check of the same chunk hits, and the hit reconstructs the
    first replay's exact Verified payload. *)
 let test_hit_reconstructs_outcome () =
   let cache = Replay_cache.create ~spot_rate:0 () in
-  let entries = bob_entries () in
-  let replay () =
-    Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache ~entries ()
-  in
-  let first = replay () in
-  let second = replay () in
+  let b, _ = Lazy.force session in
+  let log = Avmm.log b in
+  let first = check_chunk ~cache log in
+  let second = check_chunk ~cache log in
   Alcotest.(check (pair int int)) "same payload" (counts first) (counts second);
   let s = Replay_cache.stats cache in
   Alcotest.(check int) "one miss" 1 s.Replay_cache.misses;
@@ -129,49 +158,22 @@ let test_hit_reconstructs_outcome () =
    warm cache. *)
 let test_planted_cheat_colliding_fingerprint_caught () =
   let cache = Replay_cache.create ~spot_rate:0 () in
-  let entries = bob_entries () in
+  let b, _ = Lazy.force session in
   (* Warm the cache with the honest chunk. *)
-  (match
-     Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache ~entries ()
-   with
+  (match check_chunk ~cache (Avmm.log b) with
   | Replay.Verified _ -> ()
   | o -> Alcotest.failf "honest replay diverged: %s" (Format.asprintf "%a" Replay.pp_outcome o));
   (* Tamper a SEND payload: the payload is a claim (outputs digest),
      not an input — the tampered chunk fingerprints to the SAME key. *)
-  let b, _ = Lazy.force session in
   let forked = Log.fork (Avmm.log b) in
-  let seq =
-    let found = ref 0 in
-    (try
-       Log.iter_range forked ~from:1 ~upto:(Log.length forked) (fun e ->
-           match e.Entry.content with
-           | Entry.Send _ when !found = 0 ->
-             found := e.Entry.seq;
-             raise Exit
-           | _ -> ())
-     with Exit -> ());
-    !found
-  in
-  Alcotest.(check bool) "session has a send" true (seq > 0);
-  (match (Log.entry forked seq).Entry.content with
-  | Entry.Send s -> Log.tamper_reseal forked seq (Entry.Send { s with payload = s.payload ^ "x" })
+  let send = first_in_chunk forked is_send in
+  (match send.Entry.content with
+  | Entry.Send s ->
+    Log.tamper_reseal forked send.Entry.seq (Entry.Send { s with payload = s.payload ^ "x" })
   | _ -> assert false);
-  let tampered = Log.segment forked ~from:1 ~upto:(Log.length forked) in
-  let honest_key =
-    Replay_cache.key_hex
-      (Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b
-         ~pre_state:(fresh_pre_state ()) (bob_entries ()))
-  in
-  let tampered_key =
-    Replay_cache.key_hex
-      (Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b
-         ~pre_state:(fresh_pre_state ()) tampered)
-  in
-  Alcotest.(check string) "fingerprints collide" honest_key tampered_key;
-  (match
-     Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache
-       ~entries:tampered ()
-   with
+  let key log = Replay_cache.key_hex (snd (chunk_fingerprint log)) in
+  Alcotest.(check string) "fingerprints collide" (key (Avmm.log b)) (key forked);
+  (match check_chunk ~cache forked with
   | Replay.Diverged _ -> ()
   | Replay.Verified _ -> Alcotest.fail "tampered chunk laundered through the cache");
   let s = Replay_cache.stats cache in
@@ -186,19 +188,11 @@ let test_poisoned_entry_caught_by_spot_check () =
   let cache = Replay_cache.create ~spot_rate:1 () in
   let b, _ = Lazy.force session in
   let forked = Log.fork (Avmm.log b) in
-  let n = Log.length forked in
-  Log.tamper_reseal forked (n / 2) (Entry.Note "poisoned");
-  let tampered = Log.segment forked ~from:1 ~upto:n in
-  let p =
-    Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b
-      ~pre_state:(fresh_pre_state ()) tampered
-  in
+  Log.tamper_reseal forked (first_in_chunk forked is_send).Entry.seq (Entry.Note "poisoned");
+  let tampered, p = chunk_fingerprint forked in
   (* The poison: claims of the tampered log, fabricated counts. *)
-  Replay_cache.remember cache p ~instructions:1 ~entries_consumed:n ();
-  (match
-     Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache
-       ~entries:tampered ()
-   with
+  Replay_cache.remember cache p ~instructions:1 ~entries_consumed:(List.length tampered) ();
+  (match check_chunk ~cache forked with
   | Replay.Diverged _ -> ()
   | Replay.Verified _ -> Alcotest.fail "poisoned cache entry laundered a cheat");
   let s = Replay_cache.stats cache in
@@ -209,12 +203,10 @@ let test_poisoned_entry_caught_by_spot_check () =
 (* Honest spot-designated hits replay fully, agree, and keep the entry. *)
 let test_spot_check_confirms_honest_entry () =
   let cache = Replay_cache.create ~spot_rate:1 () in
-  let entries = bob_entries () in
-  let replay () =
-    Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache ~entries ()
-  in
-  let first = replay () in
-  let second = replay () in
+  let b, _ = Lazy.force session in
+  let log = Avmm.log b in
+  let first = check_chunk ~cache log in
+  let second = check_chunk ~cache log in
   Alcotest.(check (pair int int)) "same payload" (counts first) (counts second);
   let s = Replay_cache.stats cache in
   Alcotest.(check int) "spot designated" 1 s.Replay_cache.spot_checks;

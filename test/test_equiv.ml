@@ -262,7 +262,7 @@ let test_daemon_offer_auth () =
     | Online_audit.Equivocated _ -> ()
     | _ -> Alcotest.fail "expected an Equivocated verdict");
     Alcotest.(check (option int)) "entry seq named" (Some a.Auth.seq) ev.Daemon.ev_entry_seq;
-    match ev.Daemon.ev_outcome.Audit.evidence with
+    match (Lazy.force ev.Daemon.ev_outcome).Audit.evidence with
     | None -> Alcotest.fail "outcome carries no evidence"
     | Some ev ->
       Alcotest.(check bool) "daemon evidence verifies standalone" true

@@ -135,6 +135,54 @@ let test_cheat_reported_before_close () =
   | Some (Online_audit.Tampered _) -> ()
   | _ -> Alcotest.fail "close must repeat the terminal verdict"
 
+(* --- daemon: evidence built when read ------------------------------------- *)
+
+(* A daemon verdict's evidence is cut when the event's outcome is
+   forced, from the producer's log as it stood at the verdict: a
+   producer that rewrites an entry inside the evidence prefix and keeps
+   appending afterwards changes nothing. Two identical runs: one forces
+   the outcome inside [on_verdict] (the eager build), the other only
+   after the producer has moved on. *)
+let test_daemon_evidence_pinned_at_verdict () =
+  let run ~eager =
+    let log = recorded_log ~slices:40 () in
+    let n = Log.length log in
+    let events = ref [] in
+    let on_verdict (ev : Daemon.event) =
+      if eager then ignore (Lazy.force ev.Daemon.ev_outcome : Audit.outcome);
+      events := ev :: !events
+    in
+    let d = Daemon.create ~on_verdict () in
+    Daemon.attach d ~id:"carol" ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ();
+    let half = n / 2 in
+    let first_half = Log.fork log in
+    Log.tamper_truncate first_half half;
+    ignore (Daemon.ingest d ~id:"carol" first_half : [ `Accepted | `Backpressure of int ]);
+    ignore (Daemon.pump d ~budget_instructions:max_int () : int);
+    let tampered_seq = half + ((n - half) / 2) + 1 in
+    Log.tamper_replace log tampered_seq (Entry.Note "rewritten");
+    ignore (Daemon.ingest d ~id:"carol" log : [ `Accepted | `Backpressure of int ]);
+    let ev =
+      match !events with [ ev ] -> ev | l -> Alcotest.failf "expected one event, got %d" (List.length l)
+    in
+    Alcotest.(check (option int)) "verdict names the entry" (Some tampered_seq) ev.Daemon.ev_entry_seq;
+    if not eager then begin
+      Alcotest.(check bool) "outcome not built yet" false (Lazy.is_val ev.Daemon.ev_outcome);
+      Log.tamper_replace log 3 (Entry.Note "rewritten later");
+      for _ = 1 to 20 do
+        ignore (Log.append log (Entry.Note "after the verdict") : Entry.t)
+      done
+    end;
+    match (Lazy.force ev.Daemon.ev_outcome).Audit.evidence with
+    | Some e -> e
+    | None -> Alcotest.fail "a Tampered verdict carries evidence"
+  in
+  let eager = run ~eager:true and late = run ~eager:false in
+  Alcotest.(check string) "forced late = built at the verdict" (Evidence.encode eager)
+    (Evidence.encode late);
+  Alcotest.(check bool) "the late evidence still convicts" true
+    (Audit.check_evidence late ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ())
+
 (* --- daemon: bounded lag at steady state ---------------------------------- *)
 
 let small_spec =
@@ -218,6 +266,8 @@ let () =
         ] );
       ( "daemon",
         [
+          Alcotest.test_case "evidence pinned at the verdict" `Quick
+            test_daemon_evidence_pinned_at_verdict;
           Alcotest.test_case "lag bounded at steady state" `Slow test_lag_bounded_steady_state;
           Alcotest.test_case "cheats located by chunk and entry" `Slow test_cheats_located;
           Alcotest.test_case "verdicts invariant across jobs and cache" `Slow

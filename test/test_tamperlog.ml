@@ -397,6 +397,64 @@ let test_fork_with_sealed_segments () =
   let auth = Auth.make alice ~entry:(Log.entry log 41) ~prev_hash:(Log.prev_hash log 41) in
   Alcotest.(check bool) "fork detected" false (Auth.matches_entry auth (Log.entry fork 41))
 
+(* Sealing keeps the newest segment's entries (DESIGN.md §26): driven
+   past many seals the log holds exactly one segment's worth, reads of
+   that segment are served from it, the tamper operations drop it, and
+   fork and the at-rest conversions keep it. *)
+let test_newest_segment_kept () =
+  let counter name = Avm_obs.Metrics.counter (Avm_obs.Metrics.snapshot ()) name in
+  let contents = busy_contents 400 in
+  let build () = build_backed Segment_store.Compressed contents in
+  let log = build () in
+  let twin = build_backed Segment_store.Memory contents in
+  let segs = Log.segments log in
+  Alcotest.(check bool) "many seals" true (List.length segs >= 20);
+  let newest = List.nth segs (List.length segs - 1) in
+  let kept () = match Log.newest_segment log with Some a -> a | None -> Alcotest.fail "nothing kept" in
+  let a = kept () in
+  Alcotest.(check int) "exactly the newest segment"
+    (newest.Segment_store.last_seq - newest.Segment_store.first_seq + 1)
+    (Array.length a);
+  Alcotest.(check bool) "its entries, as sealed" true
+    (Array.to_list a
+    = Log.segment twin ~from:newest.Segment_store.first_seq ~upto:newest.Segment_store.last_seq);
+  (* Reads of the newest segment never inflate; an older one does. *)
+  let hits0 = counter "log.newest_segment_hits" and misses0 = counter "log.inflate_cache_misses" in
+  ignore (Log.entry log newest.Segment_store.first_seq : Entry.t);
+  ignore (Log.prev_hash log newest.Segment_store.last_seq : string);
+  Alcotest.(check int) "served from the kept entries" (hits0 + 2) (counter "log.newest_segment_hits");
+  Alcotest.(check int) "nothing inflated" misses0 (counter "log.inflate_cache_misses");
+  ignore (Log.entry log 1 : Entry.t);
+  Alcotest.(check int) "an older segment inflates" (misses0 + 1) (counter "log.inflate_cache_misses");
+  (* Kept across fork and the at-rest conversions. *)
+  Alcotest.(check bool) "fork shares it" true
+    (match Log.newest_segment (Log.fork log) with Some b -> b == a | None -> false);
+  let mem = build_backed Segment_store.Memory contents in
+  let m = Option.get (Log.newest_segment mem) in
+  ignore (Log.compress_sealed mem : int);
+  Alcotest.(check bool) "compress_sealed keeps it" true
+    (match Log.newest_segment mem with Some b -> b == m | None -> false);
+  ignore (Log.inflate_sealed mem : int);
+  Alcotest.(check bool) "inflate_sealed keeps it" true
+    (match Log.newest_segment mem with Some b -> b == m | None -> false);
+  (* The next seal replaces it. *)
+  for _ = 1 to 16 do
+    ignore (Log.append log (Entry.Note "more") : Entry.t)
+  done;
+  Alcotest.(check bool) "replaced by the next seal" true
+    (match Log.newest_segment log with Some b -> b != a && Array.length b = 16 | None -> false);
+  (* Every tamper operation drops it. *)
+  List.iter
+    (fun (what, tamper) ->
+      let l = build () in
+      tamper l;
+      Alcotest.(check bool) (what ^ " drops it") true (Log.newest_segment l = None))
+    [
+      ("tamper_replace", fun l -> Log.tamper_replace l 5 (Entry.Note "x"));
+      ("tamper_truncate", fun l -> Log.tamper_truncate l 300);
+      ("tamper_reseal", fun l -> Log.tamper_reseal l 5 (Entry.Note "x"));
+    ]
+
 let test_compression_accounting () =
   (* Compression only pays on realistically sized segments (an AVMM
      snapshot interval is hundreds of entries); tiny segments lose to
@@ -675,6 +733,7 @@ let () =
           Alcotest.test_case "tamper ops on sealed logs" `Quick test_tamper_on_sealed;
           Alcotest.test_case "fork with sealed segments" `Quick test_fork_with_sealed_segments;
           Alcotest.test_case "compression accounting" `Quick test_compression_accounting;
+          Alcotest.test_case "newest sealed segment kept" `Quick test_newest_segment_kept;
           Alcotest.test_case "inflate checked against the index" `Quick test_inflate_checks_index;
         ] );
       ( "authenticators",
