@@ -36,7 +36,7 @@ bench:
 # first snapshot (taken every 10 virtual seconds), so replay checks a
 # state digest through the page-hash cache (memory.pages_hashed).
 # replay.kernel_stops shows replay ran on the run-to-event kernel, and
-# machine.decodes that its per-domain decode cache missed at least once.
+# replay.instructions that the kernel executed guest instructions.
 # Both job counts must reach the same (clean) verdict.
 obs-smoke:
 	dune exec bin/avm_run.exe -- --players 2 --seconds 12 --seed 5 --out obs_smoke_recordings
@@ -45,12 +45,12 @@ obs-smoke:
 	dune exec bin/avm_obs_check.exe -- obs_smoke_j1.json \
 	  --counter audit.entries_checked --counter log.segments_sealed \
 	  --counter replay.entries_fed --counter memory.pages_hashed \
-	  --counter audit.links_trusted --counter replay.kernel_stops --counter machine.decodes \
+	  --counter audit.links_trusted --counter replay.kernel_stops --counter replay.instructions \
 	  --span audit.chunk --span audit.semantic
 	dune exec bin/avm_obs_check.exe -- obs_smoke_j4.json \
 	  --counter audit.entries_checked --counter log.segments_sealed \
 	  --counter replay.entries_fed --counter memory.pages_hashed \
-	  --counter audit.links_trusted --counter replay.kernel_stops --counter machine.decodes \
+	  --counter audit.links_trusted --counter replay.kernel_stops --counter replay.instructions \
 	  --span audit.chunk --span audit.semantic
 	rm -rf obs_smoke_recordings obs_smoke_j1.json obs_smoke_j4.json
 

@@ -59,7 +59,7 @@ let pack ~op ~rd ~rs ~imm =
   assert (rd >= 0 && rd < 16 && rs >= 0 && rs < 16);
   (op lsl 24) lor (rd lsl 20) lor (rs lsl 16) lor (imm land mask16)
 
-let sext16 v = if v land 0x8000 <> 0 then v - 0x10000 else v
+let sext16 v = (v lxor 0x8000) - 0x8000
 
 (* Opcode assignments. *)
 let op_halt = 0x00
@@ -151,56 +151,57 @@ let encode = function
   | In (rd, port) -> pack ~op:op_in ~rd ~rs:0 ~imm:port
   | Out (rs, port) -> pack ~op:op_out ~rd:0 ~rs ~imm:port
 
+(* The opcodes of [encode] as literals, so the match is a jump table. *)
 let decode w =
-  let op = (w lsr 24) land 0xff in
   let rd = (w lsr 20) land 0xf in
   let rs = (w lsr 16) land 0xf in
   let imm = w land mask16 in
   let rt = imm land 0xf in
-  if op = op_halt then Halt
-  else if op = op_nop then Nop
-  else if op = op_ei then Ei
-  else if op = op_di then Di
-  else if op = op_iret then Iret
-  else if op = op_mov then Mov (rd, rs)
-  else if op = op_movi then Movi (rd, sext16 imm)
-  else if op = op_lui then Lui (rd, imm)
-  else if op = op_add then Add (rd, rs, rt)
-  else if op = op_sub then Sub (rd, rs, rt)
-  else if op = op_mul then Mul (rd, rs, rt)
-  else if op = op_div then Div (rd, rs, rt)
-  else if op = op_rem then Rem (rd, rs, rt)
-  else if op = op_and then And (rd, rs, rt)
-  else if op = op_or then Or (rd, rs, rt)
-  else if op = op_xor then Xor (rd, rs, rt)
-  else if op = op_shl then Shl (rd, rs, rt)
-  else if op = op_shr then Shr (rd, rs, rt)
-  else if op = op_sar then Sar (rd, rs, rt)
-  else if op = op_slt then Slt (rd, rs, rt)
-  else if op = op_sltu then Sltu (rd, rs, rt)
-  else if op = op_seq then Seq (rd, rs, rt)
-  else if op = op_addi then Addi (rd, rs, sext16 imm)
-  else if op = op_andi then Andi (rd, rs, imm)
-  else if op = op_ori then Ori (rd, rs, imm)
-  else if op = op_xori then Xori (rd, rs, imm)
-  else if op = op_shli then Shli (rd, rs, imm land 31)
-  else if op = op_shri then Shri (rd, rs, imm land 31)
-  else if op = op_sari then Sari (rd, rs, imm land 31)
-  else if op = op_load then Load (rd, rs, sext16 imm)
-  else if op = op_store then Store (rd, rs, sext16 imm)
-  else if op = op_jmp then Jmp (sext16 imm)
-  else if op = op_jal then Jal (rd, sext16 imm)
-  else if op = op_jr then Jr rs
-  else if op = op_jalr then Jalr (rd, rs)
-  else if op = op_beq then Beq (rd, rs, sext16 imm)
-  else if op = op_bne then Bne (rd, rs, sext16 imm)
-  else if op = op_blt then Blt (rd, rs, sext16 imm)
-  else if op = op_bge then Bge (rd, rs, sext16 imm)
-  else if op = op_bltu then Bltu (rd, rs, sext16 imm)
-  else if op = op_bgeu then Bgeu (rd, rs, sext16 imm)
-  else if op = op_in then In (rd, imm)
-  else if op = op_out then Out (rs, imm)
-  else raise (Decode_error w)
+  match (w lsr 24) land 0xff with
+  | 0x00 -> Halt
+  | 0x01 -> Nop
+  | 0x02 -> Ei
+  | 0x03 -> Di
+  | 0x04 -> Iret
+  | 0x05 -> Mov (rd, rs)
+  | 0x06 -> Movi (rd, sext16 imm)
+  | 0x07 -> Lui (rd, imm)
+  | 0x10 -> Add (rd, rs, rt)
+  | 0x11 -> Sub (rd, rs, rt)
+  | 0x12 -> Mul (rd, rs, rt)
+  | 0x13 -> Div (rd, rs, rt)
+  | 0x14 -> Rem (rd, rs, rt)
+  | 0x15 -> And (rd, rs, rt)
+  | 0x16 -> Or (rd, rs, rt)
+  | 0x17 -> Xor (rd, rs, rt)
+  | 0x18 -> Shl (rd, rs, rt)
+  | 0x19 -> Shr (rd, rs, rt)
+  | 0x1a -> Sar (rd, rs, rt)
+  | 0x1b -> Slt (rd, rs, rt)
+  | 0x1c -> Sltu (rd, rs, rt)
+  | 0x1d -> Seq (rd, rs, rt)
+  | 0x20 -> Addi (rd, rs, sext16 imm)
+  | 0x21 -> Andi (rd, rs, imm)
+  | 0x22 -> Ori (rd, rs, imm)
+  | 0x23 -> Xori (rd, rs, imm)
+  | 0x24 -> Shli (rd, rs, imm land 31)
+  | 0x25 -> Shri (rd, rs, imm land 31)
+  | 0x26 -> Sari (rd, rs, imm land 31)
+  | 0x30 -> Load (rd, rs, sext16 imm)
+  | 0x31 -> Store (rd, rs, sext16 imm)
+  | 0x40 -> Jmp (sext16 imm)
+  | 0x41 -> Jal (rd, sext16 imm)
+  | 0x42 -> Jr rs
+  | 0x43 -> Jalr (rd, rs)
+  | 0x44 -> Beq (rd, rs, sext16 imm)
+  | 0x45 -> Bne (rd, rs, sext16 imm)
+  | 0x46 -> Blt (rd, rs, sext16 imm)
+  | 0x47 -> Bge (rd, rs, sext16 imm)
+  | 0x48 -> Bltu (rd, rs, sext16 imm)
+  | 0x49 -> Bgeu (rd, rs, sext16 imm)
+  | 0x50 -> In (rd, imm)
+  | 0x51 -> Out (rs, imm)
+  | _ -> raise (Decode_error w)
 
 let is_branch = function
   | Jmp _ | Jal _ | Jr _ | Jalr _ | Beq _ | Bne _ | Blt _ | Bge _ | Bltu _ | Bgeu _ ->

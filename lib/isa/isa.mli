@@ -83,6 +83,11 @@ val decode : int -> instr
 (** [decode w] inverts {!encode}.
     @raise Decode_error on undefined encodings. *)
 
+val sext16 : int -> int
+(** The signed value of a 16-bit immediate field ([0 <= imm <= 0xffff]),
+    as {!decode} reads it for Movi, Addi, Load, Store, Jmp, Jal and the
+    conditional branches. *)
+
 val to_string : instr -> string
 (** Assembler-syntax rendering, e.g. ["add r1, r2, r3"]. *)
 

@@ -73,12 +73,8 @@ let mem m = m.mem
 let frames m = m.frames
 let console_chars m = m.console_chars
 
-let fault m reason =
-  m.halted <- true;
-  raise (Runtime_fault { pc = m.pc; reason })
-
 (* Signed view of a 32-bit word. *)
-let s v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
+let s v = (v lxor 0x80000000) - 0x80000000
 
 let disk_sector_data m sector =
   match Hashtbl.find_opt m.disk sector with
@@ -140,234 +136,221 @@ let internal_out port =
   port = Isa.port_net_tx || port = Isa.port_disk_sector || port = Isa.port_disk_word
   || port = Isa.port_disk_write || port = Isa.port_ivt
 
-(* The per-instruction helpers are top-level functions of [m] rather
-   than closures local to the interpreter: without flambda a local
-   closure is allocated on every instruction. *)
-let r m i = m.regs.(i)
-let set m i v = m.regs.(i) <- v land mask32
-let mem_read m a =
-  try Memory.read m.mem a with Memory.Fault a -> fault m (Printf.sprintf "load fault at 0x%x" a)
+(* The kernel keeps pc, icount and branches in local variables. No
+   register survives a call in OCaml's calling convention, so a local
+   still needed after any call in the loop would live on the stack:
+   the kernel makes no call after which one is. [sync] writes them
+   back before every store (the watch hook reads the icount) and every
+   [In] and [Out] (the backend may read the landmark), and the kernel
+   reloads them from the record after the call. A fault writes them
+   back and the kernel raises it. Code outside the kernel thus sees the
+   machine as the instruction-by-instruction interpreter left it:
+   mid-instruction, with icount already counting the instruction and
+   pc still on it. *)
+let sync m pc icount branches =
+  m.pc <- pc;
+  m.icount <- icount;
+  m.branches <- branches
 
-let mem_write m a v =
-  try Memory.write m.mem a v with Memory.Fault a -> fault m (Printf.sprintf "store fault at 0x%x" a)
+(* The exception for a fault at [pc], raised by the kernel itself. *)
+let fault_at m pc icount branches fmt v =
+  sync m pc icount branches;
+  m.halted <- true;
+  Runtime_fault { pc; reason = Printf.sprintf fmt v }
 
-let jump m target =
-  m.branches <- m.branches + 1;
-  m.pc <- target land mask32
+(* [In] and [Out]: true iff the backend was called. *)
+let port_in m backend d port =
+  m.regs.(d) <- handle_in m backend port land mask32;
+  not (internal_in port)
 
-let branch m cond next off = if cond then jump m (next + off) else m.pc <- next
+let port_out m backend s port =
+  handle_out m backend port m.regs.(s);
+  not (internal_out port)
 
-(* The decode cache: one per domain, shared by every machine that runs
-   on it. A slot is keyed by address and valid only while it holds the
-   word now in memory there, and decoding is a pure function of the
-   word, so a slot filled by another machine, another image or code
-   since overwritten simply misses. The arrays only grow, to the
-   largest memory run on the domain. *)
-type icache = { mutable words : int array; mutable instrs : Isa.instr array }
+(* Annotated: an [int array] access needs no float-array check. *)
+let[@inline] r (regs : int array) i = Array.unsafe_get regs i
+let[@inline] set (regs : int array) d v = Array.unsafe_set regs d (v land mask32)
 
-let icache_key = Domain.DLS.new_key (fun () -> { words = [||]; instrs = [||] })
+(* Runs [budget] instructions, or fewer if an event stops it, executing
+   the word at pc through one match on its opcode. Each arm takes its
+   fields out as {!Isa.decode} does: rd = bits 20–23, rs = bits 16–19,
+   rt = bits 0–3, and the 16-bit immediate sign-extended for Movi,
+   Addi, Load, Store, Jmp, Jal and the branches, cut to 5 bits for the
+   shift-immediates, unsigned otherwise. Register indices are 4-bit
+   fields of a 16-entry array, so register accesses skip the bounds
+   check; fetches and loads check bounds themselves. The loop runs
+   until icount equals its start value + budget, in wrapping
+   arithmetic, so [limit - icount] stops at [limit] even when the
+   subtraction overflows. True iff it stopped on an event: halt, a
+   backend call, [Ei] or [Iret]. *)
+let kernel m backend ~budget =
+  let regs = m.regs and words = Memory.words m.mem in
+  let size = Array.length words in
+  let pc = ref m.pc and icount = ref m.icount and branches = ref m.branches in
+  let last = ref (if m.halted then m.icount else m.icount + budget) and stop = ref false in
+  while !icount <> !last do
+    let at = !pc in
+    if at < 0 || at >= size then
+      raise (fault_at m at !icount !branches "pc out of range: 0x%x" at);
+    let w = Array.unsafe_get words at in
+    let rd = (w lsr 20) land 15 and rs = (w lsr 16) land 15 and imm = w land 0xffff in
+    let rt = imm land 15 in
+    let next = at + 1 in
+    icount := !icount + 1;
+    pc := next;
+    match w lsr 24 with
+    | 0x00 (* halt *) ->
+      m.halted <- true;
+      stop := true;
+      last := !icount
+    | 0x01 (* nop *) -> ()
+    | 0x02 (* ei *) ->
+      m.int_enabled <- true;
+      stop := true;
+      last := !icount
+    | 0x03 (* di *) -> m.int_enabled <- false
+    | 0x04 (* iret *) ->
+      m.in_handler <- false;
+      m.int_enabled <- true;
+      pc := m.saved_pc;
+      stop := true;
+      last := !icount
+    | 0x05 (* mov *) -> set regs rd (r regs rs)
+    | 0x06 (* movi *) -> set regs rd (Isa.sext16 imm)
+    | 0x07 (* lui *) -> set regs rd (imm lsl 16)
+    | 0x10 (* add *) -> set regs rd (r regs rs + r regs rt)
+    | 0x11 (* sub *) -> set regs rd (r regs rs - r regs rt)
+    | 0x12 (* mul *) -> set regs rd (r regs rs * r regs rt)
+    | 0x13 (* div *) ->
+      let b = r regs rt in
+      set regs rd (if b = 0 then 0 else s (r regs rs) / s b)
+    | 0x14 (* rem *) ->
+      let b = r regs rt in
+      set regs rd (if b = 0 then 0 else s (r regs rs) mod s b)
+    | 0x15 (* and *) -> set regs rd (r regs rs land r regs rt)
+    | 0x16 (* or *) -> set regs rd (r regs rs lor r regs rt)
+    | 0x17 (* xor *) -> set regs rd (r regs rs lxor r regs rt)
+    | 0x18 (* shl *) -> set regs rd (r regs rs lsl (r regs rt land 31))
+    | 0x19 (* shr *) -> set regs rd (r regs rs lsr (r regs rt land 31))
+    | 0x1a (* sar *) -> set regs rd (s (r regs rs) asr (r regs rt land 31))
+    | 0x1b (* slt *) -> set regs rd (if s (r regs rs) < s (r regs rt) then 1 else 0)
+    | 0x1c (* sltu *) -> set regs rd (if r regs rs < r regs rt then 1 else 0)
+    | 0x1d (* seq *) -> set regs rd (if r regs rs = r regs rt then 1 else 0)
+    | 0x20 (* addi *) -> set regs rd (r regs rs + Isa.sext16 imm)
+    | 0x21 (* andi *) -> set regs rd (r regs rs land imm)
+    | 0x22 (* ori *) -> set regs rd (r regs rs lor imm)
+    | 0x23 (* xori *) -> set regs rd (r regs rs lxor imm)
+    | 0x24 (* shli *) -> set regs rd (r regs rs lsl (imm land 31))
+    | 0x25 (* shri *) -> set regs rd (r regs rs lsr (imm land 31))
+    | 0x26 (* sari *) -> set regs rd (s (r regs rs) asr (imm land 31))
+    | 0x30 (* load *) ->
+      let a = r regs rs + Isa.sext16 imm in
+      if a < 0 || a >= size then raise (fault_at m at !icount !branches "load fault at 0x%x" a);
+      set regs rd (Array.unsafe_get words a)
+    | 0x31 (* store *) ->
+      let a = r regs rs + Isa.sext16 imm in
+      if a < 0 || a >= size then raise (fault_at m at !icount !branches "store fault at 0x%x" a);
+      sync m at !icount !branches;
+      Memory.write m.mem a (r regs rd);
+      pc := m.pc + 1;
+      icount := m.icount;
+      branches := m.branches
+    | 0x40 (* jmp *) ->
+      incr branches;
+      pc := (next + Isa.sext16 imm) land mask32
+    | 0x41 (* jal *) ->
+      set regs rd next;
+      incr branches;
+      pc := (next + Isa.sext16 imm) land mask32
+    | 0x42 (* jr *) ->
+      incr branches;
+      pc := r regs rs
+    | 0x43 (* jalr *) ->
+      let target = r regs rs in
+      set regs rd next;
+      incr branches;
+      pc := target
+    | 0x44 (* beq *) ->
+      if r regs rd = r regs rs then begin
+        incr branches;
+        pc := (next + Isa.sext16 imm) land mask32
+      end
+    | 0x45 (* bne *) ->
+      if r regs rd <> r regs rs then begin
+        incr branches;
+        pc := (next + Isa.sext16 imm) land mask32
+      end
+    | 0x46 (* blt *) ->
+      if s (r regs rd) < s (r regs rs) then begin
+        incr branches;
+        pc := (next + Isa.sext16 imm) land mask32
+      end
+    | 0x47 (* bge *) ->
+      if s (r regs rd) >= s (r regs rs) then begin
+        incr branches;
+        pc := (next + Isa.sext16 imm) land mask32
+      end
+    | 0x48 (* bltu *) ->
+      if r regs rd < r regs rs then begin
+        incr branches;
+        pc := (next + Isa.sext16 imm) land mask32
+      end
+    | 0x49 (* bgeu *) ->
+      if r regs rd >= r regs rs then begin
+        incr branches;
+        pc := (next + Isa.sext16 imm) land mask32
+      end
+    | 0x50 (* in *) ->
+      sync m at !icount !branches;
+      let called = port_in m backend rd imm in
+      pc := m.pc + 1;
+      icount := m.icount;
+      branches := m.branches;
+      if called then begin
+        stop := true;
+        last := !icount
+      end
+    | 0x51 (* out *) ->
+      sync m at !icount !branches;
+      let called = port_out m backend rs imm in
+      pc := m.pc + 1;
+      icount := m.icount;
+      branches := m.branches;
+      if called then begin
+        stop := true;
+        last := !icount
+      end
+    | _ -> raise (fault_at m at (!icount - 1) !branches "bad opcode 0x%08x" w)
+  done;
+  sync m !pc !icount !branches;
+  !stop
 
-(* Looked up once per [step] or [run_until], so the instruction loop
-   makes no domain-local lookup. *)
-let icache m =
-  let c = Domain.DLS.get icache_key in
-  let n = Memory.size m.mem in
-  if Array.length c.words < n then begin
-    c.words <- Array.make n (-1);
-    c.instrs <- Array.make n Isa.Nop
-  end;
-  c
+(* One instruction, shown to the tracer first if one is installed.
+   The tracer sees the decoded instruction and the machine's pre-state,
+   so the traced path runs the kernel one instruction at a time and
+   keeps the state in the record between instructions. *)
+let one m backend =
+  (match m.tracer with
+  | None -> ()
+  | Some hook ->
+    let words = Memory.words m.mem and pc = m.pc in
+    if pc < 0 || pc >= Array.length words then
+      raise (fault_at m pc m.icount m.branches "pc out of range: 0x%x" pc);
+    let i =
+      try Isa.decode words.(pc)
+      with Isa.Decode_error w -> raise (fault_at m pc m.icount m.branches "bad opcode 0x%08x" w)
+    in
+    hook m i);
+  kernel m backend ~budget:1
 
-(* Reads the cache's fields on every call and indexes with bounds
-   checks: a run nested in a tracer or backend call may have grown the
-   arrays since the caller looked the cache up. *)
-let fetch m c =
-  let pc = m.pc in
-  let word =
-    try Memory.read m.mem pc with Memory.Fault a -> fault m (Printf.sprintf "pc out of range: 0x%x" a)
-  in
-  if c.words.(pc) = word then c.instrs.(pc)
-  else begin
-    let d = try Isa.decode word with Isa.Decode_error w -> fault m (Printf.sprintf "bad opcode 0x%08x" w) in
-    Avm_obs.Metrics.incr "machine.decodes";
-    c.words.(pc) <- word;
-    c.instrs.(pc) <- d;
-    d
-  end
-
-(* Runs the tracer and executes [i]. True iff [i] called the backend or
-   can have made a pending interrupt deliverable (Ei, Iret), or halted:
-   the instructions after which {!run_until} hands control back. *)
-let exec m backend i =
-  (match m.tracer with None -> () | Some hook -> hook m i);
-  m.icount <- m.icount + 1;
-  let next = m.pc + 1 in
-  match i with
-  | Isa.Halt ->
-    m.halted <- true;
-    m.pc <- next;
-    true
-  | Isa.Nop ->
-    m.pc <- next;
-    false
-  | Isa.Ei ->
-    m.int_enabled <- true;
-    m.pc <- next;
-    true
-  | Isa.Di ->
-    m.int_enabled <- false;
-    m.pc <- next;
-    false
-  | Isa.Iret ->
-    m.in_handler <- false;
-    m.int_enabled <- true;
-    m.pc <- m.saved_pc;
-    true
-  | Isa.Mov (d, sr) ->
-    set m d (r m sr);
-    m.pc <- next;
-    false
-  | Isa.Movi (d, v) ->
-    set m d v;
-    m.pc <- next;
-    false
-  | Isa.Lui (d, v) ->
-    set m d (v lsl 16);
-    m.pc <- next;
-    false
-  | Isa.Add (d, a, b) ->
-    set m d (r m a + r m b);
-    m.pc <- next;
-    false
-  | Isa.Sub (d, a, b) ->
-    set m d (r m a - r m b);
-    m.pc <- next;
-    false
-  | Isa.Mul (d, a, b) ->
-    set m d (r m a * r m b);
-    m.pc <- next;
-    false
-  | Isa.Div (d, a, b) ->
-    set m d (if r m b = 0 then 0 else s (r m a) / s (r m b));
-    m.pc <- next;
-    false
-  | Isa.Rem (d, a, b) ->
-    set m d (if r m b = 0 then 0 else s (r m a) mod s (r m b));
-    m.pc <- next;
-    false
-  | Isa.And (d, a, b) ->
-    set m d (r m a land r m b);
-    m.pc <- next;
-    false
-  | Isa.Or (d, a, b) ->
-    set m d (r m a lor r m b);
-    m.pc <- next;
-    false
-  | Isa.Xor (d, a, b) ->
-    set m d (r m a lxor r m b);
-    m.pc <- next;
-    false
-  | Isa.Shl (d, a, b) ->
-    set m d (r m a lsl (r m b land 31));
-    m.pc <- next;
-    false
-  | Isa.Shr (d, a, b) ->
-    set m d (r m a lsr (r m b land 31));
-    m.pc <- next;
-    false
-  | Isa.Sar (d, a, b) ->
-    set m d (s (r m a) asr (r m b land 31));
-    m.pc <- next;
-    false
-  | Isa.Slt (d, a, b) ->
-    set m d (if s (r m a) < s (r m b) then 1 else 0);
-    m.pc <- next;
-    false
-  | Isa.Sltu (d, a, b) ->
-    set m d (if r m a < r m b then 1 else 0);
-    m.pc <- next;
-    false
-  | Isa.Seq (d, a, b) ->
-    set m d (if r m a = r m b then 1 else 0);
-    m.pc <- next;
-    false
-  | Isa.Addi (d, a, v) ->
-    set m d (r m a + v);
-    m.pc <- next;
-    false
-  | Isa.Andi (d, a, v) ->
-    set m d (r m a land v);
-    m.pc <- next;
-    false
-  | Isa.Ori (d, a, v) ->
-    set m d (r m a lor v);
-    m.pc <- next;
-    false
-  | Isa.Xori (d, a, v) ->
-    set m d (r m a lxor v);
-    m.pc <- next;
-    false
-  | Isa.Shli (d, a, v) ->
-    set m d (r m a lsl v);
-    m.pc <- next;
-    false
-  | Isa.Shri (d, a, v) ->
-    set m d (r m a lsr v);
-    m.pc <- next;
-    false
-  | Isa.Sari (d, a, v) ->
-    set m d (s (r m a) asr v);
-    m.pc <- next;
-    false
-  | Isa.Load (d, a, off) ->
-    set m d (mem_read m (r m a + off));
-    m.pc <- next;
-    false
-  | Isa.Store (v, a, off) ->
-    mem_write m (r m a + off) (r m v);
-    m.pc <- next;
-    false
-  | Isa.Jmp off ->
-    jump m (next + off);
-    false
-  | Isa.Jal (d, off) ->
-    set m d next;
-    jump m (next + off);
-    false
-  | Isa.Jr a ->
-    jump m (r m a);
-    false
-  | Isa.Jalr (d, a) ->
-    let target = r m a in
-    set m d next;
-    jump m target;
-    false
-  | Isa.Beq (a, b, off) ->
-    branch m (r m a = r m b) next off;
-    false
-  | Isa.Bne (a, b, off) ->
-    branch m (r m a <> r m b) next off;
-    false
-  | Isa.Blt (a, b, off) ->
-    branch m (s (r m a) < s (r m b)) next off;
-    false
-  | Isa.Bge (a, b, off) ->
-    branch m (s (r m a) >= s (r m b)) next off;
-    false
-  | Isa.Bltu (a, b, off) ->
-    branch m (r m a < r m b) next off;
-    false
-  | Isa.Bgeu (a, b, off) ->
-    branch m (r m a >= r m b) next off;
-    false
-  | Isa.In (d, port) ->
-    set m d (handle_in m backend port);
-    m.pc <- next;
-    not (internal_in port)
-  | Isa.Out (sr, port) ->
-    handle_out m backend port (r m sr);
-    m.pc <- next;
-    not (internal_out port)
+let run_until m backend ~limit =
+  match m.tracer with
+  | None -> if m.icount < limit then ignore (kernel m backend ~budget:(limit - m.icount))
+  | Some _ ->
+    let stop = ref m.halted in
+    while (not !stop) && m.icount < limit do
+      stop := one m backend
+    done
 
 let step m backend =
   if m.halted then false
@@ -377,16 +360,9 @@ let step m backend =
       | Some line -> deliver_irq m line
       | None -> ()
     end;
-    ignore (exec m backend (fetch m (icache m)));
+    ignore (one m backend);
     not m.halted
   end
-
-let run_until m backend ~limit =
-  let c = icache m in
-  let stop = ref m.halted in
-  while (not !stop) && m.icount < limit do
-    stop := exec m backend (fetch m c)
-  done
 
 let run m backend ~fuel =
   let executed = ref 0 in

@@ -13,14 +13,16 @@
     the frame counter, the NET_TX assembly buffer) live inside the
     machine and are part of its snapshotted state.
 
-    Decoded instructions are cached per domain, not per machine: one
-    cache, keyed by address and checked against the word in memory at
-    every fetch, serves every machine that {!step}s or {!run_until}s on
-    that domain. Machines with different images, and code that stores
-    over itself, miss rather than run a stale decode. The cache grows
-    to the largest memory run on the domain (two arrays of that many
-    words) and is never shrunk; a machine itself holds no memory-sized
-    array besides its {!Memory.t}. Misses count as [machine.decodes]. *)
+    One kernel executes every instruction: it reads the 32-bit word at
+    pc and dispatches on its opcode byte, taking the fields out of the
+    word as {!Avm_isa.Isa.decode} would, so nothing is decoded ahead
+    or cached and code that stores over itself runs its new words. It
+    keeps pc, the instruction count and the branch count in locals and
+    writes them back before every backend call, store and fault, so
+    backends, watch hooks and faults see the machine exactly where the
+    instruction left it (DESIGN.md §27). With a tracer installed, each
+    instruction is decoded for the tracer and the kernel runs one
+    instruction at a time. *)
 
 type t
 
@@ -60,17 +62,18 @@ exception Runtime_fault of { pc : int; reason : string }
 
 val step : t -> backend -> bool
 (** [step m b] delivers at most one pending interrupt and executes one
-    instruction. Returns [false] iff the machine is (now) halted.
+    instruction: the kernel with a one-instruction limit. Returns
+    [false] iff the machine is (now) halted.
     @raise Runtime_fault on undefined behaviour (machine halts). *)
 
 val run : t -> backend -> fuel:int -> int
 (** [run m b ~fuel] steps until halt or [fuel] instructions; returns
-    instructions executed. The per-instruction reference that
-    {!run_until}'s callers are tested against. *)
+    instructions executed. It polls before every instruction, as
+    {!run_until}'s callers must behave as if they did. *)
 
 val run_until : t -> backend -> limit:int -> unit
-(** [run_until m b ~limit] executes instructions without ever
-    consulting [b.poll_irq] (DESIGN.md §22). It returns
+(** [run_until m b ~limit] runs the kernel without ever consulting
+    [b.poll_irq] (DESIGN.md §22, §27). It returns
     - when [icount m = limit] (at once if [icount m >= limit]);
     - when the machine halts;
     - after any instruction that called the backend ([io_in],
@@ -79,10 +82,12 @@ val run_until : t -> backend -> limit:int -> unit
     - after [Ei] or [Iret], the only instructions that can make a
       pending interrupt deliverable.
 
-    The tracer and memory watch hooks still run on every instruction.
-    Between two returns no interrupt is delivered, so a caller that
-    makes one {!step} at each return and passes the icount of its next
-    possible interrupt as [limit] executes exactly what {!run} would.
+    Memory watch hooks run on every store. With a tracer installed,
+    the tracer runs before every instruction and the kernel executes
+    one instruction at a time. Between two returns no interrupt is
+    delivered, so a caller that makes one {!step} at each return and
+    passes the icount of its next possible interrupt as [limit]
+    executes exactly what {!run} would.
     @raise Runtime_fault as {!step} does. *)
 
 val irq_deliverable : t -> bool
@@ -124,8 +129,10 @@ val set_tracer : t -> (t -> Avm_isa.Isa.instr -> unit) option -> unit
     called once per executed instruction, after decode and {e before}
     execution, with the machine's pre-state. This is the paper's §7.5
     hook — expensive analyses (taint tracking, profiling, watchpoints)
-    run during audit replay, never in the live system. Costs one
-    branch per instruction when unset. *)
+    run during audit replay, never in the live system. While one is
+    installed, every instruction is decoded with
+    {!Avm_isa.Isa.decode} and executed on its own; unset, it costs
+    one test per {!step} or {!run_until}. *)
 
 val state_words : t -> int
 (** Words of guest state held in arrays: memory plus every disk sector

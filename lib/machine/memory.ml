@@ -55,6 +55,8 @@ let read m addr =
   if addr < 0 || addr >= Array.length m.words then raise (Fault addr);
   m.words.(addr)
 
+let words m = m.words
+
 let write m addr v =
   if addr < 0 || addr >= Array.length m.words then raise (Fault addr);
   (match m.watch with

@@ -35,6 +35,10 @@ val read : t -> int -> int
 (** [read m addr] is the 32-bit word at [addr].
     @raise Fault when out of range. *)
 
+val words : t -> int array
+(** The word array, for the interpreter's bounds-checked fetches and
+    loads. Read only: a store through it skips stamp and watch hook. *)
+
 val write : t -> int -> int -> unit
 (** [write m addr v] stores the low 32 bits of [v] and stamps the
     page.

@@ -209,9 +209,9 @@ fn main() {
 
 (* --- Forensics over a real recorded log -------------------------------------------- *)
 
-let test_forensics_replay () =
-  (* Record a tiny accountable session, then replay it with all three
-     analyses attached. *)
+(* A tiny accountable session that adds clock reads into [acc]: its
+   image, its log entries and the address of [acc]. *)
+let acc_session () =
   let rng = Avm_util.Rng.create 9L in
   let ca = Avm_crypto.Identity.create_ca rng ~bits:512 "ca" in
   let solo = Avm_crypto.Identity.issue ca rng ~bits:512 "solo" in
@@ -243,6 +243,11 @@ fn main() {
     Avm_tamperlog.Log.segment log ~from:1 ~upto:(Avm_tamperlog.Log.length log)
   in
   let acc_addr = Avm_isa.Asm.symbol (Avm_mlang.Compile.compile ~stack_top:4096 src) "g_acc" in
+  (image, entries, acc_addr)
+
+let test_forensics_replay () =
+  (* Replay the session with all three analyses attached. *)
+  let image, entries, acc_addr = acc_session () in
   let taint = Taint.create () in
   let profile = Profile.create () in
   let watch = Watchpoints.create ~addrs:[ acc_addr ] in
@@ -262,6 +267,33 @@ fn main() {
   match r.Forensics.profile with
   | Some p -> Alcotest.(check bool) "profiled" true (Profile.instructions p > 10_000)
   | None -> Alcotest.fail "profile missing"
+
+let test_forensics_watch_untraced () =
+  (* A watchpoint alone installs no tracer, so replay runs the untraced
+     kernel; a profile installs one, so the same replay takes the
+     traced path. Both must see the same writes at the same icounts. *)
+  let image, entries, acc_addr = acc_session () in
+  let replay ?profile () =
+    let watch = Watchpoints.create ~addrs:[ acc_addr ] in
+    let r =
+      Forensics.replay ~image ~mem_words:4096 ~peers:[ (0, "solo") ] ~entries ?profile ~watch ()
+    in
+    (match r.Forensics.outcome with
+    | Avm_core.Replay.Verified _ -> ()
+    | o ->
+      Alcotest.failf "forensic replay diverged: %s"
+        (Format.asprintf "%a" Avm_core.Replay.pp_outcome o));
+    List.map (fun h -> Watchpoints.(h.at_icount, h.addr, h.old, h.value)) r.Forensics.watch_hits
+  in
+  let untraced = replay () in
+  let profile = Profile.create () in
+  let traced = replay ~profile () in
+  Alcotest.(check bool) "traced path ran" true (Profile.instructions profile > 10_000);
+  Alcotest.(check int) "acc write history" 1999 (List.length untraced);
+  Alcotest.(check (list (pair int (pair int (pair int int)))))
+    "same hits"
+    (List.map (fun (i, a, o, v) -> (i, (a, (o, v)))) traced)
+    (List.map (fun (i, a, o, v) -> (i, (a, (o, v)))) untraced)
 
 (* --- Secure input (§7.2) ------------------------------------------------------------- *)
 
@@ -354,7 +386,10 @@ let () =
         ] );
       ( "watchpoints", [ Alcotest.test_case "write history" `Quick test_watchpoints_history ] );
       ( "forensics",
-        [ Alcotest.test_case "replay with analyses" `Quick test_forensics_replay ] );
+        [
+          Alcotest.test_case "replay with analyses" `Quick test_forensics_replay;
+          Alcotest.test_case "watch hits: untraced = traced" `Quick test_forensics_watch_untraced;
+        ] );
       ( "secure-input",
         [
           Alcotest.test_case "attest/verify" `Quick test_secure_input_roundtrip;

@@ -564,22 +564,290 @@ let prop_event_roundtrip =
   in
   qtest "event: wire roundtrip" gen (fun ev -> Event.equal (Event.decode (Event.encode ev)) ev)
 
-(* --- Run-to-event kernel ≡ per-instruction stepping ------------------------ *)
+(* --- The reference interpreter --------------------------------------------- *)
 
-(* Random AVM-32 programs run twice: once through [Machine.run], which
-   steps and polls before every instruction, and once as "one [step],
-   then [run_until] the next scheduled interrupt, if one can be taken".
+(* The interpreter the word kernel replaced, kept as its oracle: it
+   decodes each word with [Isa.decode], polls before every
+   instruction and executes the decoded variant. Faults carry the
+   kernel's reasons. [to_machine] serializes its state in
+   [Machine.serialize_meta]'s layout, so its end state compares with a
+   machine's through [Machine.state_equal]. *)
+module Oracle = struct
+  type t = {
+    regs : int array;
+    mutable pc : int;
+    mutable icount : int;
+    mutable branches : int;
+    mem : Memory.t;
+    mutable halted : bool;
+    mutable int_enabled : bool;
+    mutable in_handler : bool;
+    mutable saved_pc : int;
+    mutable ivt : int;
+    mutable last_irq : int;
+    mutable tx : int list; (* reversed *)
+    mutable frames : int;
+    mutable console_chars : int;
+    disk : (int, int array) Hashtbl.t;
+    mutable disk_sector : int;
+    mutable disk_word : int;
+  }
+
+  let mask32 = 0xffffffff
+  let sector_words = 256
+
+  let create ~mem_words words =
+    let mem = Memory.create ~words:mem_words in
+    Memory.load_image mem words;
+    {
+      regs = Array.make 16 0; pc = 0; icount = 0; branches = 0; mem; halted = false;
+      int_enabled = false; in_handler = false; saved_pc = 0; ivt = 0; last_irq = 0; tx = [];
+      frames = 0; console_chars = 0; disk = Hashtbl.create 4; disk_sector = 0; disk_word = 0;
+    }
+
+  let landmark t = { Landmark.icount = t.icount; pc = t.pc; branches = t.branches }
+
+  let fault t reason =
+    t.halted <- true;
+    raise (Machine.Runtime_fault { pc = t.pc; reason })
+
+  let s v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
+  let r t i = t.regs.(i)
+  let set t i v = t.regs.(i) <- v land mask32
+
+  let sector t =
+    match Hashtbl.find_opt t.disk t.disk_sector with
+    | Some a -> a
+    | None ->
+      let a = Array.make sector_words 0 in
+      Hashtbl.replace t.disk t.disk_sector a;
+      a
+
+  let next_word t = t.disk_word <- (t.disk_word + 1) land (sector_words - 1)
+
+  let handle_in t (b : Machine.backend) port =
+    if port = Isa.port_disk_read then begin
+      let v = (sector t).(t.disk_word) in
+      next_word t;
+      v
+    end
+    else if port = Isa.port_irq_cause then t.last_irq
+    else b.io_in port land mask32
+
+  let handle_out t (b : Machine.backend) port v =
+    if port = Isa.port_console then begin
+      t.console_chars <- t.console_chars + 1;
+      b.observe (Machine.Console v)
+    end
+    else if port = Isa.port_frame then begin
+      t.frames <- t.frames + 1;
+      b.observe Machine.Frame
+    end
+    else if port = Isa.port_net_tx then t.tx <- v :: t.tx
+    else if port = Isa.port_net_tx_send then begin
+      let packet = Array.of_list (List.rev t.tx) in
+      t.tx <- [];
+      b.observe (Machine.Packet_sent packet)
+    end
+    else if port = Isa.port_disk_sector then t.disk_sector <- v
+    else if port = Isa.port_disk_word then t.disk_word <- v land (sector_words - 1)
+    else if port = Isa.port_disk_write then begin
+      (sector t).(t.disk_word) <- v;
+      next_word t
+    end
+    else if port = Isa.port_ivt then t.ivt <- v
+    else b.io_out port v
+
+  let load t a =
+    try Memory.read t.mem a with Memory.Fault a -> fault t (Printf.sprintf "load fault at 0x%x" a)
+
+  let store t a v =
+    try Memory.write t.mem a v
+    with Memory.Fault a -> fault t (Printf.sprintf "store fault at 0x%x" a)
+
+  let jump t target =
+    t.branches <- t.branches + 1;
+    t.pc <- target land mask32
+
+  let exec t b i =
+    t.icount <- t.icount + 1;
+    let next = t.pc + 1 in
+    let alu d v =
+      set t d v;
+      t.pc <- next
+    in
+    let branch cond off = if cond then jump t (next + off) else t.pc <- next in
+    match i with
+    | Isa.Halt ->
+      t.halted <- true;
+      t.pc <- next
+    | Isa.Nop -> t.pc <- next
+    | Isa.Ei ->
+      t.int_enabled <- true;
+      t.pc <- next
+    | Isa.Di ->
+      t.int_enabled <- false;
+      t.pc <- next
+    | Isa.Iret ->
+      t.in_handler <- false;
+      t.int_enabled <- true;
+      t.pc <- t.saved_pc
+    | Isa.Mov (d, a) -> alu d (r t a)
+    | Isa.Movi (d, v) -> alu d v
+    | Isa.Lui (d, v) -> alu d (v lsl 16)
+    | Isa.Add (d, a, c) -> alu d (r t a + r t c)
+    | Isa.Sub (d, a, c) -> alu d (r t a - r t c)
+    | Isa.Mul (d, a, c) -> alu d (r t a * r t c)
+    | Isa.Div (d, a, c) -> alu d (if r t c = 0 then 0 else s (r t a) / s (r t c))
+    | Isa.Rem (d, a, c) -> alu d (if r t c = 0 then 0 else s (r t a) mod s (r t c))
+    | Isa.And (d, a, c) -> alu d (r t a land r t c)
+    | Isa.Or (d, a, c) -> alu d (r t a lor r t c)
+    | Isa.Xor (d, a, c) -> alu d (r t a lxor r t c)
+    | Isa.Shl (d, a, c) -> alu d (r t a lsl (r t c land 31))
+    | Isa.Shr (d, a, c) -> alu d (r t a lsr (r t c land 31))
+    | Isa.Sar (d, a, c) -> alu d (s (r t a) asr (r t c land 31))
+    | Isa.Slt (d, a, c) -> alu d (if s (r t a) < s (r t c) then 1 else 0)
+    | Isa.Sltu (d, a, c) -> alu d (if r t a < r t c then 1 else 0)
+    | Isa.Seq (d, a, c) -> alu d (if r t a = r t c then 1 else 0)
+    | Isa.Addi (d, a, v) -> alu d (r t a + v)
+    | Isa.Andi (d, a, v) -> alu d (r t a land v)
+    | Isa.Ori (d, a, v) -> alu d (r t a lor v)
+    | Isa.Xori (d, a, v) -> alu d (r t a lxor v)
+    | Isa.Shli (d, a, v) -> alu d (r t a lsl v)
+    | Isa.Shri (d, a, v) -> alu d (r t a lsr v)
+    | Isa.Sari (d, a, v) -> alu d (s (r t a) asr v)
+    | Isa.Load (d, a, off) -> alu d (load t (r t a + off))
+    | Isa.Store (v, a, off) ->
+      store t (r t a + off) (r t v);
+      t.pc <- next
+    | Isa.Jmp off -> jump t (next + off)
+    | Isa.Jal (d, off) ->
+      set t d next;
+      jump t (next + off)
+    | Isa.Jr a -> jump t (r t a)
+    | Isa.Jalr (d, a) ->
+      let target = r t a in
+      set t d next;
+      jump t target
+    | Isa.Beq (a, c, off) -> branch (r t a = r t c) off
+    | Isa.Bne (a, c, off) -> branch (r t a <> r t c) off
+    | Isa.Blt (a, c, off) -> branch (s (r t a) < s (r t c)) off
+    | Isa.Bge (a, c, off) -> branch (s (r t a) >= s (r t c)) off
+    | Isa.Bltu (a, c, off) -> branch (r t a < r t c) off
+    | Isa.Bgeu (a, c, off) -> branch (r t a >= r t c) off
+    | Isa.In (d, port) -> alu d (handle_in t b port)
+    | Isa.Out (a, port) ->
+      handle_out t b port (r t a);
+      t.pc <- next
+
+  (* One poll and one instruction, as [Machine.step] does; [tracer]
+     sees the decoded instruction before it runs. *)
+  let step ?(tracer = fun _ -> ()) t (b : Machine.backend) =
+    if not t.halted then begin
+      if t.int_enabled && not t.in_handler then begin
+        match b.poll_irq () with
+        | Some line ->
+          t.saved_pc <- t.pc;
+          t.pc <- t.ivt;
+          t.in_handler <- true;
+          t.int_enabled <- false;
+          t.last_irq <- line
+        | None -> ()
+      end;
+      let word =
+        try Memory.read t.mem t.pc
+        with Memory.Fault a -> fault t (Printf.sprintf "pc out of range: 0x%x" a)
+      in
+      let i =
+        try Isa.decode word
+        with Isa.Decode_error w -> fault t (Printf.sprintf "bad opcode 0x%08x" w)
+      in
+      tracer i;
+      exec t b i
+    end
+
+  let run ?tracer t b ~fuel =
+    let executed = ref 0 in
+    while (not t.halted) && !executed < fuel do
+      step ?tracer t b;
+      incr executed
+    done
+
+  (* [Machine.serialize_meta]'s layout. *)
+  let meta t =
+    let open Avm_util in
+    let w = Wire.writer () in
+    Array.iter (Wire.u32 w) t.regs;
+    List.iter (Wire.varint w) [ t.pc; t.icount; t.branches ];
+    List.iter (Wire.bool w) [ t.halted; t.int_enabled; t.in_handler ];
+    List.iter (Wire.varint w) [ t.saved_pc; t.ivt; t.last_irq ];
+    Wire.list w Wire.u32 (List.rev t.tx);
+    List.iter (Wire.varint w) [ t.frames; t.console_chars; t.disk_sector; t.disk_word ];
+    Wire.list w
+      (fun w (n, data) ->
+        Wire.varint w n;
+        Array.iter (Wire.u32 w) data)
+      (List.sort compare (Hashtbl.fold (fun n data acc -> (n, data) :: acc) t.disk []));
+    Wire.contents w
+
+  let to_machine t =
+    let m = Machine.create ~mem_words:(Memory.size t.mem) [||] in
+    Machine.restore_meta m (meta t);
+    for a = 0 to Memory.size t.mem - 1 do
+      Memory.write (Machine.mem m) a (Memory.read t.mem a)
+    done;
+    m
+end
+
+let check_same_machine what expected got =
+  Alcotest.(check string) (what ^ ": meta") (Machine.serialize_meta expected)
+    (Machine.serialize_meta got);
+  Alcotest.(check bool) (what ^ ": memory") true (Machine.state_equal expected got)
+
+let catch_fault f =
+  try
+    f ();
+    None
+  with Machine.Runtime_fault { pc; reason } -> Some (pc, reason)
+
+(* --- Word kernel ≡ reference interpreter ----------------------------------- *)
+
+(* Random AVM-32 programs run on the oracle, which polls before every
+   instruction, and on the machine twice with no tracer: through
+   [Machine.run], and as "one [step], then [run_until] the next
+   scheduled interrupt, if one can be taken". Then the oracle and the
+   kernel-driven machine run again with a tracer (the traced path).
    The backend fires interrupts at scripted icounts and logs every call
-   with the landmark it was made at, and the tracer logs every
-   instruction; the two logs, the final state and any fault must be
-   identical. *)
+   with the landmark it was made at, as a memory watch hook logs every
+   store; the logs, the final state and any fault must be identical.
+   Words include undefined opcodes and random bits in the fields an
+   instruction ignores. *)
 type kernel_case = { words : int array; irqs : int list; fuel : int }
+
+(* The bits of [i]'s encoding that [Isa.decode] ignores, or (for the
+   shift-immediates) masks off. *)
+let unused_bits = function
+  | Isa.Halt | Isa.Nop | Isa.Ei | Isa.Di | Isa.Iret -> 0xffffff
+  | Isa.Mov _ | Isa.Jalr _ -> 0xffff
+  | Isa.Movi _ | Isa.Lui _ | Isa.Jal _ | Isa.In _ -> 0xf0000
+  | Isa.Add _ | Isa.Sub _ | Isa.Mul _ | Isa.Div _ | Isa.Rem _ | Isa.And _ | Isa.Or _
+  | Isa.Xor _ | Isa.Shl _ | Isa.Shr _ | Isa.Sar _ | Isa.Slt _ | Isa.Sltu _ | Isa.Seq _ ->
+    0xfff0
+  | Isa.Shli _ | Isa.Shri _ | Isa.Sari _ -> 0xffe0
+  | Isa.Jmp _ -> 0xff0000
+  | Isa.Jr _ -> 0xf0ffff
+  | Isa.Out _ -> 0xf00000
+  | Isa.Addi _ | Isa.Andi _ | Isa.Ori _ | Isa.Xori _ | Isa.Load _ | Isa.Store _ | Isa.Beq _
+  | Isa.Bne _ | Isa.Blt _ | Isa.Bge _ | Isa.Bltu _ | Isa.Bgeu _ ->
+    0
 
 let gen_kernel_case =
   let open QCheck2.Gen in
   let reg = int_range 0 7 in
   let rrr f = map3 f reg reg reg in
   let off = int_range (-6) 6 in
+  let imm16 = int_range (-0x8000) 0x7fff and uimm16 = int_bound 0xffff in
+  let shift = int_bound 31 in
   let port l = oneofl l in
   let backend_in = port Isa.[ port_clock; port_rng; port_input; port_net_rx; 0x99 ] in
   let internal_in = port Isa.[ port_disk_read; port_irq_cause ] in
@@ -601,18 +869,37 @@ let gen_kernel_case =
         (1, rrr (fun d a b -> Isa.Sar (d, a, b)));
         (1, rrr (fun d a b -> Isa.Slt (d, a, b)));
         (1, rrr (fun d a b -> Isa.Sltu (d, a, b)));
+        (1, rrr (fun d a b -> Isa.And (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Or (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Shl (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Shr (d, a, b)));
+        (1, rrr (fun d a b -> Isa.Seq (d, a, b)));
+        (1, map2 (fun d a -> Isa.Mov (d, a)) reg reg);
         (3, map2 (fun d v -> Isa.Movi (d, v)) reg (int_range (-4) 40));
+        (1, map2 (fun d v -> Isa.Movi (d, v)) reg imm16);
+        (1, map2 (fun d v -> Isa.Lui (d, v)) reg uimm16);
         (1, map3 (fun d a v -> Isa.Addi (d, a, v)) reg reg (int_range (-8) 8));
+        (1, map3 (fun d a v -> Isa.Addi (d, a, v)) reg reg imm16);
+        (1, map3 (fun d a v -> Isa.Andi (d, a, v)) reg reg uimm16);
+        (1, map3 (fun d a v -> Isa.Ori (d, a, v)) reg reg uimm16);
+        (1, map3 (fun d a v -> Isa.Xori (d, a, v)) reg reg uimm16);
+        (1, map3 (fun d a v -> Isa.Shli (d, a, v)) reg reg shift);
+        (1, map3 (fun d a v -> Isa.Shri (d, a, v)) reg reg shift);
+        (1, map3 (fun d a v -> Isa.Sari (d, a, v)) reg reg shift);
         (* Memory is 256 words: some accesses fault. *)
         (2, map3 (fun d a v -> Isa.Load (d, a, v)) reg reg (int_range (-2) 280));
         (2, map3 (fun d a v -> Isa.Store (d, a, v)) reg reg (int_range (-2) 280));
         (1, map (fun o -> Isa.Jmp o) off);
         (1, map2 (fun d o -> Isa.Jal (d, o)) reg off);
         (1, map (fun a -> Isa.Jr a) reg);
+        (1, map2 (fun d a -> Isa.Jalr (d, a)) reg reg);
         (1, map3 (fun a b o -> Isa.Beq (a, b, o)) reg reg off);
         (1, map3 (fun a b o -> Isa.Bne (a, b, o)) reg reg off);
         (1, map3 (fun a b o -> Isa.Blt (a, b, o)) reg reg off);
+        (1, map3 (fun a b o -> Isa.Bge (a, b, o)) reg reg off);
+        (1, map3 (fun a b o -> Isa.Bltu (a, b, o)) reg reg off);
         (1, map3 (fun a b o -> Isa.Bgeu (a, b, o)) reg reg off);
+        (1, pure Isa.Nop);
         (2, pure Isa.Ei);
         (1, pure Isa.Di);
         (2, pure Isa.Iret);
@@ -625,9 +912,14 @@ let gen_kernel_case =
   let word =
     frequency
       [
-        (60, map Isa.encode instr);
+        ( 60,
+          map2
+            (fun i junk -> Isa.encode i lor (junk land unused_bits i))
+            instr (int_bound 0xffffff) );
         (1, pure (Isa.encode Isa.Halt));
         (1, pure 0xff000000 (* undefined opcode *));
+        (* Any opcode byte, most of them undefined, and any fields. *)
+        (2, map2 (fun op low -> (op lsl 24) lor low) (int_range 0 255) (int_bound 0xffffff));
       ]
   in
   map3
@@ -643,14 +935,19 @@ let print_kernel_case c =
     (String.concat "\n"
        (Array.to_list
           (Array.map
-             (fun w -> try Isa.to_string (Isa.decode w) with Isa.Decode_error _ -> "<bad>")
+             (fun w ->
+               Printf.sprintf "%08x %s" w
+                 (try Isa.to_string (Isa.decode w) with Isa.Decode_error _ -> "<bad>"))
              c.words)))
 
-(* One execution: the call log (newest first), the final state, the fault. *)
-let run_kernel_case ~kernel c =
+(* One execution in [mode]: the call log (newest first), the final
+   state as a machine, the fault. *)
+let run_kernel_case ~traced mode c =
   let m = Machine.create ~mem_words:256 c.words in
+  let o = Oracle.create ~mem_words:256 c.words in
+  let at () = if mode = `Oracle then Oracle.landmark o else Machine.landmark m in
   let log = ref [] in
-  let note s = log := Printf.sprintf "%s %s" (Landmark.to_string (Machine.landmark m)) s :: !log in
+  let note s = log := Printf.sprintf "%s %s" (Landmark.to_string (at ())) s :: !log in
   let pending = ref c.irqs in
   let inputs = ref 0 in
   let backend =
@@ -671,7 +968,7 @@ let run_kernel_case ~kernel c =
               "packet " ^ String.concat "," (Array.to_list (Array.map string_of_int p))));
       poll_irq =
         (fun () ->
-          let now = Machine.icount m in
+          let now = (at ()).Landmark.icount in
           if List.mem now !pending then begin
             pending := List.filter (( <> ) now) !pending;
             note "irq";
@@ -680,37 +977,50 @@ let run_kernel_case ~kernel c =
           else None);
     }
   in
-  Machine.set_tracer m
-    (Some (fun m i -> note (Isa.to_string i ^ " @" ^ string_of_int (Machine.pc m))));
+  let tracer i = note (Isa.to_string i) in
+  if traced then Machine.set_tracer m (Some (fun _ i -> tracer i));
+  (* Memory watch hooks see the landmark mid-instruction. *)
+  List.iter
+    (fun mem ->
+      Memory.set_watch mem
+        (Some (fun a ~old ~value -> note (Printf.sprintf "write %d %d->%d" a old value))))
+    [ Machine.mem m; o.Oracle.mem ];
   let next_irq () =
     let now = Machine.icount m in
     List.fold_left (fun acc at -> if at >= now then min acc at else acc) max_int !pending
   in
   let fault =
-    try
-      if kernel then
-        while (not (Machine.halted m)) && Machine.icount m < c.fuel do
-          ignore (Machine.step m backend);
-          (* As the AVMM does: a masked interrupt bounds nothing, since
-             only a stop can unmask it. *)
-          let irq = if Machine.irq_deliverable m then next_irq () else max_int in
-          Machine.run_until m backend ~limit:(min c.fuel irq)
-        done
-      else ignore (Machine.run m backend ~fuel:c.fuel);
-      None
-    with Machine.Runtime_fault { pc; reason } -> Some (pc, reason)
+    catch_fault (fun () ->
+        match mode with
+        | `Oracle ->
+          Oracle.run ?tracer:(if traced then Some tracer else None) o backend ~fuel:c.fuel
+        | `Run -> ignore (Machine.run m backend ~fuel:c.fuel)
+        | `Kernel ->
+          while (not (Machine.halted m)) && Machine.icount m < c.fuel do
+            ignore (Machine.step m backend);
+            (* As the AVMM does: a masked interrupt bounds nothing, since
+               only a stop can unmask it. *)
+            let irq = if Machine.irq_deliverable m then next_irq () else max_int in
+            Machine.run_until m backend ~limit:(min c.fuel irq)
+          done)
   in
-  (!log, m, fault)
+  (!log, (if mode = `Oracle then Oracle.to_machine o else m), fault)
 
 let prop_kernel_matches_stepping =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
     (QCheck2.Test.make ~count:500 ~name:"run_until kernel = per-instruction run"
        ~print:print_kernel_case gen_kernel_case (fun c ->
-         let log_r, m_r, fault_r = run_kernel_case ~kernel:false c in
-         let log_k, m_k, fault_k = run_kernel_case ~kernel:true c in
-         log_r = log_k
-         && String.equal (Machine.serialize_meta m_r) (Machine.serialize_meta m_k)
-         && Machine.state_equal m_r m_k && fault_r = fault_k))
+         let same (log_r, m_r, fault_r) (log, m, fault) =
+           log_r = log
+           && String.equal (Machine.serialize_meta m_r) (Machine.serialize_meta m)
+           && Machine.state_equal m_r m && fault_r = fault
+         in
+         let reference = run_kernel_case ~traced:false `Oracle c in
+         same reference (run_kernel_case ~traced:false `Run c)
+         && same reference (run_kernel_case ~traced:false `Kernel c)
+         && same
+              (run_kernel_case ~traced:true `Oracle c)
+              (run_kernel_case ~traced:true `Kernel c)))
 
 let test_run_until_stops () =
   (* The stop rules one at a time: the limit, a backend call, Ei, halt;
@@ -735,7 +1045,7 @@ let test_run_until_stops () =
   Alcotest.(check int) "halted: no progress" 9 (stop max_int);
   Alcotest.(check int) "never polled" 0 !polls
 
-(* --- The per-domain decode cache ------------------------------------------- *)
+(* --- The kernel against the oracle, case by case --------------------------- *)
 
 (* Two loops with different code at the same addresses. *)
 let loop_a =
@@ -752,30 +1062,21 @@ let loop_b =
 
 let marks_string marks = String.concat " " (List.rev_map Landmark.to_string marks)
 
-let check_same_machine what expected got =
-  Alcotest.(check string) (what ^ ": meta") (Machine.serialize_meta expected)
-    (Machine.serialize_meta got);
-  Alcotest.(check bool) (what ^ ": memory") true (Machine.state_equal expected got)
-
-(* [slices] runs of [slice] instructions through [Machine.run] on a
-   fresh machine: the landmark after each, and the machine. *)
+(* [slices] runs of [slice] instructions on the oracle: the landmark
+   after each, and the end state. *)
 let reference_slices ~mem_words ~slice ~slices instrs =
-  let m = Machine.create ~mem_words (image instrs) in
+  let o = Oracle.create ~mem_words (image instrs) in
   let marks = ref [] in
   for _ = 1 to slices do
-    ignore (Machine.run m Machine.null_backend ~fuel:slice);
-    marks := Machine.landmark m :: !marks
+    Oracle.run o Machine.null_backend ~fuel:slice;
+    marks := Oracle.landmark o :: !marks
   done;
-  (!marks, m)
+  (!marks, Oracle.to_machine o)
 
-(* Each reference runs alone on a domain of its own, so its cache has
-   never seen the other image. *)
-let alone f = Domain.join (Domain.spawn f)
-
-let test_icache_machines_alternate () =
+let test_kernel_machines_alternate () =
   let slice = 37 and slices = 60 in
-  let ref_a, end_a = alone (fun () -> reference_slices ~mem_words:1024 ~slice ~slices loop_a) in
-  let ref_b, end_b = alone (fun () -> reference_slices ~mem_words:1024 ~slice ~slices loop_b) in
+  let ref_a, end_a = reference_slices ~mem_words:1024 ~slice ~slices loop_a in
+  let ref_b, end_b = reference_slices ~mem_words:1024 ~slice ~slices loop_b in
   let ma = Machine.create ~mem_words:1024 (image loop_a) in
   let mb = Machine.create ~mem_words:1024 (image loop_b) in
   let marks_a = ref [] and marks_b = ref [] in
@@ -791,10 +1092,41 @@ let test_icache_machines_alternate () =
   check_same_machine "a" end_a ma;
   check_same_machine "b" end_b mb
 
-let test_icache_self_modifying () =
+(* The ways to run a machine until it halts or faults. *)
+let modes =
+  [
+    ( "step",
+      fun m ->
+        let n = ref 0 in
+        while !n < 100_000 && Machine.step m Machine.null_backend do
+          incr n
+        done );
+    ("run", fun m -> ignore (Machine.run m Machine.null_backend ~fuel:100_000));
+    ("run_until", fun m -> Machine.run_until m Machine.null_backend ~limit:max_int);
+  ]
+
+(* Runs [prog] on the oracle and in every mode; the faults and
+   the end states must agree. *)
+let check_modes ?(mem_words = 4096) ?(check = fun _ _ -> ()) what prog =
+  let o = Oracle.create ~mem_words (image prog) in
+  let fault = catch_fault (fun () -> Oracle.run o Machine.null_backend ~fuel:100_000) in
+  let expected = Oracle.to_machine o in
+  check (what ^ " reference") expected;
+  List.iter
+    (fun (name, drive) ->
+      let what = what ^ " " ^ name in
+      let m = Machine.create ~mem_words (image prog) in
+      Alcotest.(check (option (pair int string)))
+        (what ^ ": fault") fault
+        (catch_fault (fun () -> drive m));
+      check what m;
+      check_same_machine what expected m)
+    modes
+
+let test_kernel_self_modifying () =
   (* The second pass stores [Movi (2, 42)] over the instruction right
-     after the store, which the first pass has already executed (and
-     so cached) as [Movi (2, 1)]. *)
+     after the store, which the first pass has already executed as
+     [Movi (2, 1)]. *)
   let prog =
     [
       Isa.Load (5, 0, 10); Isa.Movi (4, 2); Isa.Addi (3, 3, 1); Isa.Bne (3, 4, 1);
@@ -802,19 +1134,12 @@ let test_icache_self_modifying () =
       Isa.Nop; Isa.Movi (2, 42);
     ]
   in
-  let check what m =
-    Alcotest.(check bool) (what ^ ": halted") true (Machine.halted m);
-    Alcotest.(check int) (what ^ ": new word ran") 42 (Machine.reg m 2);
-    Alcotest.(check int) (what ^ ": old word ran first") 43 (Machine.reg m 7)
-  in
-  let by_run = run_image prog in
-  check "run" by_run;
-  let by_kernel = Machine.create ~mem_words:4096 (image prog) in
-  Machine.run_until by_kernel Machine.null_backend ~limit:max_int;
-  check "run_until" by_kernel;
-  check_same_machine "run = run_until" by_run by_kernel
+  check_modes "store over" prog ~check:(fun what m ->
+      Alcotest.(check bool) (what ^ ": halted") true (Machine.halted m);
+      Alcotest.(check int) (what ^ ": new word ran") 42 (Machine.reg m 2);
+      Alcotest.(check int) (what ^ ": old word ran first") 43 (Machine.reg m 7))
 
-let test_icache_two_domains () =
+let test_kernel_two_domains () =
   let work mem_words instrs =
     let m = Machine.create ~mem_words (image instrs) in
     while Machine.icount m < 200_000 do
@@ -830,24 +1155,57 @@ let test_icache_two_domains () =
   check_same_machine "a" seq_a par_a;
   check_same_machine "b" seq_b par_b
 
-let test_icache_nested_growth () =
-  (* A tracer runs a machine with more memory in the middle of an outer
-     [run_until], growing the cache under it. *)
-  let _, expected = reference_slices ~mem_words:512 ~slice:300 ~slices:1 loop_a in
+let test_kernel_faults () =
+  (* Each program takes two branches, then faults: the fault, pc,
+     icount, branch count and the rest of the state must be the
+     oracle's. *)
+  let faulting last = [ Isa.Movi (3, 3); Isa.Addi (3, 3, -1); Isa.Bne (3, 0, -2) ] @ last in
+  let cases =
+    [
+      ("load past the end", faulting [ Isa.Movi (1, 200); Isa.Load (2, 1, 100) ]);
+      ("load below zero", faulting [ Isa.Load (2, 0, -1) ]);
+      ("store past the end", faulting [ Isa.Movi (1, 200); Isa.Store (2, 1, 56) ]);
+      ("pc out of range", faulting [ Isa.Jmp 300 ]);
+      ("jr out of range", faulting [ Isa.Lui (1, 0xffff); Isa.Jr 1 ]);
+    ]
+  in
+  List.iter (fun (what, prog) -> check_modes ~mem_words:256 what prog) cases;
+  let undefined = Array.append (image (faulting [ Isa.Movi (1, 5) ])) [| 0x0800_1234 |] in
+  let o = Oracle.create ~mem_words:256 undefined in
+  let fault = catch_fault (fun () -> Oracle.run o Machine.null_backend ~fuel:100) in
+  Alcotest.(check bool) "undefined opcode faults" true (fault <> None);
+  List.iter
+    (fun (name, drive) ->
+      let m = Machine.create ~mem_words:256 undefined in
+      Alcotest.(check (option (pair int string)))
+        ("undefined opcode " ^ name) fault
+        (catch_fault (fun () -> drive m));
+      check_same_machine ("undefined opcode " ^ name) (Oracle.to_machine o) m)
+    modes
+
+let test_kernel_nested () =
+  (* A tracer on one machine runs a second machine in the middle of the
+     first's [run_until]: the untraced kernel nests inside the traced
+     path, and each machine must end where the oracle does. *)
+  let _, outer_ref = reference_slices ~mem_words:512 ~slice:300 ~slices:1 loop_a in
+  let _, inner_ref = reference_slices ~mem_words:16384 ~slice:100 ~slices:1 loop_b in
   let outer = Machine.create ~mem_words:512 (image loop_a) in
-  let inner_runs = ref 0 in
+  let inner = ref None in
   Machine.set_tracer outer
     (Some
        (fun m _ ->
          if Machine.icount m = 50 then begin
-           incr inner_runs;
-           let inner = Machine.create ~mem_words:16384 (image loop_b) in
-           Machine.run_until inner Machine.null_backend ~limit:100
+           Alcotest.(check bool) "one nested run" true (!inner = None);
+           let i = Machine.create ~mem_words:16384 (image loop_b) in
+           Machine.run_until i Machine.null_backend ~limit:100;
+           inner := Some i
          end));
   Machine.run_until outer Machine.null_backend ~limit:300;
-  Alcotest.(check int) "inner ran" 1 !inner_runs;
   Machine.set_tracer outer None;
-  check_same_machine "outer" expected outer
+  check_same_machine "outer" outer_ref outer;
+  match !inner with
+  | Some i -> check_same_machine "inner" inner_ref i
+  | None -> Alcotest.fail "the nested run never ran"
 
 (* --- Partial state (paper §4.4 / §7.3) ------------------------------------- *)
 
@@ -911,14 +1269,12 @@ let () =
         [
           Alcotest.test_case "run_until stop rules" `Quick test_run_until_stops;
           prop_kernel_matches_stepping;
-        ] );
-      ( "decode-cache",
-        [
           Alcotest.test_case "two images alternate on one domain" `Quick
-            test_icache_machines_alternate;
-          Alcotest.test_case "store over the next instruction" `Quick test_icache_self_modifying;
-          Alcotest.test_case "two domains at once" `Quick test_icache_two_domains;
-          Alcotest.test_case "nested run grows the cache" `Quick test_icache_nested_growth;
+            test_kernel_machines_alternate;
+          Alcotest.test_case "store over the next instruction" `Quick test_kernel_self_modifying;
+          Alcotest.test_case "two domains at once" `Quick test_kernel_two_domains;
+          Alcotest.test_case "faults leave the reference state" `Quick test_kernel_faults;
+          Alcotest.test_case "nested run on a second machine" `Quick test_kernel_nested;
         ] );
       ( "devices",
         [
