@@ -100,66 +100,66 @@ backend-crosscheck:
 fault-smoke:
 	dune exec bin/avm_fault_sweep.exe -- --seconds 3
 
+# The fleet-shaped scenarios (DESIGN.md §28) all run through one
+# driver, avm_bench <scenario>: it runs the scenario's spec and then
+# its twin, and exits non-zero on any breach Fleet_harness.check
+# names — a planted cheat not flagged by the end of its own epoch, an
+# honest node flagged, an epoch below 100% witness coverage, a twin
+# whose verdict signature differs, a daemon session left undrained,
+# p99 lag above the bound, an equivocation proof that fails
+# standalone. Smoke reports land under _build/; the *-bench targets
+# refresh the committed BENCH_<scenario>.json.
+
 # Fleet-scale witness auditing (DESIGN.md §13): 200 event-driven nodes
-# for 3 epochs on the witness-graph topology, with a cheating minority.
-# The binary exits non-zero unless every epoch reaches 100% witness
-# coverage, every planted cheat is detected with zero false flags, and
-# the verdict vector is identical at auditor jobs 1 and 4.
+# for 3 epochs on the witness-graph topology over a lossy wire, with a
+# cheating minority; the twin runs the auditor at jobs 4.
 fleet-smoke:
-	dune exec bin/avm_fleet.exe -- --nodes 200 --epochs 3
+	@mkdir -p _build
+	dune exec bin/avm_bench.exe -- fleet --smoke --out _build/BENCH_fleet.smoke.json
 
-# Full 10k-node fleet bench (slow): refreshes the committed BENCH_fleet.json.
+# Full 10k-node fleet bench: refreshes the committed BENCH_fleet.json.
 fleet-bench:
-	dune exec bench/fleet_bench.exe -- --out BENCH_fleet.json
+	dune exec bin/avm_bench.exe -- fleet
 
-# Deduplicated re-execution (DESIGN.md §14): a small fleet audited
-# twice from the same seed, cache off then on. The bench exits
-# non-zero unless the two verdict vectors are byte-identical, every
-# planted cheat is detected in both passes, and the cache-on pass
-# actually hits (hit rate > 0).
+# Deduplicated re-execution (DESIGN.md §14): a 300-node fleet audited
+# with the replay cache, then without it; the verdict signatures must
+# be byte-identical and the cached run must hit.
 dedup-smoke:
 	@mkdir -p _build
-	dune exec bench/dedup_bench.exe -- --smoke --out _build/BENCH_dedup.smoke.json
-	@cat _build/BENCH_dedup.smoke.json
+	dune exec bin/avm_bench.exe -- dedup --smoke --out _build/BENCH_dedup.smoke.json
 
-# Full dedup bench (slow): refreshes the committed BENCH_dedup.json.
+# Full dedup bench: refreshes the committed BENCH_dedup.json.
 dedup-bench:
-	dune exec bench/dedup_bench.exe -- --out BENCH_dedup.json
+	dune exec bin/avm_bench.exe -- dedup
 
-# Auditor-as-a-service (DESIGN.md §15): 50 live sessions streamed
-# into one daemon with a cheating minority poked (or log-rewritten)
-# mid-session. The binary exits non-zero unless every planted cheat
-# is detected before its session closes, no honest session is
-# flagged, p99 audit lag stays within the bound, and the verdict
-# vector is identical at pump jobs 1 and 4. The metrics snapshot is
-# then asserted on: the service gauges must be present and the p99
-# lag gauge within the bound.
-# The metrics snapshot lands under _build/ so a failing check never
-# strands a stray artifact in the repo root (no cleanup step to skip).
+# Auditor-as-a-service (DESIGN.md §15): 50 live sessions streamed into
+# one daemon with a cheating minority poked (or log-rewritten)
+# mid-session; every session must drain, and the twin pumps at jobs 4.
+# The twin's metrics snapshot is then asserted on: the service gauges
+# must be present and the p99 lag gauge within the bound.
 service-smoke:
 	@mkdir -p _build
-	dune exec bin/avm_auditord.exe -- --sessions 50 --epochs 3 --max-lag 4096 \
-	  --check-jobs 4 --metrics _build/service_smoke.json
+	dune exec bin/avm_bench.exe -- service --smoke --out _build/BENCH_service.smoke.json \
+	  --metrics _build/service_smoke.json
 	dune exec bin/avm_obs_check.exe -- _build/service_smoke.json \
 	  --counter service.entries_ingested --counter service.verdicts \
 	  --gauge service.sessions --gauge-max service.lag_entries_p99:4096
 
-# Full service bench (slow): refreshes the committed BENCH_service.json.
+# Full service bench: refreshes the committed BENCH_service.json.
 service-bench:
-	dune exec bench/service_bench.exe -- --out BENCH_service.json
+	dune exec bin/avm_bench.exe -- service
 
-# Equivocation detection (DESIGN.md §16): plant forking nodes that
-# show half their witnesses one signed commitment and half another;
-# the binary exits non-zero unless the cross-witness exchange catches
-# every forker within its own fork epoch with zero false flags, every
-# proof verifies standalone via check_evidence, and the verdict+proof
-# signature is identical at auditor jobs 1 and 4.
+# Equivocation detection (DESIGN.md §16): forking nodes show half their
+# witnesses one signed commitment and half another; the cross-witness
+# exchange must catch every forker within its own fork epoch, with a
+# proof that verifies standalone via check_evidence.
 equiv-smoke:
-	dune exec bin/avm_equiv.exe -- --nodes 60 --epochs 3
+	@mkdir -p _build
+	dune exec bin/avm_bench.exe -- equiv --smoke --out _build/BENCH_equiv.smoke.json
 
-# Full equivocation bench (slow): refreshes the committed BENCH_equiv.json.
+# Full equivocation bench: refreshes the committed BENCH_equiv.json.
 equiv-bench:
-	dune exec bench/equiv_bench.exe -- --out BENCH_equiv.json
+	dune exec bin/avm_bench.exe -- equiv
 
 # Validate the committed BENCH_*.json artifacts: each must parse and
 # carry its required keys with nonzero rates.

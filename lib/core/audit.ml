@@ -733,7 +733,7 @@ module Session = struct
       let l =
         match (c.c_lookup, t.cache) with
         | Some l, _ -> l
-        | None, Some cache when Replay_cache.is_enabled () ->
+        | None, Some cache ->
           Replay_cache.Miss (cache, fingerprint t c)
         | None, _ -> Replay_cache.Off
       in

@@ -28,10 +28,6 @@ module Sha256 = Avm_crypto.Sha256
 module Machine = Avm_machine.Machine
 open Avm_tamperlog
 
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 type cached = { instructions : int; entries_consumed : int }
 
 (* What one verified replay established for a fingerprint key. The
@@ -346,22 +342,21 @@ let find t ~fuel (p : print) found =
   | None -> miss t
 
 let remember t (p : print) ?(peers_sensitive = true) ~instructions ~entries_consumed () =
-  if Atomic.get enabled then
-    with_stripe t p.key (fun s ->
-        if not (Hashtbl.mem s.tbl p.key) then begin
-          while Hashtbl.length s.tbl >= t.stripe_cap && not (Queue.is_empty s.order) do
-            Hashtbl.remove s.tbl (Queue.pop s.order)
-          done;
-          Hashtbl.replace s.tbl p.key
-            {
-              s_peers = p.peers;
-              s_peers_sensitive = peers_sensitive;
-              s_post = p.post_state;
-              s_outputs = p.outputs;
-              s_counts = { instructions; entries_consumed };
-            };
-          Queue.add p.key s.order
-        end)
+  with_stripe t p.key (fun s ->
+      if not (Hashtbl.mem s.tbl p.key) then begin
+        while Hashtbl.length s.tbl >= t.stripe_cap && not (Queue.is_empty s.order) do
+          Hashtbl.remove s.tbl (Queue.pop s.order)
+        done;
+        Hashtbl.replace s.tbl p.key
+          {
+            s_peers = p.peers;
+            s_peers_sensitive = peers_sensitive;
+            s_post = p.post_state;
+            s_outputs = p.outputs;
+            s_counts = { instructions; entries_consumed };
+          };
+        Queue.add p.key s.order
+      end)
 
 (* Whether a replay thunk emitted guest packets, read off a per-domain
    count the replay engine bumps per emission (mapped or not) via
@@ -414,7 +409,7 @@ let decide t ~fuel ~mark (p : print) =
 (* The mark is dropped however [f] returns. *)
 let exclusive cache ~fuel print f =
   match cache with
-  | Some t when Atomic.get enabled -> (
+  | Some t -> (
     let p = print () in
     match decide t ~fuel ~mark:true p with
     | Hit _ as l -> f l
@@ -426,12 +421,10 @@ let exclusive cache ~fuel print f =
               Hashtbl.remove s.flight p.key;
               Condition.broadcast s.landed))
         (fun () -> f l))
-  | _ -> f Off
+  | None -> f Off
 
 let lookup cache ~fuel print =
-  match cache with
-  | Some t when Atomic.get enabled -> decide t ~fuel ~mark:false (print ())
-  | _ -> Off
+  match cache with Some t -> decide t ~fuel ~mark:false (print ()) | None -> Off
 
 (* A spot-designated hit must reproduce the cached counts exactly; a
    miss is remembered only when its replay verified. *)
@@ -447,18 +440,15 @@ let settle l ~emitted verified =
 let states t = with_lock t.states.st_lock (fun () -> Hashtbl.length t.states.st_tbl)
 
 let find_state t ~digest ~at_icount =
-  if not (Atomic.get enabled) then None
-  else
-    let st = t.states in
-    match with_lock st.st_lock (fun () -> Hashtbl.find_opt st.st_tbl digest) with
-    | Some (a, m) when a = at_icount -> Some m
-    | _ -> None
+  let st = t.states in
+  match with_lock st.st_lock (fun () -> Hashtbl.find_opt st.st_tbl digest) with
+  | Some (a, m) when a = at_icount -> Some m
+  | _ -> None
 
 let remember_state t ~digest ~at_icount m =
   let st = t.states in
   let words = Machine.state_words m in
-  Atomic.get enabled
-  && words <= state_budget
+  words <= state_budget
   && with_lock st.st_lock (fun () ->
          if Hashtbl.mem st.st_tbl digest then false
          else begin

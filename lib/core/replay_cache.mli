@@ -29,9 +29,9 @@
     keeps verdict vectors identical across job counts.
 
     Domain-safety follows the {!Avm_crypto.Sigcache} design — bounded
-    FIFO eviction, a global [Atomic] kill-switch so cache-on/off
-    verdict equality is provable — except the store is genuinely
-    shared (lock-striped) rather than per-domain, because one epoch's
+    FIFO eviction; an audit passed no cache is the cache-off baseline
+    verdict equality is checked against — except the store is
+    genuinely shared (lock-striped) rather than per-domain, because one epoch's
     (target, witness) jobs must dedup against each other across
     {!Witness.run_sharded} worker domains. *)
 
@@ -54,13 +54,6 @@ val state_budget : int
     states of the 2,048-word fleet guest, 32 of a 65,536-word game
     guest). The per-page hash caches a stored memory keeps add a few
     percent on top and are not counted. *)
-
-val set_enabled : bool -> unit
-(** Global kill-switch (all caches, every domain). Off by one
-    [Atomic.set]: every lookup is [Off], every store is skipped, and
-    audits behave exactly as if no cache were threaded through. *)
-
-val is_enabled : unit -> bool
 
 val clear : t -> unit
 (** Forget every remembered chunk and every verified state. *)
@@ -134,14 +127,14 @@ type cached = { instructions : int; entries_consumed : int }
     byte-identical cache-on vs cache-off. *)
 
 type lookup =
-  | Off  (** no cache, or the kill switch is off: replay, settle nothing *)
+  | Off  (** no cache: replay, settle nothing *)
   | Hit of cached  (** verified without replay *)
   | Spot of t * print * cached  (** designated: replay fully, then {!settle} *)
   | Miss of t * print  (** replay, then {!settle} *)
 
 val lookup : t option -> fuel:int -> (unit -> print) -> lookup
 (** Fingerprint the chunk (the thunk is forced only when a cache is
-    present and enabled) and look it up. [Hit c]: fingerprint present
+    present) and look it up. [Hit c]: fingerprint present
     and {e both} claim digests equal the cached ones. [Spot]: same, but
     this fingerprint is designated for spot-check replay. [Miss]:
     absent, claims differ (counted under
@@ -211,7 +204,7 @@ val measure_replay : (unit -> 'a) -> 'a * bool
     replay left at the chunk's closing [Snapshot_ref]. A stored
     machine is never run: callers copy it ({!Avm_machine.Machine.copy})
     before replaying. The table is FIFO within {!state_budget};
-    {!clear} and {!set_enabled} cover it, and [replay_cache.states]
+    {!clear} covers it, and [replay_cache.states]
     gauges its size.
 
     A chunk that starts from a remembered state fetches no snapshot,
@@ -225,8 +218,8 @@ val measure_replay : (unit -> 'a) -> 'a * bool
 
 val find_state : t -> digest:string -> at_icount:int -> Avm_machine.Machine.t option
 (** The remembered state whose digest, taken at [at_icount], is
-    [digest]. [None] when absent, when it was stored for another
-    [at_icount], or when the kill switch is off. The result is shared:
+    [digest]. [None] when absent or when it was stored for another
+    [at_icount]. The result is shared:
     do not mutate it. *)
 
 val remember_state : t -> digest:string -> at_icount:int -> Avm_machine.Machine.t -> bool
@@ -234,8 +227,8 @@ val remember_state : t -> digest:string -> at_icount:int -> Avm_machine.Machine.
     {!Avm_machine.Snapshot.machine_digest} [~at_icount m] the caller
     has just computed and found equal to [digest]. [true] means the
     table now owns [m] and the caller must not touch it again;
-    [false] (digest already present, [m] larger than the budget, or
-    the kill switch off) leaves [m] with the caller. Evicts the oldest
+    [false] (digest already present, or [m] larger than the budget)
+    leaves [m] with the caller. Evicts the oldest
     states to stay within the budget. *)
 
 val states : t -> int

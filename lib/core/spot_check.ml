@@ -155,9 +155,6 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
     | _ -> assert false (* the snapshot index only lists Snapshot_ref entries *)
   in
   let digest = logged start_b in
-  let states =
-    match cache with Some t when Replay_cache.is_enabled () -> Some t | _ -> None
-  in
   let report ~state_bytes ~replay_instructions outcome =
     {
       start_snapshot;
@@ -180,7 +177,7 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
   let full () =
     let t0 = Avm_obs.Clock.now_s () in
     let remembered =
-      Option.bind states (fun t ->
+      Option.bind cache (fun t ->
           Replay_cache.find_state t ~digest ~at_icount:start_b.at_icount)
     in
     let start =
@@ -212,7 +209,7 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
             + (Memory.page_count (Machine.mem machine) * Memory.page_size * 4)
           in
           let kept =
-            match states with
+            match cache with
             | Some t -> Replay_cache.remember_state t ~digest ~at_icount:start_b.at_icount machine
             | None -> false
           in
@@ -243,7 +240,7 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
             | _ -> false
           in
           if not kept then recycle machine)
-        states;
+        cache;
       Avm_obs.Metrics.incr ~by:state_bytes "spot_check.state_bytes";
       Avm_obs.Metrics.incr ~by:replay_instructions "spot_check.replay_instructions";
       Ok (report ~state_bytes ~replay_instructions outcome)

@@ -107,7 +107,7 @@ val two_faced : t -> int -> bool
 (** Is the node currently inside one of the fault policy's [forks]
     windows? A two-faced node equivocates at epoch boundaries: the
     harness hands half its witness set one signed commitment and the
-    other half a conflicting one ({!Avm_scenario.Equivocation_run}).
+    other half a conflicting one ({!Avm_scenario.Fleet_harness}).
     The wire itself stays honest — equivocation is a host fault, not a
     network fault. *)
 

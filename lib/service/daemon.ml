@@ -21,7 +21,7 @@ type t = {
   high : int;
   low : int;
   max_lag : int;
-  d_cache : Avm_core.Replay_cache.t;
+  d_cache : Avm_core.Replay_cache.t option;
   d_equiv : Avm_core.Witness.equiv_store;
   on_verdict : event -> unit;
   sessions : (string, session) Hashtbl.t;
@@ -33,12 +33,11 @@ let create ?high_watermark ?low_watermark ?(max_lag_entries = 4096) ?cache
     ?(on_verdict = fun _ -> ()) () =
   let high = match high_watermark with Some h -> h | None -> max_lag_entries in
   let low = match low_watermark with Some l -> l | None -> high / 2 in
-  let d_cache = match cache with Some c -> c | None -> Avm_core.Replay_cache.create () in
   {
     high;
     low;
     max_lag = max_lag_entries;
-    d_cache;
+    d_cache = cache;
     d_equiv = Avm_core.Witness.equiv_store ();
     on_verdict;
     sessions = Hashtbl.create 64;
@@ -46,14 +45,12 @@ let create ?high_watermark ?low_watermark ?(max_lag_entries = 4096) ?cache
     n_ingested = 0;
   }
 
-let cache t = t.d_cache
-
 let attach t ~id ~ctx ~image ?mem_words ?replay_rate ?snapshot_of ~peers () =
   if Hashtbl.mem t.sessions id then
     invalid_arg (Printf.sprintf "Daemon.attach: duplicate session id %S" id);
   let s_session =
     OA.Session.open_session ~ctx ~image ?mem_words ?replay_rate ~high_watermark:t.high
-      ~low_watermark:t.low ~cache:t.d_cache ?snapshot_of ~peers ()
+      ~low_watermark:t.low ?cache:t.d_cache ?snapshot_of ~peers ()
   in
   Hashtbl.replace t.sessions id { s_id = id; s_session; s_fired = false };
   Metrics.incr "service.sessions_attached"

@@ -4,7 +4,7 @@ module Identity = Avm_crypto.Identity
 module Rng = Avm_util.Rng
 module Witness = Avm_core.Witness
 module Daemon = Avm_service.Daemon
-module Equiv = Avm_scenario.Equivocation_run
+module H = Avm_scenario.Fleet_harness
 
 (* Fixtures: one identity whose log we commit to honestly, plus a
    second to play the wrong-certificate offerer. *)
@@ -276,31 +276,21 @@ let test_daemon_offer_auth () =
 (* --- the scenario end-to-end ---------------------------------------------- *)
 
 let test_equivocation_run_small () =
-  let spec =
-    {
-      Equiv.default_spec with
-      Equiv.nodes = 20;
-      witnesses = 2;
-      epochs = 2;
-      epoch_us = 200_000.0;
-      activity = 0.2;
-      fork_frac = 0.05;
-      seed = 23L;
-    }
-  in
-  let o1 = Equiv.run ~par:Audit.sequential spec in
-  let o2 = Equiv.run ~par:(Audit.parallel 2) spec in
-  Alcotest.(check string) "jobs 1 = jobs 2" (Equiv.signature o1) (Equiv.signature o2);
-  Alcotest.(check bool) "at least one forker planted" true (o1.Equiv.forkers <> []);
+  let spec = { H.equiv with H.epoch_us = 200_000.0; activity = 0.2; seed = 23L } in
+  let size = { H.equiv.smoke with H.nodes = 20; epochs = 2 } in
+  let o1 = H.run spec size in
+  let o2 = H.run ~jobs:2 spec size in
+  Alcotest.(check string) "jobs 1 = jobs 2" (H.signature o1) (H.signature o2);
+  Alcotest.(check bool) "at least one forker planted" true (o1.H.cheats <> []);
   List.iter
-    (fun (f : Equiv.forker) ->
-      match List.assoc_opt f.Equiv.node o1.Equiv.exchange_detected with
-      | Some e -> Alcotest.(check int) "caught in its fork epoch" f.Equiv.epoch e
-      | None -> Alcotest.failf "forker n%d escaped the exchange" f.Equiv.node)
-    o1.Equiv.forkers;
-  Alcotest.(check (list int)) "no false flags" [] o1.Equiv.false_flags;
+    (fun (c : H.cheat) ->
+      match List.assoc_opt c.node o1.H.flags with
+      | Some e -> Alcotest.(check int) "caught in its fork epoch" c.epoch e
+      | None -> Alcotest.failf "forker n%d escaped the exchange" c.node)
+    o1.H.cheats;
+  Alcotest.(check (list int)) "no false flags" [] (H.false_flagged o1);
   Alcotest.(check int) "every proof verifies standalone"
-    (List.length o1.Equiv.proofs) o1.Equiv.proofs_verified
+    (List.length o1.H.proofs) o1.H.proofs_verified
 
 let () =
   Alcotest.run "avm_equiv"

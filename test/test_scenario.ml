@@ -300,30 +300,23 @@ let test_p2p_fair_and_freerider () =
 
 (* --- fleet -------------------------------------------------------------------------------------- *)
 
+module H = Fleet_harness
+
+(* A small fleet with a dense cheating minority: 30 nodes, 2 epochs. *)
+let small_fleet = { H.fleet with H.activity = 0.2; cheat_frac = 0.05 }
+let small_size = { H.fleet.smoke with H.nodes = 30; epochs = 2 }
+
 let test_fleet_run () =
-  let spec =
-    {
-      Fleet_run.default_spec with
-      Fleet_run.nodes = 30;
-      witnesses = 2;
-      epochs = 2;
-      activity = 0.2;
-      cheat_frac = 0.05;
-    }
-  in
-  let o = Fleet_run.run ~par:Audit.sequential spec in
-  let o2 = Fleet_run.run ~par:(Audit.parallel 2) spec in
-  Alcotest.(check int) "all pairs audited" (30 * 2 * 2) (List.length o.Fleet_run.verdicts);
-  List.iter
-    (fun (r : Fleet_run.epoch_report) ->
-      Alcotest.(check (float 1e-9)) "full coverage" 1.0 r.Fleet_run.coverage)
-    o.Fleet_run.reports;
-  Alcotest.(check bool) "cheats planted" true (o.Fleet_run.cheats <> []);
-  Alcotest.(check (list int)) "no cheat missed" [] o.Fleet_run.missed;
-  Alcotest.(check (list int)) "no honest node flagged" [] o.Fleet_run.false_flagged;
-  Alcotest.(check string) "verdicts invariant under auditor jobs" (Fleet_run.signature o)
-    (Fleet_run.signature o2);
-  Alcotest.(check bool) "events flowed" true (o.Fleet_run.sim_events > 0)
+  let o = H.run small_fleet small_size in
+  let o2 = H.run ~jobs:2 small_fleet small_size in
+  Alcotest.(check int) "all pairs audited" (30 * H.witnesses * 2) (List.length o.H.verdicts);
+  List.iter (fun c -> Alcotest.(check (float 1e-9)) "full coverage" 1.0 c) o.H.coverage;
+  Alcotest.(check bool) "cheats planted" true (o.H.cheats <> []);
+  Alcotest.(check (list int)) "no cheat missed" [] (H.missed o);
+  Alcotest.(check (list int)) "no honest node flagged" [] (H.false_flagged o);
+  Alcotest.(check string) "verdicts invariant under auditor jobs" (H.signature o)
+    (H.signature o2);
+  Alcotest.(check bool) "events flowed" true (H.count o "sim_events" > 0)
 
 (* Deduplication does the same work at any lane count: a lane that
    looks up a fingerprint another lane is replaying waits for its
@@ -331,32 +324,52 @@ let test_fleet_run () =
    at jobs 2 equal those at jobs 1. Lanes race only now and then at
    this size, so jobs 2 runs three times. *)
 let test_fleet_cache_counts_lane_invariant () =
-  let spec =
-    {
-      Fleet_run.default_spec with
-      Fleet_run.nodes = 100;
-      witnesses = 2;
-      epochs = 2;
-      activity = 0.1;
-      cheat_frac = 0.05;
-      spot_rate = 3;
-    }
-  in
-  let counts (o : Fleet_run.outcome) =
-    match o.Fleet_run.cache with
+  let spec = { H.fleet with H.activity = 0.1; cheat_frac = 0.05 } in
+  let size = { H.fleet.smoke with H.nodes = 100; epochs = 2 } in
+  let counts (o : H.outcome) =
+    match o.H.cache with
     | Some s -> (s.Replay_cache.hits, s.Replay_cache.misses, s.Replay_cache.spot_checks)
     | None -> Alcotest.fail "dedup run without a cache"
   in
-  let one = Fleet_run.run ~par:Audit.sequential spec in
-  Alcotest.(check bool) "cheats planted" true (one.Fleet_run.cheats <> []);
+  let one = H.run spec size in
+  Alcotest.(check bool) "cheats planted" true (one.H.cheats <> []);
   let h, _, _ = counts one in
   Alcotest.(check bool) "the cache hit" true (h > 0);
   for _ = 1 to 3 do
-    let two = Fleet_run.run ~par:(Audit.parallel 2) spec in
+    let two = H.run ~jobs:2 spec size in
     Alcotest.(check (triple int int int)) "hits, misses, spots at jobs 1 = jobs 2" (counts one)
       (counts two);
-    Alcotest.(check string) "verdicts" (Fleet_run.signature one) (Fleet_run.signature two)
+    Alcotest.(check string) "verdicts" (H.signature one) (H.signature two)
   done
+
+(* Each invariant breach is named: a clean run (with its twin) has none,
+   and each doctored outcome reports exactly the breach planted in it. *)
+let test_check_names_breaches () =
+  let o = H.run_twin (H.run small_fleet small_size) in
+  Alcotest.(check (list string)) "a clean run breaches nothing" [] (H.check o);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let expect what (doctored : H.outcome) =
+    match H.check doctored with
+    | [ b ] when contains b what -> ()
+    | bs -> Alcotest.failf "expected one breach naming %S, got [%s]" what (String.concat "; " bs)
+  in
+  let c = List.hd o.H.cheats in
+  let cheaters = List.map (fun (c : H.cheat) -> c.node) o.H.cheats in
+  let honest = List.find (fun n -> not (List.mem n cheaters)) [ 0; 1; 2; 3 ] in
+  expect (Printf.sprintf "cheater n%d (epoch %d) never flagged" c.node c.epoch)
+    { o with H.flags = List.remove_assoc c.node o.H.flags };
+  expect (Printf.sprintf "flagged only at epoch %d" (c.epoch + 1))
+    { o with H.flags = (c.node, c.epoch + 1) :: List.remove_assoc c.node o.H.flags };
+  expect (Printf.sprintf "honest node n%d flagged" honest)
+    { o with H.flags = (honest, 1) :: o.H.flags };
+  expect "epoch 2 coverage 0.500 < 1" { o with H.coverage = [ 1.0; 0.5 ] };
+  expect "differs from the twin run's" { o with H.twin_signature = Some "0" };
+  expect "session n3 never drained" { o with H.undrained = [ 3 ] };
+  expect "p99 audit lag" { o with H.lags = [ H.max_lag + 1 ] }
 
 let () =
   Alcotest.run "scenario"
@@ -405,5 +418,6 @@ let () =
           Alcotest.test_case "witness audits catch the cheating minority" `Slow test_fleet_run;
           Alcotest.test_case "cache counts equal at jobs 1 and 2" `Slow
             test_fleet_cache_counts_lane_invariant;
+          Alcotest.test_case "check names every breach" `Slow test_check_names_breaches;
         ] );
     ]

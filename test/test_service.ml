@@ -3,7 +3,7 @@ open Avm_tamperlog
 module Identity = Avm_crypto.Identity
 module Rng = Avm_util.Rng
 module Daemon = Avm_service.Daemon
-module Service_run = Avm_scenario.Service_run
+module H = Avm_scenario.Fleet_harness
 module Session = Online_audit.Session
 
 (* Session-level fixtures: one accountable machine running a small
@@ -185,74 +185,63 @@ let test_daemon_evidence_pinned_at_verdict () =
 
 (* --- daemon: bounded lag at steady state ---------------------------------- *)
 
-let small_spec =
-  {
-    Service_run.default_spec with
-    Service_run.sessions = 8;
-    epochs = 2;
-    rsa_bits = 512;
-    key_pool = 8;
-    seed = 23L;
-  }
+let small_spec = { H.service with H.seed = 23L }
+let small_size = { H.service.smoke with H.nodes = 8; epochs = 2; key_pool = 8 }
 
 let test_lag_bounded_steady_state () =
-  let o = Service_run.run { small_spec with Service_run.cheat_frac = 0.0 } in
-  Alcotest.(check (list int)) "no false flags" [] o.Service_run.false_flagged;
-  Alcotest.(check (list int)) "nothing to miss" [] o.Service_run.missed;
-  Alcotest.(check bool) "entries flowed" true (o.Service_run.entries_ingested > 0);
-  Alcotest.(check bool) "p99 lag within the bound" true
-    (o.Service_run.lag_p99 <= small_spec.Service_run.max_lag);
-  Alcotest.(check bool) "worst sampled lag within the bound" true
-    (o.Service_run.lag_max <= small_spec.Service_run.max_lag)
+  let o = H.run { small_spec with H.cheat_frac = 0.0 } small_size in
+  Alcotest.(check (list int)) "no false flags" [] (H.false_flagged o);
+  Alcotest.(check (list int)) "nothing to miss" [] (H.missed o);
+  Alcotest.(check (list int)) "every session drained" [] o.H.undrained;
+  Alcotest.(check bool) "entries flowed" true (H.count o "entries_ingested" > 0);
+  Alcotest.(check bool) "p99 lag within the bound" true (H.lag o 99.0 <= H.max_lag);
+  Alcotest.(check bool) "worst sampled lag within the bound" true (H.lag o 100.0 <= H.max_lag)
 
 (* --- daemon: cheats detected with the right chunk/entry ------------------- *)
 
-let cheat_spec = { small_spec with Service_run.sessions = 12; cheat_frac = 0.25 }
+let cheat_spec = { small_spec with H.cheat_frac = 0.25 }
+let cheat_size = { small_size with H.nodes = 12 }
 
 let test_cheats_located () =
-  let o = Service_run.run cheat_spec in
-  Alcotest.(check bool) "some cheats planted" true (o.Service_run.cheats <> []);
-  Alcotest.(check (list int)) "all cheats detected" [] o.Service_run.missed;
-  Alcotest.(check (list int)) "no honest session flagged" [] o.Service_run.false_flagged;
+  let o = H.run cheat_spec cheat_size in
+  Alcotest.(check bool) "some cheats planted" true (o.H.cheats <> []);
+  Alcotest.(check (list int)) "all cheats detected" [] (H.missed o);
+  Alcotest.(check (list int)) "no honest session flagged" [] (H.false_flagged o);
   List.iter
-    (fun (c : Service_run.cheat) ->
-      let id = Printf.sprintf "n%d" c.Service_run.node in
-      match
-        List.find_opt
-          (fun (ev : Daemon.event) -> ev.Daemon.ev_session = id)
-          o.Service_run.events
-      with
+    (fun (c : H.cheat) ->
+      let id = Printf.sprintf "n%d" c.node in
+      match List.find_opt (fun (ev : Daemon.event) -> ev.Daemon.ev_session = id) o.H.events with
       | None -> Alcotest.failf "no event delivered for cheater %s" id
       | Some ev -> (
-        match c.Service_run.kind with
-        | Service_run.Poke _ ->
+        match c.adversary with
+        | H.Poke ->
           (* One chunk per epoch (the baseline snapshot is chunk 0), so
              a poke in epoch e diverges in chunk e — exactly e chunks
              retire first. *)
           Alcotest.(check int)
             (id ^ ": divergence lands in the cheat epoch's chunk")
-            c.Service_run.epoch ev.Daemon.ev_chunk
-        | Service_run.Rewrite -> (
+            c.epoch ev.Daemon.ev_chunk
+        | H.Rewrite -> (
           match (ev.Daemon.ev_verdict, ev.Daemon.ev_entry_seq) with
           | Online_audit.Tampered _, Some _ -> ()
-          | _ ->
-            Alcotest.failf "%s: rewrite must yield a Tampered verdict naming the entry" id)))
-    o.Service_run.cheats
+          | _ -> Alcotest.failf "%s: rewrite must yield a Tampered verdict naming the entry" id)
+        | H.Fork -> Alcotest.failf "%s: the service mix plants no forks" id))
+    o.H.cheats
 
 (* --- daemon: verdict vector invariants ------------------------------------ *)
 
 (* The verdict vector (who is flagged, with what, at which entry) must
    not depend on pump parallelism or on the shared replay cache. *)
 let test_verdicts_invariant_jobs_and_cache () =
-  let base = Service_run.run ~par:Audit.sequential cheat_spec in
-  let sig_base = Service_run.signature base in
-  Alcotest.(check bool) "baseline detects the cheats" true (base.Service_run.detected <> []);
-  let jobs4 = Service_run.run ~par:(Audit.parallel 4) cheat_spec in
-  Alcotest.(check string) "jobs 1 = jobs 4" sig_base (Service_run.signature jobs4);
-  let nocache = Service_run.run { cheat_spec with Service_run.dedup = false } in
-  Alcotest.(check string) "cache on = cache off" sig_base (Service_run.signature nocache);
+  let base = H.run cheat_spec cheat_size in
+  let sig_base = H.signature base in
+  Alcotest.(check bool) "baseline detects the cheats" true (H.detected base <> []);
+  let jobs4 = H.run ~jobs:4 cheat_spec cheat_size in
+  Alcotest.(check string) "jobs 1 = jobs 4" sig_base (H.signature jobs4);
+  let nocache = H.run ~dedup:false cheat_spec cheat_size in
+  Alcotest.(check string) "cache on = cache off" sig_base (H.signature nocache);
   Alcotest.(check bool) "cache-on run actually hit the cache" true
-    (base.Service_run.cache_hits > 0)
+    (match base.H.cache with Some s -> s.Replay_cache.hits > 0 | None -> false)
 
 let () =
   Alcotest.run "avm_service"
