@@ -54,12 +54,14 @@ obs-smoke:
 	  --span audit.chunk --span audit.semantic
 	rm -rf obs_smoke_recordings obs_smoke_j1.json obs_smoke_j4.json
 
-# One audit engine (DESIGN.md §25): record a game with a cheater, audit
-# the cheater in batch and online mode, each writing evidence, and have
-# a third party confirm both evidence files; the honest player must
-# audit CORRECT in both modes. avm_audit exits 1 on a FAULTY verdict,
-# which is what the cheater's audits must give. Artifacts land under
-# _build/.
+# One audit engine (DESIGN.md §25) and signed evidence (DESIGN.md §29):
+# record a game with a cheater, audit the cheater in batch and online
+# mode, each writing evidence, and have a third party confirm that both
+# evidence files describe a replay divergence (a signed chunk, not a
+# challenge); the batch evidence must be at most a third of the
+# cheater's recording. The honest player must audit CORRECT in both
+# modes. avm_audit exits 1 on a FAULTY verdict, which is what the
+# cheater's audits must give. Artifacts land under _build/.
 EVIDENCE_SMOKE := _build/evidence_smoke
 evidence-smoke:
 	@rm -rf $(EVIDENCE_SMOKE) && mkdir -p $(EVIDENCE_SMOKE)
@@ -68,10 +70,15 @@ evidence-smoke:
 	  --evidence $(EVIDENCE_SMOKE)/batch.ev; test $$? -eq 1
 	dune exec bin/avm_audit.exe -- --online $(EVIDENCE_SMOKE)/player1.avmrec \
 	  --evidence $(EVIDENCE_SMOKE)/online.ev; test $$? -eq 1
-	dune exec bin/avm_audit.exe -- --check-evidence $(EVIDENCE_SMOKE)/batch.ev \
-	  $(EVIDENCE_SMOKE)/player1.avmrec | grep CONFIRMED
-	dune exec bin/avm_audit.exe -- --check-evidence $(EVIDENCE_SMOKE)/online.ev \
-	  $(EVIDENCE_SMOKE)/player1.avmrec | grep CONFIRMED
+	for ev in batch online; do \
+	  dune exec bin/avm_audit.exe -- --check-evidence $(EVIDENCE_SMOKE)/$$ev.ev \
+	    $(EVIDENCE_SMOKE)/player1.avmrec > $(EVIDENCE_SMOKE)/$$ev.check || exit 1; \
+	  cat $(EVIDENCE_SMOKE)/$$ev.check; \
+	  grep -q '^checking evidence against player1: DIVERGED' $(EVIDENCE_SMOKE)/$$ev.check || exit 1; \
+	  grep -q '^CONFIRMED' $(EVIDENCE_SMOKE)/$$ev.check || exit 1; \
+	done
+	@ev=$$(wc -c < $(EVIDENCE_SMOKE)/batch.ev); rec=$$(wc -c < $(EVIDENCE_SMOKE)/player1.avmrec); \
+	  echo "batch.ev $$ev bytes, player1.avmrec $$rec bytes"; test $$((3 * ev)) -le $$rec
 	dune exec bin/avm_audit.exe -- $(EVIDENCE_SMOKE)/player0.avmrec
 	dune exec bin/avm_audit.exe -- --online $(EVIDENCE_SMOKE)/player0.avmrec
 

@@ -102,7 +102,9 @@ let audit_online path slice evidence_out metrics_out metrics_table =
   let budget = 50_000_000 in
   let len = Avm_tamperlog.Log.length log in
   let upto = ref 0 in
-  while (Session.status s).Avm_core.Online_audit.verdict = None && !upto < len do
+  (* Offering goes on after a verdict: the session keeps the entries up
+     to the authenticator that covers the fault, for the evidence. *)
+  while !upto < len do
     upto := min len (!upto + slice);
     let rec offer () =
       match Session.ingest ~upto:!upto s log with
@@ -140,30 +142,41 @@ let audit_online path slice evidence_out metrics_out metrics_table =
 
 let check_evidence path recording_path =
   let ic = open_in_bin path in
-  let ev = Evidence.decode (really_input_string ic (in_channel_length ic)) in
+  let blob = really_input_string ic (in_channel_length ic) in
   close_in ic;
+  match Evidence.decode blob with
+  | Error msg ->
+    Printf.eprintf "%s: %s\n" path msg;
+    2
+  | Ok ev ->
   (* The third party needs the certificates and peer map; they travel
      in any recording of the same session. *)
   let r = Recording.load ~path:recording_path in
   Printf.printf "checking %s\n%!" (Evidence.describe ev);
-  let ctx =
-    Audit.ctx
-      ~node_cert:(List.assoc ev.Evidence.accused r.Recording.certificates)
-      ~peer_certs:r.Recording.certificates ()
-  in
-  let confirmed =
-    Audit.check_evidence ev ~ctx
-      ~image:(Recording.image_of_scenario r.Recording.scenario)
-      ~mem_words:r.Recording.mem_words ~peers:r.Recording.peers ()
-  in
-  if confirmed then begin
-    Printf.printf "CONFIRMED: %s is provably faulty\n" ev.Evidence.accused;
-    0
-  end
-  else begin
-    Printf.printf "REJECTED: the evidence does not hold up\n";
-    1
-  end
+  match List.assoc_opt ev.Evidence.accused r.Recording.certificates with
+  | None ->
+    Printf.eprintf "%s: no certificate for %s in %s\n" path ev.Evidence.accused recording_path;
+    2
+  | Some node_cert ->
+    let ctx = Audit.ctx ~node_cert ~peer_certs:r.Recording.certificates () in
+    let confirmed =
+      Audit.check_evidence ev ~ctx
+        ~image:(Recording.image_of_scenario r.Recording.scenario)
+        ~mem_words:r.Recording.mem_words ~peers:r.Recording.peers ()
+    in
+    if confirmed then begin
+      Printf.printf "CONFIRMED: %s is provably faulty\n" ev.Evidence.accused;
+      0
+    end
+    else if Evidence.challenge_genuine ev ~node_cert then begin
+      Printf.printf "CHALLENGE: %s must answer for its signed log; this proves no fault\n"
+        ev.Evidence.accused;
+      3
+    end
+    else begin
+      Printf.printf "REJECTED: the evidence does not hold up\n";
+      1
+    end
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"RECORDING" ~doc:"Recording file.")
@@ -179,7 +192,11 @@ let check_arg =
     value
     & opt (some file) None
     & info [ "check-evidence" ] ~docv:"EVIDENCE"
-        ~doc:"Act as the third party: verify an evidence file against RECORDING's session data.")
+        ~doc:
+          "Act as the third party: verify an evidence file against RECORDING's session data \
+           (exit 0 when confirmed, 1 when rejected, 2 when the file is not evidence or names \
+           a node RECORDING has no certificate for, 3 when it is a genuine challenge, which \
+           proves no fault).")
 
 let jobs_arg =
   Arg.(

@@ -55,8 +55,8 @@ let () =
         Array.iter
           (fun node ->
             if Avm_netsim.Net.node_name node <> name then begin
-              let confirmed =
-                Audit.check_evidence ev
+              let checked =
+                Audit.confirm ev
                   ~ctx:
                     (Audit.ctx
                        ~node_cert:(List.assoc name (Avm_netsim.Net.certificates net))
@@ -64,7 +64,8 @@ let () =
                   ~image:(Game_run.reference_image ())
                   ~mem_words:Guests.mem_words ~peers:(Avm_netsim.Net.peers net) ()
               in
-              if confirmed then Multiparty.add_evidence (Avm_netsim.Net.node_ledger node) ev;
+              Option.iter (Multiparty.add_evidence (Avm_netsim.Net.node_ledger node)) checked;
+              let confirmed = Option.is_some checked in
               Printf.printf "   %s verifies the evidence: %s; shunned = [%s]\n%!"
                 (Avm_netsim.Net.node_name node)
                 (if confirmed then "confirmed" else "rejected")

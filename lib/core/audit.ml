@@ -462,10 +462,13 @@ module Session = struct
     snapshot_of : (unit -> Snapshot.t list) option;
     syn : Syn.t;
     mutable syn_seen : int;  (* stream failures already turned into a verdict (or none) *)
-    mutable source : [ `Log of Log.t | `List of Entry.t list ];
-        (* what the evidence segment is cut from: the producer's log
-           (forked, so pinned, once the verdict lands) or a pushed list *)
     chunks : chunk Queue.t;  (* head = oldest unretired; last = open tail *)
+    mutable opening : (string * Entry.t) option;
+        (* the head chunk's opening Snapshot_ref and the hash before it; None for chunk 1 *)
+    mutable start : Snapshot.t option;
+        (* the state verified there, as pages changed from the image; None = boot *)
+    mutable diff : Snapshot.image_diff;  (* the engine machine's pages changed from the image *)
+    mutable after : Entry.t list;  (* ingested after a verdict, for its cover; newest first *)
     mutable tail : chunk;
     mutable resume : resume;
     mutable fed_upto : int;  (* last log seq ingested *)
@@ -476,7 +479,8 @@ module Session = struct
     mutable n_cache_hits : int;
     mutable throttled : bool;
     mutable verdict : verdict option;
-    mutable from_download : bool;  (* the verdict is a forged download, not the log *)
+    mutable fault_at : int;
+        (* the entry evidence covers or challenges from; 0 = a forged download *)
     mutable closed : bool;
     mutable ema_us_per_entry : float;
     mutable syn_seconds : float;
@@ -525,8 +529,11 @@ module Session = struct
       snapshot_of;
       syn;
       syn_seen = 0;
-      source = `List [];
       chunks;
+      opening = None;
+      start = None;
+      diff = Snapshot.image_diff ~image;
+      after = [];
       tail;
       resume = R_engine e;
       fed_upto = 0;
@@ -537,7 +544,7 @@ module Session = struct
       n_cache_hits = 0;
       throttled = false;
       verdict = None;
-      from_download = false;
+      fault_at = 0;
       closed = false;
       ema_us_per_entry = 0.;
       syn_seconds = Clock.now_s () -. t0;
@@ -558,14 +565,10 @@ module Session = struct
     create ~ctx ~image ?mem_words ~replay_rate ~high:high_watermark ~low ?cache ?snapshot_of ~peers
       ()
 
-  (* The verdict pins the log the evidence is cut from: the producer may
-     append to or tamper with its own log afterwards, and the evidence
-     must be what was audited. A fork copies the segment index and the
-     tail array, no entry data. *)
-  let set_verdict t v =
+  let set_verdict t ~at v =
     if t.verdict = None then begin
       t.verdict <- Some v;
-      (match t.source with `Log log -> t.source <- `Log (Log.fork log) | `List _ -> ());
+      t.fault_at <- at;
       (match v with
       | Tampered _ -> Metrics.incr "online_audit.tampering_detected"
       | Diverged _ -> Metrics.incr "online_audit.faults"
@@ -577,7 +580,7 @@ module Session = struct
      exactly like a tampered chain — but carried by two signatures
      instead of a log download. *)
   let equivocate t ~a ~b =
-    if Auth.conflicts a b then set_verdict t (Equivocated { a; b })
+    if Auth.conflicts a b then set_verdict t ~at:a.Auth.seq (Equivocated { a; b })
 
   let node_cert t = t.ctx.node_cert
 
@@ -626,7 +629,7 @@ module Session = struct
     | [] -> ()
     | (seq, _) :: _ as fresh ->
       let rec first = function (s, m) :: rest when s = seq -> m :: first rest | _ -> [] in
-      set_verdict t
+      set_verdict t ~at:(max seq 1)
         (Tampered
            {
              reason = String.concat "; " (first fresh);
@@ -635,8 +638,32 @@ module Session = struct
     t.syn_seen <- Syn.failure_count t.syn;
     t.syn_seconds <- t.syn_seconds +. (Clock.now_s () -. t0)
 
+  (* After a verdict, the entries up to the first collected
+     authenticator at or after the fault are still wanted: it covers
+     the evidence. Once one is known and not yet ingested, pull up to
+     it, at most [high] more entries, unchecked (the evidence rechains
+     them). *)
+  let await_cover ?upto t log =
+    let cover =
+      Hashtbl.fold (fun s _ m -> if s >= t.fault_at then min s m else m) t.syn.Syn.auth_by_seq max_int
+    in
+    let limit = min cover (min (Log.length log) (Option.value upto ~default:max_int)) in
+    let room = t.high - List.length t.after in
+    let limit = if limit - t.fed_upto > room then t.fed_upto + room else limit in
+    let wanted = match t.verdict with Some (Equivocated _) -> false | _ -> t.fault_at > 0 in
+    if wanted && cover < max_int && limit > t.fed_upto then begin
+      List.iter
+        (fun (spec : Log.chunk_spec) -> t.after <- List.rev_append (spec.spec_load ()) t.after)
+        (Log.chunk_specs log ~from:(t.fed_upto + 1) ~upto:limit);
+      t.fed_upto <- limit
+    end
+
   let ingest_log ?pool ?upto t log =
-    if t.verdict <> None || t.closed then `Accepted
+    if t.verdict <> None then begin
+      await_cover ?upto t log;
+      `Accepted
+    end
+    else if t.closed then `Accepted
     else begin
       let lag = lag_entries t in
       if lag > t.high || (t.throttled && lag > t.low) then begin
@@ -657,7 +684,7 @@ module Session = struct
         let len0 = Log.length log in
         let limit = match upto with Some u -> min u len0 | None -> len0 in
         if limit < t.fed_upto then
-          set_verdict t
+          set_verdict t ~at:(limit + 1)
             (Tampered
                {
                  reason =
@@ -666,7 +693,6 @@ module Session = struct
                })
         else if limit > t.fed_upto then begin
           Metrics.incr ~by:(limit - t.fed_upto) "online_audit.entries_observed";
-          t.source <- `Log log;
           pull ?pool t (Log.chunk_specs log ~from:(t.fed_upto + 1) ~upto:limit);
           t.fed_upto <- limit;
           if Log.length log <> len0 then
@@ -685,7 +711,13 @@ module Session = struct
       ~pre_state:c.c_pre_state
       (Array.to_list (Array.sub c.c_entries 0 c.c_n))
 
+  (* The retired chunk's closing Snapshot_ref opens the next one. *)
   let retire_chunk t c =
+    let prev =
+      if c.c_n >= 2 then c.c_entries.(c.c_n - 2).Entry.hash
+      else match t.opening with Some (_, sr) -> sr.Entry.hash | None -> Log.genesis_hash
+    in
+    t.opening <- Some (prev, c.c_entries.(c.c_n - 1));
     t.retired <- t.retired + c.c_n;
     t.n_chunks_retired <- t.n_chunks_retired + 1;
     ignore (Queue.pop t.chunks);
@@ -711,6 +743,8 @@ module Session = struct
       let chain = Snapshot.chain_upto ((Option.get t.snapshot_of) ()) b.Spot_check.snapshot_seq in
       match Spot_check.authenticate ~image:t.image ?mem_words:t.mem_words ~chain ~digest b with
       | Spot_check.Verified start ->
+        t.diff <- Snapshot.image_diff ~image:t.image;
+        t.start <- Some (Snapshot.of_image_diff t.diff ~seq:b.Spot_check.snapshot_seq start);
         let e = Replay.engine ~image:t.image ?mem_words:t.mem_words ~start ~peers:t.peers () in
         t.resume <- R_engine e;
         `Ok e
@@ -727,21 +761,28 @@ module Session = struct
      (confirm a spot-designated hit, or remember a fresh outcome — a
      chunk never looked up, because hits were unusable, still seeds
      the cache for the rest of the fleet) and retire it. The engine
-     stays — it is already positioned at the next chunk's start. *)
+     stays — it is already positioned at the next chunk's start, whose
+     state is kept (as pages changed from the image) for its evidence. *)
   let complete_chunk t c e =
-    if c.c_end <> None then begin
-      let l =
-        match (c.c_lookup, t.cache) with
-        | Some l, _ -> l
-        | None, Some cache ->
-          Replay_cache.Miss (cache, fingerprint t c)
-        | None, _ -> Replay_cache.Off
-      in
-      let instructions = Replay.replayed_instructions e - c.c_start_instr in
-      Replay_cache.settle l ~emitted:c.c_emitted
-        (Some { Replay_cache.instructions; entries_consumed = c.c_n })
-    end;
+    Option.iter
+      (fun ((b : Spot_check.boundary), _) ->
+        let l =
+          match (c.c_lookup, t.cache) with
+          | Some l, _ -> l
+          | None, Some cache ->
+            Replay_cache.Miss (cache, fingerprint t c)
+          | None, _ -> Replay_cache.Off
+        in
+        let instructions = Replay.replayed_instructions e - c.c_start_instr in
+        Replay_cache.settle l ~emitted:c.c_emitted
+          (Some { Replay_cache.instructions; entries_consumed = c.c_n });
+        t.start <- Some (Snapshot.of_image_diff t.diff ~seq:b.snapshot_seq (Replay.engine_machine e)))
+      c.c_end;
     retire_chunk t c
+
+  (* The entry a divergence names, else the head chunk's last: replay was fed no further. *)
+  let divergence_at t (d : Replay.divergence) =
+    match d.entry_seq with Some s -> s | None -> (Queue.peek t.chunks).c_upto
 
   let rec drive t remaining =
     if t.verdict = None && remaining > 0 then
@@ -766,9 +807,7 @@ module Session = struct
         else begin
           match ensure_engine t with
           | `Stall -> ()
-          | `Fault d ->
-            t.from_download <- true;
-            set_verdict t (Diverged d)
+          | `Fault d -> set_verdict t ~at:0 (Diverged d)
           | `Ok e ->
             if c.c_fed = 0 then c.c_start_instr <- Replay.replayed_instructions e;
             feed_unfed c e;
@@ -781,7 +820,7 @@ module Session = struct
             c.c_emitted <- c.c_emitted || emitted;
             let remaining = remaining - (Replay.replayed_instructions e - before) in
             (match res with
-            | `Fault d -> set_verdict t (Diverged d)
+            | `Fault d -> set_verdict t ~at:(divergence_at t d) (Diverged d)
             | `Fuel_exhausted -> ()
             | `Blocked ->
               if c.c_end <> None && c.c_fed = c.c_n then begin
@@ -836,7 +875,7 @@ module Session = struct
       (match Syn.failures_after t.syn t.syn_seen with
       | [] -> ()
       | fresh ->
-        set_verdict t
+        set_verdict t ~at:(max 1 (fst (List.hd fresh)))
           (Tampered { reason = String.concat "; " (List.map snd fresh); entry_seq = None }));
       t.syn_seen <- Syn.failure_count t.syn;
       t.syn_seconds <- t.syn_seconds +. (Clock.now_s () -. t0);
@@ -844,70 +883,114 @@ module Session = struct
     end;
     t.verdict
 
-  (* The one place a [Tampered_log] or [Replay_divergence] accusation
-     is packaged. A third party replays the evidence from the boot
-     image, so it always starts at genesis: entries 1 up to the end of
-     the chunk holding the offending entry, or everything ingested
-     when the verdict names none. A divergence of a forged download
-     is no fault of the log and ships no evidence. Everything but the
-     evidence segment is read now; the segment is cut from the pinned
-     source when the outcome is forced. *)
-  let lazy_outcome t =
-    let node = Avm_crypto.Identity.cert_name t.ctx.node_cert in
-    let evidence accusation =
-      let upto =
-        match Option.bind t.verdict verdict_entry with
-        | None -> t.fed_upto
-        | Some seq ->
-          Queue.fold
-            (fun acc c -> if c.c_from <= seq && seq <= c.c_upto then c.c_upto else acc)
-            t.fed_upto t.chunks
-      in
-      let source = t.source in
-      Some
-        (fun () ->
-          {
-            Evidence.accused = node;
-            prev_hash = Log.genesis_hash;
-            segment =
-              (match source with
-              | `Log log -> Log.segment log ~from:1 ~upto
-              | `List entries -> entries);
-            auths = t.ctx.auths;
-            accusation;
-          })
+  (* --- evidence: only what the accused signed (DESIGN.md §29) ---------- *)
+
+  (* Buffered entries [from..upto] with the chain hash before [from]:
+     the queued chunks, preceded by the head's opening Snapshot_ref. *)
+  let buffered t ~from ~upto =
+    let prev, opening =
+      match t.opening with Some (p, sr) -> (p, [ sr ]) | None -> (Log.genesis_hash, [])
     in
-    let verdict, semantic, evidence =
+    let queued c = Array.to_list (Array.sub c.c_entries 0 c.c_n) in
+    let rec cut prev = function
+      | (e : Entry.t) :: rest when e.seq < from -> cut e.hash rest
+      | rest -> (prev, List.filter (fun (e : Entry.t) -> e.seq <= upto) rest)
+    in
+    cut prev (opening @ List.concat_map queued (List.of_seq (Queue.to_seq t.chunks)) @ List.rev t.after)
+
+  (* A verified authenticator collected after the session opened: one
+     for an entry still to come is matched when it arrives, one for a
+     buffered entry now; one for a retired entry can cover no later
+     fault and is dropped. *)
+  let add_auth t (a : Auth.t) =
+    let tbl = t.syn.Syn.auth_by_seq in
+    let keep () = if not (List.mem a (Hashtbl.find_all tbl a.seq)) then Hashtbl.add tbl a.seq a in
+    if Auth.verify t.ctx.node_cert a then
+      if a.seq > t.fed_upto then keep ()
+      else
+        match buffered t ~from:a.seq ~upto:a.seq with
+        | _, [ e ] when Auth.matches_entry a e -> keep ()
+        | _, [ _ ] ->
+          set_verdict t ~at:a.seq
+            (Tampered
+               {
+                 reason =
+                   Printf.sprintf "authenticator #%d does not match the log (forked or rewritten log)"
+                     a.seq;
+                 entry_seq = Some a.seq;
+               })
+        | _ -> ()
+
+  (* A divergence ships the head chunk from its opening Snapshot_ref
+     (and the state verified there), a forged RECV the log from that
+     entry; either runs to the covering authenticator, the first
+     verified collected one at or after the fault. A failure unsigned
+     entries cannot show a third party, or one no ingested
+     authenticator covers, becomes a conflicting pair of collected
+     authenticators or a challenge for that first one. *)
+  let evidence t v =
+    let accused = Avm_crypto.Identity.cert_name t.ctx.node_cert in
+    let tbl = t.syn.Syn.auth_by_seq in
+    let auths = List.of_seq (Hashtbl.to_seq_values tbl) in
+    let auths = List.sort (fun (a : Auth.t) b -> compare a.seq b.seq) auths in
+    let first = List.find_opt (fun (a : Auth.t) -> a.seq >= t.fault_at) auths in
+    let chunk ~from start =
+      match first with
+      | Some cover when cover.Auth.seq <= t.fed_upto ->
+        let prev_hash, entries = buffered t ~from ~upto:cover.Auth.seq in
+        let c = { Evidence.start; prev_hash; entries; cover } in
+        if Evidence.commits c then Some c else None
+      | _ -> None
+    in
+    let or_unsigned = function
+      | Some a -> Some a
+      | None -> (
+        let pair (a : Auth.t) = List.find_opt (Auth.conflicts a) (Hashtbl.find_all tbl a.seq) in
+        match List.find_map (fun a -> Option.map (fun b -> (a, b)) (pair a)) auths with
+        | Some (a, b) -> Some (Evidence.Equivocation { a; b })
+        | None -> Option.map (fun auth -> Evidence.Unanswered_challenge { auth }) first)
+    in
+    let accusation =
+      match v with
+      | Equivocated { a; b } -> Some (Evidence.Equivocation { a; b })
+      | Diverged _ when t.fault_at = 0 -> None
+      | Diverged divergence ->
+        let from = match t.opening with Some (_, sr) -> sr.Entry.seq | None -> 1 in
+        chunk ~from t.start
+        |> Option.map (fun chunk -> Evidence.Replay_divergence { divergence; chunk })
+        |> or_unsigned
+      | Tampered { reason; entry_seq = Some s } ->
+        (match buffered t ~from:s ~upto:s with
+        | _, [ e ] when Evidence.forged_recv ~node:accused ~peer_certs:t.ctx.peer_certs e ->
+          chunk ~from:s None
+          |> Option.map (fun chunk -> Evidence.Tampered_log { entry_seq = s; reason; chunk })
+        | _ -> None)
+        |> or_unsigned
+      | Tampered _ -> or_unsigned None
+    in
+    Option.map (fun accusation -> { Evidence.accused; accusation }) accusation
+
+  let outcome t =
+    let verdict, semantic =
       match t.verdict with
       | None ->
-        ( Ok (),
-          Some
-            (Replay.Verified
-               { instructions = total_instructions t; entries_consumed = t.ingested }),
-          None )
-      | Some (Tampered { reason; _ }) ->
-        (Error reason, None, evidence (Evidence.Tampered_log { reason }))
+        let instructions = total_instructions t and entries_consumed = t.ingested in
+        (Ok (), Some (Replay.Verified { instructions; entries_consumed }))
+      | Some (Tampered { reason; _ }) -> (Error reason, None)
       | Some (Diverged d) ->
-        ( Error (Format.asprintf "%a" Replay.pp_outcome (Replay.Diverged d)),
-          Some (Replay.Diverged d),
-          if t.from_download then None else evidence (Evidence.Replay_divergence d) )
-      | Some (Equivocated { a; b } as v) ->
-        (Error (Format.asprintf "%a" pp_verdict v), None, evidence (Evidence.Equivocation { a; b }))
+        let o = Replay.Diverged d in
+        (Error (Format.asprintf "%a" Replay.pp_outcome o), Some o)
+      | Some (Equivocated _ as v) -> (Error (Format.asprintf "%a" pp_verdict v), None)
     in
-    let syntactic = Syn.report t.syn in
-    let syntactic_seconds = t.syn_seconds and semantic_seconds = t.sem_seconds in
-    lazy
-      {
-        node;
-        syntactic;
-        semantic;
-        syntactic_seconds;
-        semantic_seconds;
-        verdict;
-        evidence = Option.map (fun build -> build ()) evidence;
-      }
-
-  let outcome t = Lazy.force (lazy_outcome t)
+    {
+      node = Avm_crypto.Identity.cert_name t.ctx.node_cert;
+      syntactic = Syn.report t.syn;
+      semantic;
+      syntactic_seconds = t.syn_seconds;
+      semantic_seconds = t.sem_seconds;
+      verdict;
+      evidence = Option.bind t.verdict (evidence t);
+    }
 
   (* Batch replay: everything ingested, under one total [fuel]; fuel
      running out with entries left is a stalled guest. *)
@@ -915,7 +998,8 @@ module Session = struct
     ignore (step t ~budget_instructions:fuel : verdict option);
     match t.resume with
     | R_engine e when t.verdict = None && lag_entries t > 0 ->
-      set_verdict t (Diverged (Replay.stall e ~fuel))
+      let d = Replay.stall e ~fuel in
+      set_verdict t ~at:(divergence_at t d) (Diverged d)
     | _ -> ()
 end
 
@@ -956,7 +1040,6 @@ let full ~ctx ~image ?mem_words ?fuel ?cache ~peers ~entries ?par () =
        stream. *)
     batch ~ctx ~image ?mem_words ?fuel ?cache ~peers (fun t ->
         let first = (List.hd entries).Entry.seq in
-        t.Session.source <- `List entries;
         Session.pull t
           [
             {
@@ -967,39 +1050,11 @@ let full ~ctx ~image ?mem_words ?fuel ?cache ~peers ~entries ?par () =
             };
           ])
 
-let check_evidence (ev : Evidence.t) ~ctx ~image ?mem_words ~peers () =
-  if not (String.equal (Avm_crypto.Identity.cert_name ctx.node_cert) ev.accused) then false
-  else begin
-    match ev.accusation with
-    | Evidence.Unanswered_challenge { auth } ->
-      (* The authenticator proves entries up to [auth.seq] exist; that
-         is all a third party can verify offline. *)
-      Auth.verify ctx.node_cert auth
-    | Evidence.Equivocation { a; b } ->
-      (* Pure two-signature proof: no log, no replay. Both
-         authenticators must be genuine commitments by the accused at
-         the same seq with different hashes; anything less (one bad
-         signature, a name mismatch, equal hashes) proves nothing. *)
-      String.equal a.Auth.node ev.accused
-      && Auth.conflicts a b
-      && Auth.verify ctx.node_cert a
-      && Auth.verify ctx.node_cert b
-    | Evidence.Tampered_log _ | Evidence.Replay_divergence _ -> (
-      (* The segment carries no start state, so the third party replays
-         it from the boot image: it must start at genesis, or an honest
-         mid-log chunk would "diverge". The reproduced failure must be
-         the one accused. *)
-      match ev.segment with
-      | first :: _ when first.Entry.seq = 1 && String.equal ev.prev_hash Log.genesis_hash -> (
-        let o =
-          full ~ctx:{ ctx with auths = ev.auths } ~image ?mem_words ~peers ~entries:ev.segment ()
-        in
-        match (ev.accusation, o.semantic) with
-        | Evidence.Tampered_log _, _ -> o.syntactic.failures <> []
-        | Evidence.Replay_divergence _, Some (Replay.Diverged _) -> o.syntactic.failures = []
-        | _ -> false)
-      | _ -> false)
-  end
+let confirm ev ~ctx ~image ?mem_words ~peers () =
+  Evidence.confirm ev ~node_cert:ctx.node_cert ~peer_certs:ctx.peer_certs ~image ~mem_words ~peers
+
+let check_evidence ev ~ctx ~image ?mem_words ~peers () =
+  Option.is_some (confirm ev ~ctx ~image ?mem_words ~peers ())
 
 let pp_outcome fmt r =
   Format.fprintf fmt "@[<v>audit of %s:@ syntactic: %d entries, %d auths, %d recv sigs — %s@ "

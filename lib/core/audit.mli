@@ -2,48 +2,37 @@
     check, then transferable evidence — run as one streaming session
     per audited log, online (paper §6.11) or in batch.
 
-    - The {b syntactic} check needs no execution: it verifies the hash
-      chain, matches every collected authenticator against the log,
-      verifies the sender signatures inside RECV entries, checks that
-      sends were acknowledged, and sanity-checks the cross-references
-      from the input stream into the message stream, all in a single
-      pass over the entries as they are ingested.
+    - The {b syntactic} check needs no execution: in one pass over the
+      entries as they are ingested it verifies the hash chain, matches
+      every collected authenticator against the log, verifies the
+      sender signatures inside RECV entries, checks that sends were
+      acknowledged, and sanity-checks the input stream's
+      cross-references into the message stream.
     - The {b semantic} check is deterministic replay ({!Replay})
       against the reference image, chunk by chunk at the log's
       [Snapshot_ref] boundaries.
 
     A {!Session.t} is the engine. It tails one growing log: the
-    producer {!Session.ingest}s newly sealed entries (subject to
-    backpressure when the auditor has fallen too far behind) and the
-    auditor {!Session.step}s replay forward under an instruction
-    budget. {!full_of_log} and {!full} are its batch front ends: they
-    open a session over a complete log, ingest all of it, settle the
-    cut point and replay what was ingested. Either way the verdict is
-    packaged by one builder, {!Session.outcome}.
+    producer {!Session.ingest}s newly sealed entries (under
+    backpressure when the auditor falls too far behind) and the auditor
+    {!Session.step}s replay forward under an instruction budget.
+    {!full_of_log} and {!full} are its batch front ends. Either way one
+    builder, {!Session.outcome}, packages the verdict with its
+    {!Evidence.t}, and {!confirm} is the third party's side.
 
-    Both checks are deterministic, so any third party repeating them
-    obtains the same verdict — that is what makes the output
-    {!Evidence}; failed audits come back with the transferable
-    {!Evidence.t} already attached ({!outcome.evidence}), and
-    {!check_evidence} is the third party's side of the exchange.
+    {b Configuration.} Every entry point takes [~ctx] ({!ctx}); the
+    batch front ends also take [?par] ({!parallelism}). With more than
+    one lane the syntactic check runs one stream per sealed segment on
+    the pool and stitches them into the session's own, with an outcome
+    — verdict, counters and failure list, byte for byte — identical to
+    the sequential pass. Replay is always one sequential pass
+    (DESIGN.md §19).
 
-    {b Configuration.} Every entry point takes [~ctx] (who is audited,
-    whose signatures appear in its log, the collected authenticators,
-    the ack grace window — see {!ctx}); the batch front ends also take
-    [?par] (worker count or a borrowed {!Avm_util.Domain_pool.t} — see
-    {!parallelism}). With more than one lane the syntactic check runs
-    one stream per sealed segment on the pool and stitches them into
-    the session's own, with an outcome — verdict, counters and the
-    failure list, byte for byte — identical to the sequential pass.
-    Replay is always one sequential pass (DESIGN.md §19).
-
-    {b Observability.} Timing fields are monotonic wall-clock
-    ({!Avm_obs.Clock}), correct under parallelism. An audit bumps
-    [audit.*] counters in {!Avm_obs.Metrics} and records one
-    [audit.chunk] span per sealed segment it ingests (sequential and
-    parallel alike); the batch front ends wrap them in
-    [audit.syntactic] and [audit.semantic] phase spans in
-    {!Avm_obs.Trace}. *)
+    {b Observability.} Timings are monotonic wall-clock
+    ({!Avm_obs.Clock}). An audit bumps [audit.*] counters and records
+    one [audit.chunk] span per sealed segment it ingests; the batch
+    front ends wrap them in [audit.syntactic] and [audit.semantic]
+    spans. *)
 
 type ctx = {
   node_cert : Avm_crypto.Identity.certificate;
@@ -174,11 +163,8 @@ module Session : sig
     unit ->
     t
   (** Open a streaming audit session of [ctx]'s node against the boot
-      [image]. [ctx] supplies the certificates the syntactic check
-      needs (the node's, for collected authenticators; its peers', for
-      RECV signatures) and the authenticators collected for it.
-
-      [high_watermark] (default 4096) and [low_watermark] (default
+      [image]; [ctx] supplies the certificates and the collected
+      authenticators. [high_watermark] (default 4096) and [low_watermark] (default
       half of high) bound the ingest queue: once [lag_entries] exceeds
       the high mark, {!ingest} refuses with [`Backpressure] until
       replay drains the lag back under the low mark (hysteresis, so the
@@ -191,11 +177,9 @@ module Session : sig
       by {!Spot_check.authenticate}, exactly as a spot check is, so a
       forged snapshot is a [Diverged] verdict, not a silent skip, and a
       snapshot not yet shipped stalls replay (no verdict) until
-      [snapshot_of] returns it. Hits are never taken without
-      [snapshot_of] (there would be no state to resume from); verified
-      misses are still remembered for the rest of the fleet.
-
-      [replay_rate] (default 0.955) scales the budget each {!step}
+      [snapshot_of] returns it. Without [snapshot_of] no hit is taken
+      (there is no state to resume from), but verified misses are
+      still remembered for the fleet. [replay_rate] (default 0.955) scales the budget each {!step}
       gets, modeling replay running a few percent slower than the
       original execution (paper §6.11). *)
 
@@ -208,8 +192,10 @@ module Session : sig
       before the call returns. [`Backpressure lag] means the watermark
       is exceeded: nothing was pulled, the entries stay in the
       producer's log, try again after {!step}. After a terminal
-      verdict, ingest is a no-op [`Accepted]. The session keeps [log]
-      as the source of its evidence.
+      verdict, ingest returns [`Accepted] and only pulls, for the
+      evidence, the entries up to the first collected authenticator at
+      or after the fault, once one is known (at most [high_watermark]
+      of them); see {!outcome}.
 
       The log must not be mutated during the call; the observed length
       is snapshotted up front and re-checked after the walk, so a
@@ -227,6 +213,15 @@ module Session : sig
 
   val lag_entries : t -> int
   (** [= (status t).lag_entries], without building the record. *)
+
+  val add_auth : t -> Avm_tamperlog.Auth.t -> unit
+  (** Collect one more authenticator after the session opened (the
+      service daemon's {!Avm_service.Daemon.offer_auth}). One that does
+      not verify under the producer's certificate is dropped. One for
+      an entry not yet ingested is matched against it on arrival, like
+      [ctx.auths]; one for an ingested entry still buffered is matched
+      now, and a mismatch is a [Tampered] verdict; one for a retired
+      entry is dropped. *)
 
   val node_cert : t -> Avm_crypto.Identity.certificate
   (** The audited producer's certificate — what the service daemon
@@ -251,25 +246,22 @@ module Session : sig
 
   val outcome : t -> outcome
   (** The session's verdict as a transferable {!outcome} — what the
-      service daemon emits the moment a verdict lands, mid-session, and
-      what the batch front ends return. Clean ([Ok ()], with the replay
-      totals) while there is no verdict. The evidence segment starts at
-      genesis: entries 1 up to the end of the chunk holding the
-      offending entry, or everything ingested when the verdict names
-      none. A divergence found only in a forged {e downloaded} snapshot
-      ships no evidence: the log itself replays clean from boot.
+      daemon emits the moment a verdict lands and what the batch front
+      ends return; clean ([Ok ()], with the replay totals) while there
+      is no verdict. Built from what the session holds, reading no log.
 
-      The evidence is cut from the log the session last ingested, as
-      that log stood when the verdict landed: setting a verdict pins
-      it ({!Avm_tamperlog.Log.fork}), so appending to or tampering
-      with the producer's log afterwards changes no evidence. *)
-
-  val lazy_outcome : t -> outcome Lazy.t
-  (** {!outcome} with the evidence segment — entries 1.. of the pinned
-      log, which the log must inflate and re-derive — cut only when
-      forced. Every other field is read now; forced, it equals what
-      {!outcome} returns at this call. What the service daemon hands
-      out with each verdict. *)
+      Evidence convicts only on what the accused signed (DESIGN.md
+      §29): a divergence ships the head chunk from its opening
+      [Snapshot_ref] (or entry 1) with the state verified there, a
+      forged RECV the log from that entry, each up to the {e covering}
+      authenticator, the first collected one at or after the fault.
+      Any other failure, or one no ingested authenticator covers yet,
+      yields an {!Evidence.Equivocation} if two collected
+      authenticators conflict, else an {!Evidence.Unanswered_challenge}
+      for the first one at or after the fault, else none; a forged
+      {e downloaded} snapshot yields none. Online, the cover may come
+      later than the verdict ({!add_auth}, {!ingest}): calling
+      [outcome] again then gives the signed chunk. *)
 end
 
 (** {1 The batch front ends} *)
@@ -312,6 +304,26 @@ val full :
 
 (** {1 The third party} *)
 
+val confirm :
+  Evidence.t ->
+  ctx:ctx ->
+  image:int array ->
+  ?mem_words:int ->
+  peers:(int * string) list ->
+  unit ->
+  Evidence.checked option
+(** The third party's check, with [ctx]'s certificates (its [auths]
+    are not consulted). A {!Evidence.chunk} must be signed: its cover
+    verifies under the accused's certificate and {!Evidence.commits}.
+    A [Replay_divergence] chunk must then diverge when replayed from
+    the boot image (from entry 1) or from its start state, which must
+    rebuild into the first entry's [Snapshot_ref] digest; a
+    [Tampered_log] must name a {!Evidence.forged_recv} in its chunk.
+    An [Equivocation] is two verified conflicting authenticators. An
+    [Unanswered_challenge] is never proof: see
+    {!Evidence.challenge_genuine}. [Some] means the accused is
+    provably faulty. *)
+
 val check_evidence :
   Evidence.t ->
   ctx:ctx ->
@@ -320,21 +332,6 @@ val check_evidence :
   peers:(int * string) list ->
   unit ->
   bool
-(** The third party's verification: re-run the audit on the evidence
-    (its own segment and authenticators; [ctx] supplies the
-    certificates) and confirm the accused fault really is present. A
-    {!Evidence.Tampered_log} or {!Evidence.Replay_divergence} segment
-    carries no start state, so it must start at genesis (entry 1,
-    [prev_hash] {!Avm_tamperlog.Log.genesis_hash}), and the re-run must
-    reproduce the accusation: a syntactic failure for the former, a
-    syntactic pass and a divergence for the latter. [true] means
-    the evidence is valid and the accused is provably faulty; [false]
-    means the evidence does not hold up (and the accuser is making an
-    unsupported claim). For {!Evidence.Unanswered_challenge}, validity
-    means the authenticator is genuine — the third party should then
-    challenge the machine itself. For {!Evidence.Equivocation} no log
-    or replay is consulted at all: the proof is two verified
-    signatures over conflicting commitments at the same sequence
-    number ([image], [peers] etc. are ignored). *)
+(** [Option.is_some] of {!confirm}. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

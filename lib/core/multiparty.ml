@@ -8,7 +8,7 @@ type t = {
       (* node -> (seq, hash) -> auth, deduplicated *)
   mutable challenges : challenge list;
   mutable next_challenge : int;
-  mutable evidence : Evidence.t list;
+  mutable evidence : Evidence.checked list;
 }
 
 let create ~self =
@@ -49,8 +49,6 @@ let has_open_challenge t node =
 
 let add_evidence t e = t.evidence <- e :: t.evidence
 
-let evidence_against t node =
-  List.filter (fun (e : Evidence.t) -> String.equal e.Evidence.accused node) t.evidence
-
-let shunned t =
-  List.sort_uniq compare (List.map (fun (e : Evidence.t) -> e.Evidence.accused) t.evidence)
+let accused (e : Evidence.checked) = (e :> Evidence.t).accused
+let evidence_against t node = List.filter (fun e -> String.equal (accused e) node) t.evidence
+let shunned t = List.sort_uniq compare (List.map accused t.evidence)

@@ -12,7 +12,8 @@
       other participants, who stop communicating with it until it
       answers;
     - {!add_evidence} / {!evidence_against}: distribution of verified
-      evidence, after which everyone can shun the faulty node. *)
+      evidence, after which everyone can shun the faulty node. Only
+      evidence {!Audit.confirm} checked can be filed. *)
 
 type t
 
@@ -35,7 +36,7 @@ val answer_challenge : t -> int -> unit
 val has_open_challenge : t -> string -> bool
 (** While true, participants refuse regular traffic with that node. *)
 
-val add_evidence : t -> Evidence.t -> unit
-val evidence_against : t -> string -> Evidence.t list
+val add_evidence : t -> Evidence.checked -> unit
+val evidence_against : t -> string -> Evidence.checked list
 val shunned : t -> string list
-(** Nodes with at least one piece of evidence on file. *)
+(** Nodes with at least one piece of checked evidence on file. *)

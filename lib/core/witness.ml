@@ -211,15 +211,7 @@ let offer store ~cert (a : Auth.t) =
       (* Both verified, same node and seq, different hash: transferable
          proof. [b] (first seen) before [a] keeps proofs deterministic
          in offer order. *)
-      let ev =
-        {
-          Evidence.accused = a.Auth.node;
-          prev_hash = "";
-          segment = [];
-          auths = [];
-          accusation = Evidence.Equivocation { a = b; b = a };
-        }
-      in
+      let ev = { Evidence.accused = a.Auth.node; accusation = Evidence.Equivocation { a = b; b = a } } in
       if not (Hashtbl.mem store.eq_proofs a.Auth.node) then begin
         Hashtbl.replace store.eq_proofs a.Auth.node ev;
         Avm_obs.Metrics.incr "witness.equiv.proofs"

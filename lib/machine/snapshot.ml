@@ -89,6 +89,34 @@ let decode s =
 
 let size_bytes t = String.length (encode t)
 
+(* A machine's state over the boot image: the pages it has changed
+   from it. Each call rescans only the pages written since the last
+   (all of them the first time), so a caller refreshing the state at
+   every chunk boundary pays for the pages the chunk wrote. *)
+type image_diff = { image : int array; changed : (int, page) Hashtbl.t; mutable since : int }
+
+let image_diff ~image = { image; changed = Hashtbl.create 16; since = 0 }
+
+let of_image_diff d ~seq machine =
+  let mem = Machine.mem machine and ps = Memory.page_size in
+  let words = Memory.words mem and len = Array.length d.image in
+  let differs i =
+    let j = ref (i * ps) and hi = (i + 1) * ps in
+    while !j < hi && words.(!j) = if !j < len then d.image.(!j) land 0xffffffff else 0 do incr j done;
+    !j < hi
+  in
+  List.iter
+    (fun i ->
+      if differs i then
+        Hashtbl.replace d.changed i
+          { index = i; data = Memory.page_data mem i; leaf = Memory.leaf_hash mem i }
+      else Hashtbl.remove d.changed i)
+    (Memory.written_since mem d.since);
+  d.since <- Memory.mark mem;
+  let pages = List.sort compare (List.of_seq (Hashtbl.to_seq_values d.changed)) in
+  { seq; at_icount = Machine.icount machine; meta = Machine.serialize_meta machine; pages;
+    full = false; root = Memory.root mem; page_count = Memory.page_count mem }
+
 (* Snapshots with seq <= upto, in the ascending-seq order [materialize]
    applies them. Callers replaying many chunks should sort/filter once
    and slice prefixes rather than calling this per chunk. *)

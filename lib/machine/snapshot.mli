@@ -52,6 +52,21 @@ val machine_digest : at_icount:int -> Machine.t -> string
 val size_bytes : t -> int
 (** Serialized size, the unit of Figure 9's transfer costs. *)
 
+type image_diff
+(** A machine's state tracked as the pages that differ from its boot
+    image. *)
+
+val image_diff : image:int array -> image_diff
+(** A tracker for one machine booted from [image]. *)
+
+val of_image_diff : image_diff -> seq:int -> Machine.t -> t
+(** [of_image_diff d ~seq m] is [m]'s state as one snapshot numbered
+    [seq]: its meta-state and only the pages that differ from the
+    image, so that [materialize ~image [s]] (at [m]'s memory size)
+    rebuilds it. Only the pages [m] wrote since the previous call on
+    [d] (every page on the first) are compared again. Evidence ships a
+    chunk's start state this way. *)
+
 val encode : t -> string
 val decode : string -> t
 (** Hashes each page once on arrival. Page indices and lengths are not

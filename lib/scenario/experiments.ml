@@ -49,7 +49,16 @@ let run_cheat_audit ~scale (c : Cheats.t) =
   in
   let o = Game_run.play spec in
   let report = Game_run.audit_player o ~auditor:(1 - idx) ~target:idx in
-  match report.Audit.verdict with Ok () -> false | Error _ -> true
+  (* Detected means proven: the auditor's evidence convinces a third
+     party holding only the certificates, the image and the peer map. *)
+  match (report.Audit.verdict, report.Audit.evidence) with
+  | Error _, Some ev ->
+    let certs = Net.certificates o.Game_run.net in
+    Audit.check_evidence ev
+      ~ctx:(Audit.ctx ~node_cert:(List.assoc ev.Evidence.accused certs) ~peer_certs:certs ())
+      ~image:(Game_run.reference_image ()) ~mem_words:Guests.mem_words ~peers:(Net.peers o.Game_run.net)
+      ()
+  | _ -> false
 
 let check_cheat ?(scale = Full) c = run_cheat_audit ~scale c
 

@@ -8,7 +8,7 @@ type event = {
   ev_entry_seq : int option;
   ev_chunk : int;
   ev_lag_entries : int;
-  ev_outcome : Avm_core.Audit.outcome Lazy.t;
+  ev_outcome : Avm_core.Audit.outcome;
 }
 
 type session = {
@@ -68,7 +68,7 @@ let event_of s v =
     ev_entry_seq = Avm_core.Audit.verdict_entry v;
     ev_chunk = st.OA.chunks_retired;
     ev_lag_entries = st.OA.lag_entries;
-    ev_outcome = OA.Session.lazy_outcome s.s_session;
+    ev_outcome = OA.Session.outcome s.s_session;
   }
 
 (* Deliver a session's verdict exactly once. *)
@@ -110,8 +110,13 @@ let offer_auth t ~id auth =
       OA.Session.equivocate s.s_session ~a ~b;
       ignore (fire_pending t s : event option)
     | _ -> ())
-  | _ -> ());
+  | Avm_core.Witness.Fresh | Avm_core.Witness.Known ->
+    OA.Session.add_auth s.s_session auth;
+    ignore (fire_pending t s : event option)
+  | Avm_core.Witness.Rejected _ -> ());
   r
+
+let outcome t ~id = OA.Session.outcome (find t id).s_session
 
 let equiv_proofs t = Avm_core.Witness.equiv_proofs t.d_equiv
 

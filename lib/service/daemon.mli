@@ -17,8 +17,8 @@
     - {b Incremental evidence.} The moment any session reaches a
       verdict — a chain break at ingest, a divergence mid-pump — the
       [on_verdict] callback fires with an {!event} carrying the
-      {!Avm_core.Audit.outcome}-compatible evidence (built when read),
-      without waiting for the session to close. *)
+      session's {!Avm_core.Audit.outcome} and its evidence, without
+      waiting for the session to close. *)
 
 type event = {
   ev_session : string;  (** session id given to {!attach} *)
@@ -26,12 +26,12 @@ type event = {
   ev_entry_seq : int option;  (** offending log entry, if identified *)
   ev_chunk : int;  (** snapshot-delimited chunks retired before the verdict *)
   ev_lag_entries : int;  (** session lag when the verdict landed *)
-  ev_outcome : Avm_core.Audit.outcome Lazy.t;
-      (** the verdict with its transferable evidence. The evidence
-          segment (entries from genesis) is only cut when this is
-          forced, from the producer's log as it stood at the verdict
-          ({!Avm_core.Audit.Session.lazy_outcome}), so forcing it later
-          gives the same evidence. *)
+  ev_outcome : Avm_core.Audit.outcome;
+      (** the verdict with its transferable evidence, built when the
+          verdict lands from what the session holds
+          ({!Avm_core.Audit.Session.outcome}); a fault no collected
+          authenticator covers yet gets its signed chunk later, see
+          {!outcome} *)
 }
 
 type t
@@ -80,9 +80,20 @@ val offer_auth :
     commitments at the same seq with different hashes — the session's
     verdict becomes [Equivocated] and [on_verdict] fires before the
     call returns, mid-session, with the transferable proof attached
-    ([service.equivocations] is bumped). All other results leave the
-    session untouched: a corrupt or forged copy is dropped, never
-    accused. @raise Invalid_argument on an unknown [id]. *)
+    ([service.equivocations] is bumped). A verified one ([Fresh] or
+    [Known]) is also collected by the session
+    ({!Avm_core.Audit.Session.add_auth}), where it can cover a fault's
+    evidence; one that does not match the ingested log is a verdict
+    that fires before the call returns. A corrupt or forged copy is
+    dropped, never accused. @raise Invalid_argument on an unknown
+    [id]. *)
+
+val outcome : t -> id:string -> Avm_core.Audit.outcome
+(** Session [id]'s outcome as it stands now: once an authenticator
+    covering a fault has been offered and the entries up to it
+    ingested, the evidence is the signed chunk even when the event
+    carried only a challenge. @raise Invalid_argument on an unknown
+    [id]. *)
 
 val equiv_proofs : t -> Avm_core.Evidence.t list
 (** Equivocation proofs the daemon's store has derived so far, at most

@@ -122,21 +122,6 @@ let forge ?seq ?content ?hash t =
     derived_from = "";
   }
 
-let write w t =
-  let open Avm_util in
-  Wire.varint w t.seq;
-  Wire.u8 w (type_tag t.content);
-  Wire.bytes w (content_bytes t.content);
-  Wire.bytes w t.hash
-
-let read r =
-  let open Avm_util in
-  let seq = Wire.read_varint r in
-  let tag = Wire.read_u8 r in
-  let content = content_of_bytes ~tag (Wire.read_bytes r) in
-  let hash = Wire.read_bytes r in
-  { seq; content; hash; derived_from = "" }
-
 let write_body w t =
   let open Avm_util in
   Wire.varint w t.seq;

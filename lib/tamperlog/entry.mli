@@ -34,9 +34,8 @@ type t = private {
 
     [derived_from] is the decoder mark: the [h_{i-1}] that [hash] was
     computed from. Only {!seal} and {!read_body} set it, and both set
-    it to the [prev] they just hashed. Every other entry — one read
-    from the evidence wire form ({!read}) or built by {!forge} — has
-    [derived_from = ""]. The type is private, so the mark cannot be
+    it to the [prev] they just hashed. Every other entry — one built
+    by {!forge} — has [derived_from = ""]. The type is private, so the mark cannot be
     carried along by a record update that changes [seq], [content] or
     [hash]. See {!chain_ok} for the trust rule. *)
 
@@ -85,14 +84,6 @@ val forge : ?seq:int -> ?content:content -> ?hash:string -> t -> t
     and the mark cleared, so every chain check rehashes it. This is how
     the test adversary ([Log.tamper_replace], tests) plants an entry
     whose stored hash need not match its content. *)
-
-val write : Avm_util.Wire.writer -> t -> unit
-(** Full serialization including [h_i] (used inside evidence bundles,
-    where self-contained entries are convenient). *)
-
-val read : Avm_util.Wire.reader -> t
-(** Inverse of {!write}. The hash is taken verbatim, so the entry is
-    unmarked. *)
 
 val write_body : Avm_util.Wire.writer -> t -> unit
 (** Serialization {e without} the chain hash: [(s_i, t_i, c_i)]. This

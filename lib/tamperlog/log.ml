@@ -253,14 +253,10 @@ let chunk_seq t ~from ~upto =
     Seq.map (fun f -> f ()) (List.to_seq !thunks)
   end
 
-let fold_range t ~from ~upto ~init f =
-  Seq.fold_left (List.fold_left f) init (chunk_seq t ~from ~upto)
-
 let iter_range t ~from ~upto f = Seq.iter (List.iter f) (chunk_seq t ~from ~upto)
 let iter t f = iter_range t ~from:1 ~upto:(length t) f
 
-let segment t ~from ~upto =
-  List.rev (fold_range t ~from ~upto ~init:[] (fun acc e -> e :: acc))
+let segment t ~from ~upto = List.concat (List.of_seq (chunk_seq t ~from ~upto))
 
 (* The same partition as [chunk_seq], but with the index metadata a
    parallel auditor needs to check each chunk independently: the chain

@@ -79,7 +79,6 @@ val chunk_seq : t -> from:int -> upto:int -> Entry.t list Seq.t
 (** One entry list per overlapping sealed segment (tail last), produced
     lazily in log order. *)
 
-val fold_range : t -> from:int -> upto:int -> init:'a -> ('a -> Entry.t -> 'a) -> 'a
 val iter_range : t -> from:int -> upto:int -> (Entry.t -> unit) -> unit
 val iter : t -> (Entry.t -> unit) -> unit
 
@@ -188,10 +187,10 @@ val tamper_reseal : t -> int -> Entry.content -> unit
     for. *)
 
 val fork : t -> t
-(** An independent copy sharing the prefix — for fork attacks, and for
-    pinning a log as it is now: the copy costs the segment index and
-    the tail array, no entry data, and later appends to or tampering
-    with either log leave the other as it was. *)
+(** An independent copy sharing the prefix — for fork attacks and for
+    benches that need a log as it is now: the copy costs the segment
+    index and the tail array, no entry data, and later appends to or
+    tampering with either log leave the other as it was. *)
 
 val newest_segment : t -> Entry.t array option
 (** The entries kept for the newest sealed segment, if any. *)

@@ -380,6 +380,10 @@ let test_audit_detects_reseal () =
   in
   Alcotest.(check bool) "syntactic failure" true (syn.Audit.failures <> [])
 
+(* A signer's authenticator for entry [seq] of [log] — what a peer
+   collects from the signer's envelope. *)
+let auth_at id log seq = Auth.make id ~entry:(Log.entry log seq) ~prev_hash:(Log.prev_hash log seq)
+
 let test_audit_detects_forged_recv () =
   let _, b = run_pair ~slices:30 () in
   let log = Avmm.log b in
@@ -403,7 +407,24 @@ let test_audit_detects_forged_recv () =
       ~log ()
   in
   Alcotest.(check bool) "forged recv caught" true
-    (List.exists (fun f -> String.length f > 0) syn.Audit.failures)
+    (List.exists (fun f -> String.length f > 0) syn.Audit.failures);
+  (* Bob signs on past the forged entry, so it is transferable: the
+     evidence is his log from that entry to the authenticator. *)
+  let n = Log.length log in
+  let ctx = Audit.ctx ~node_cert:(cert_of "bob") ~peer_certs:peer_certs_ab ~auths:[ auth_at bob log n ] () in
+  let o = Audit.full_of_log ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~log () in
+  match o.Audit.evidence with
+  | Some
+      ({ Evidence.accusation = Evidence.Tampered_log { entry_seq; chunk = { entries = first :: _; _ }; _ }; _ }
+       as ev) ->
+    Alcotest.(check (option int)) "names the forged entry" recv_seq (Some entry_seq);
+    Alcotest.(check int) "ships the log from it" entry_seq first.Entry.seq;
+    Alcotest.(check bool) "third party confirms" true
+      (Audit.check_evidence ev ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
+  | _ -> Alcotest.fail "no tampered-log evidence"
+
+let decode_ok blob =
+  match Evidence.decode blob with Ok ev -> ev | Error e -> Alcotest.failf "decode: %s" e
 
 let test_evidence_roundtrip_and_check () =
   let a, b, a_out, b_out = make_pair () in
@@ -421,62 +442,87 @@ let test_evidence_roundtrip_and_check () =
   done;
   let outcome = replay_avmm b peers_b in
   let d = match outcome with Replay.Diverged d -> d | _ -> Alcotest.fail "expected fault" in
-  let ev =
+  (* The chunk from genesis, covered by bob's authenticator for his
+     last entry: bob signed everything it carries. *)
+  let signed id avmm divergence =
+    let log = Avmm.log avmm in
     {
-      Evidence.accused = "bob";
-      prev_hash = Log.genesis_hash;
-      segment = entries_of b;
-      auths = [];
-      accusation = Evidence.Replay_divergence d;
+      Evidence.accused = Identity.name id;
+      accusation =
+        Evidence.Replay_divergence
+          {
+            divergence;
+            chunk =
+              {
+                Evidence.start = None;
+                prev_hash = Log.genesis_hash;
+                entries = entries_of avmm;
+                cover = auth_at id log (Log.length log);
+              };
+          };
     }
   in
-  let ev' = Evidence.decode (Evidence.encode ev) in
+  let ev = signed bob b d in
+  let ev' = decode_ok (Evidence.encode ev) in
   Alcotest.(check string) "roundtrip accused" "bob" ev'.Evidence.accused;
+  Alcotest.(check string) "roundtrip bytes" (Evidence.encode ev) (Evidence.encode ev');
   (* A third party confirms the fault... *)
   Alcotest.(check bool) "third party confirms" true
     (Audit.check_evidence ev'
-       ~ctx:
-         (Audit.ctx ~node_cert:(cert_of "bob")
-            ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
-            ())
+       ~ctx:(Audit.ctx ~node_cert:(cert_of "bob") ~peer_certs:peer_certs_ab ())
        ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ());
   (* ... and rejects the same accusation against an honest log. *)
-  let honest_ev = { ev with Evidence.segment = entries_of a; accused = "alice" } in
   Alcotest.(check bool) "honest log clears" false
-    (Audit.check_evidence honest_ev
-       ~ctx:
-         (Audit.ctx ~node_cert:(cert_of "alice")
-            ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
-            ())
+    (Audit.check_evidence (signed alice a d)
+       ~ctx:(Audit.ctx ~node_cert:(cert_of "alice") ~peer_certs:peer_certs_ab ())
        ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_a ())
 
 let test_unanswered_challenge_evidence () =
   let _, b = run_pair ~slices:10 () in
   let log = Avmm.log b in
-  let e = Log.entry log (Log.length log) in
-  let auth = Auth.make bob ~entry:e ~prev_hash:(Log.prev_hash log e.Entry.seq) in
-  let ev =
-    {
-      Evidence.accused = "bob";
-      prev_hash = Log.genesis_hash;
-      segment = [];
-      auths = [];
-      accusation = Evidence.Unanswered_challenge { auth };
-    }
-  in
-  Alcotest.(check bool) "auth-backed challenge valid" true
+  let auth = auth_at bob log (Log.length log) in
+  let ev = { Evidence.accused = "bob"; accusation = Evidence.Unanswered_challenge { auth } } in
+  Alcotest.(check bool) "auth-backed challenge genuine" true
+    (Evidence.challenge_genuine ev ~node_cert:(cert_of "bob"));
+  Alcotest.(check bool) "a challenge is no proof" false
     (Audit.check_evidence ev
        ~ctx:(Audit.ctx ~node_cert:(cert_of "bob") ())
        ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ());
   let forged = { ev with Evidence.accusation = Evidence.Unanswered_challenge { auth = { auth with Auth.signature = "zz" } } } in
-  Alcotest.(check bool) "forged auth invalid" false
-    (Audit.check_evidence forged
-       ~ctx:(Audit.ctx ~node_cert:(cert_of "bob") ())
-       ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
+  Alcotest.(check bool) "forged auth not genuine" false
+    (Evidence.challenge_genuine forged ~node_cert:(cert_of "bob"))
 
-(* Evidence carries no start state, so a third party replays its
-   segment from the boot image: a chunk cut from the middle of an
-   honest log always "diverges" that way, and must not convict. *)
+(* A verifier that lacks a sender's certificate learns nothing from a
+   RECV of it: bob's honest log, signed for and naming his first signed
+   RECV as tampered, convicts under no certificate set. *)
+let test_unknown_sender_is_no_evidence () =
+  let _, b = run_pair ~slices:20 () in
+  let log = Avmm.log b in
+  let n = Log.length log in
+  let recv =
+    List.find
+      (fun (e : Entry.t) ->
+        match e.content with Entry.Recv { signature; _ } -> signature <> "" | _ -> false)
+      (Log.segment log ~from:1 ~upto:n)
+  in
+  let chunk =
+    { Evidence.start = None; prev_hash = Log.genesis_hash; entries = Log.segment log ~from:1 ~upto:n;
+      cover = auth_at bob log n }
+  in
+  let ev =
+    { Evidence.accused = "bob";
+      accusation = Evidence.Tampered_log { entry_seq = recv.Entry.seq; reason = "unknown sender"; chunk } }
+  in
+  List.iter
+    (fun (what, peer_certs) ->
+      Alcotest.(check bool) what false
+        (Audit.check_evidence ev ~ctx:(Audit.ctx ~node_cert:(cert_of "bob") ~peer_certs ())
+           ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ()))
+    [ ("no certificates", []); ("bob's only", [ ("bob", cert_of "bob") ]); ("all", peer_certs_ab) ]
+
+(* An honest log signed for, cut at any snapshot, never convicts: a
+   mid-log chunk from the boot image is no chunk from entry 1, and from
+   the state the log committed to there it replays clean. *)
 let test_honest_chunk_is_no_evidence () =
   let _, b = run_pair ~slices:65 () in
   let log = Avmm.log b in
@@ -485,54 +531,69 @@ let test_honest_chunk_is_no_evidence () =
     Audit.full_of_log ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~log ()
   in
   Alcotest.(check bool) "whole log audits clean" true (audit.Audit.verdict = Ok ());
-  let check what ev =
+  let check what accusation =
     Alcotest.(check bool) what false
-      (Audit.check_evidence ev ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
+      (Audit.check_evidence { Evidence.accused = "bob"; accusation } ~ctx ~image:(guest_image ())
+         ~mem_words:4096 ~peers:peers_b ())
   in
-  let cuts =
-    List.map (fun (bd : Spot_check.boundary) -> bd.Spot_check.entry_seq) (Spot_check.boundaries log)
+  let chunk ?start ~from ~upto () =
+    {
+      Evidence.start;
+      prev_hash = Log.prev_hash log from;
+      entries = Log.segment log ~from ~upto;
+      cover = auth_at bob log upto;
+    }
   in
+  let bounds = Spot_check.boundaries log in
   let rec chunks = function
-    | a :: (b :: _ as rest) -> (a + 1, b) :: chunks rest
+    | (a : Spot_check.boundary) :: (b :: _ as rest) -> (a, b) :: chunks rest
     | _ -> []
   in
-  Alcotest.(check bool) "several mid-log chunks" true (List.length (chunks cuts) >= 3);
+  Alcotest.(check bool) "several mid-log chunks" true (List.length (chunks bounds) >= 3);
   List.iter
-    (fun (from, upto) ->
-      let segment = Log.segment log ~from ~upto in
+    (fun ((lo : Spot_check.boundary), (hi : Spot_check.boundary)) ->
+      let from = lo.Spot_check.entry_seq and upto = hi.Spot_check.entry_seq in
       let divergence =
         match
-          Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ~entries:segment ()
+          Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
+            ~entries:(Log.segment log ~from:(from + 1) ~upto) ()
         with
         | Replay.Diverged d -> d
         | Replay.Verified _ -> Alcotest.failf "chunk %d..%d replays clean from boot" from upto
       in
-      let ev accusation =
-        {
-          Evidence.accused = "bob";
-          prev_hash = Log.prev_hash log from;
-          segment;
-          auths = [];
-          accusation;
-        }
+      let state =
+        match
+          Avm_machine.Snapshot.materialize ~mem_words:4096 ~image:(guest_image ())
+            (Avm_machine.Snapshot.chain_upto (Avmm.snapshots b) lo.Spot_check.snapshot_seq)
+        with
+        | Ok m -> Avm_machine.Snapshot.(of_image_diff (image_diff ~image:(guest_image ())) ~seq:lo.snapshot_seq m)
+        | Error e -> Alcotest.fail e
       in
       check
-        (Printf.sprintf "chunk %d..%d: divergence" from upto)
-        (ev (Evidence.Replay_divergence divergence));
+        (Printf.sprintf "chunk %d..%d from boot" from upto)
+        (Evidence.Replay_divergence { divergence; chunk = chunk ~from ~upto () });
+      check
+        (Printf.sprintf "chunk %d..%d from its committed state" from upto)
+        (Evidence.Replay_divergence { divergence; chunk = chunk ~start:state ~from ~upto () });
       check (Printf.sprintf "chunk %d..%d: tampered" from upto)
-        (ev (Evidence.Tampered_log { reason = "mid-log chunk" })))
-    (chunks cuts);
-  (* From genesis the accusation must be reproduced, not just any failure. *)
-  let whole accusation =
-    {
-      Evidence.accused = "bob";
-      prev_hash = Log.genesis_hash;
-      segment = entries_of b;
-      auths = [];
-      accusation;
-    }
-  in
-  check "whole honest log: tampered" (whole (Evidence.Tampered_log { reason = "none" }))
+        (Evidence.Tampered_log
+           { entry_seq = from + 1; reason = "mid-log chunk"; chunk = chunk ~from ~upto () }))
+    (chunks bounds);
+  (* From genesis too: replay reproduces nothing, and no entry is a
+     forged RECV. *)
+  let n = Log.length log in
+  let whole = chunk ~from:1 ~upto:n () in
+  check "whole honest log: diverged"
+    (Evidence.Replay_divergence
+       {
+         divergence = { Replay.kind = Replay.Guest_fault; at = { Avm_machine.Landmark.icount = 0; pc = 0; branches = 0 }; entry_seq = None; detail = "" };
+         chunk = whole;
+       });
+  List.iter
+    (fun (e : Entry.t) ->
+      check "whole honest log: tampered"
+        (Evidence.Tampered_log { entry_seq = e.seq; reason = "none"; chunk = whole }))
+    (List.filter (fun (e : Entry.t) -> match e.content with Entry.Recv _ -> true | _ -> false) whole.Evidence.entries)
 
 (* --- spot checks --------------------------------------------------------------------- *)
 
@@ -759,14 +820,28 @@ let test_multiparty_bookkeeping () =
   Multiparty.answer_challenge mp ch.Multiparty.id;
   Alcotest.(check bool) "answered" false (Multiparty.has_open_challenge mp "bob");
   Alcotest.(check (list string)) "nobody shunned" [] (Multiparty.shunned mp);
-  Multiparty.add_evidence mp
-    {
-      Evidence.accused = "bob";
-      prev_hash = Log.genesis_hash;
-      segment = [];
-      auths = [];
-      accusation = Evidence.Tampered_log { reason = "broken chain" };
-    };
+  (* Only checked evidence can be filed. Every envelope bob sends
+     carries a genuine authenticator such as a1, so a challenge on it
+     opens a challenge and shuns nobody. *)
+  let confirm accusation =
+    Audit.confirm { Evidence.accused = "bob"; accusation }
+      ~ctx:(Audit.ctx ~node_cert:(cert_of "bob") ())
+      ~image:(guest_image ()) ~peers:peers_b ()
+  in
+  let challenge = { Evidence.accused = "bob"; accusation = Evidence.Unanswered_challenge { auth = a1 } } in
+  Alcotest.(check bool) "a genuine challenge is nothing to file" true
+    (confirm challenge.Evidence.accusation = None);
+  Alcotest.(check bool) "but it is genuine" true
+    (Evidence.challenge_genuine challenge ~node_cert:(cert_of "bob"));
+  ignore (Multiparty.open_challenge mp ~accused:"bob" ~description:(Evidence.describe challenge));
+  Alcotest.(check bool) "challenged" true (Multiparty.has_open_challenge mp "bob");
+  Alcotest.(check (list string)) "a challenge shuns nobody" [] (Multiparty.shunned mp);
+  (* Two commitments bob signed at one seq are proof. *)
+  let other = Log.append (Log.create ()) (Entry.Note "y") in
+  let a1' = Auth.make bob ~entry:other ~prev_hash:Log.genesis_hash in
+  Alcotest.(check bool) "forged authenticator: nothing to file" true
+    (confirm (Evidence.Equivocation { a = a1; b = { a1' with Auth.signature = "zz" } }) = None);
+  Option.iter (Multiparty.add_evidence mp) (confirm (Evidence.Equivocation { a = a1; b = a1' }));
   Alcotest.(check (list string)) "bob shunned" [ "bob" ] (Multiparty.shunned mp);
   Alcotest.(check int) "evidence filed" 1 (List.length (Multiparty.evidence_against mp "bob"))
 
@@ -1236,6 +1311,28 @@ let test_property_honest_always_verifies () =
    is detected by a full audit — by the hash chain, the collected
    authenticators, the RECV signatures, or replay. The attacker here is
    the strong one: he reseals the whole chain after editing. *)
+(* The same entry with one field changed: a payload, an event, a
+   digest or an acked seq. *)
+let mutate_content = function
+  | Entry.Send s -> Entry.Send { s with payload = s.payload ^ "x" }
+  | Entry.Recv r -> Entry.Recv { r with payload = r.payload ^ "x" }
+  | Entry.Ack k -> Entry.Ack { k with acked_seq = k.acked_seq + 1 }
+  | Entry.Exec (Avm_machine.Event.Io_in io) ->
+    Entry.Exec (Avm_machine.Event.Io_in { io with value = (io.value + 1) land 0xffffffff })
+  | Entry.Exec (Avm_machine.Event.Irq irq) ->
+    Entry.Exec
+      (Avm_machine.Event.Irq
+         {
+           irq with
+           landmark =
+             {
+               irq.landmark with
+               Avm_machine.Landmark.icount = irq.landmark.Avm_machine.Landmark.icount + 1;
+             };
+         })
+  | Entry.Snapshot_ref sr -> Entry.Snapshot_ref { sr with digest = Avm_crypto.Sha256.digest sr.digest }
+  | Entry.Note n -> Entry.Note (n ^ "!")
+
 let test_property_any_tamper_detected () =
   (* Record one honest session, collecting authenticators like the
      network does. *)
@@ -1275,28 +1372,7 @@ let test_property_any_tamper_detected () =
     let forked = Log.fork (Avmm.log b) in
     let seq = 1 + Rng.int rng (max_auth_seq - 1) in
     let victim = Log.entry forked seq in
-    let mutated =
-      match victim.Entry.content with
-      | Entry.Send s -> Entry.Send { s with payload = s.payload ^ "x" }
-      | Entry.Recv r -> Entry.Recv { r with payload = r.payload ^ "x" }
-      | Entry.Ack k -> Entry.Ack { k with acked_seq = k.acked_seq + 1 }
-      | Entry.Exec (Avm_machine.Event.Io_in io) ->
-        Entry.Exec (Avm_machine.Event.Io_in { io with value = (io.value + 1) land 0xffffffff })
-      | Entry.Exec (Avm_machine.Event.Irq irq) ->
-        Entry.Exec
-          (Avm_machine.Event.Irq
-             {
-               irq with
-               landmark =
-                 {
-                   irq.landmark with
-                   Avm_machine.Landmark.icount = irq.landmark.Avm_machine.Landmark.icount + 1;
-                 };
-             })
-      | Entry.Snapshot_ref sr ->
-        Entry.Snapshot_ref { sr with digest = Avm_crypto.Sha256.digest sr.digest }
-      | Entry.Note n -> Entry.Note (n ^ "!")
-    in
+    let mutated = mutate_content victim.Entry.content in
     Log.tamper_reseal forked seq mutated;
     let entries = Log.segment forked ~from:1 ~upto:(Log.length forked) in
     match (audit_bob entries).Audit.verdict with
@@ -1430,7 +1506,9 @@ let test_syntactic_single_pass () =
 
 (* A recording whose sequence numbers skip cannot be indexed as a log;
    the list front end pushes it as it is, and the gap is a chain
-   failure of the same stream, with evidence a third party confirms. *)
+   failure of the same stream. Unsigned entries cannot show a gap to a
+   third party, so the evidence is the challenge for bob's first
+   collected authenticator after it. *)
 let test_non_contiguous_recording () =
   let b, auths = record_with_auths () in
   let gapped = List.filter (fun (e : Entry.t) -> e.Entry.seq <> 11) (entries_of b) in
@@ -1443,10 +1521,202 @@ let test_non_contiguous_recording () =
     (List.nth_opt o.Audit.syntactic.Audit.failures 0);
   Alcotest.(check bool) "semantic skipped" true (o.Audit.semantic = None);
   match o.Audit.evidence with
-  | Some ({ Evidence.accusation = Evidence.Tampered_log _; _ } as ev) ->
-    Alcotest.(check bool) "third party confirms" true
+  | Some ({ Evidence.accusation = Evidence.Unanswered_challenge { auth }; _ } as ev) ->
+    Alcotest.(check int) "first authenticator after the gap"
+      (List.fold_left
+         (fun m (a : Auth.t) -> if a.Auth.seq >= 12 then min m a.Auth.seq else m)
+         max_int auths)
+      auth.Auth.seq;
+    Alcotest.(check bool) "the challenge is genuine" true
+      (Evidence.challenge_genuine ev ~node_cert:(cert_of "bob"));
+    Alcotest.(check bool) "and proves nothing" false
       (Audit.check_evidence ev ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
-  | _ -> Alcotest.fail "no tampered-log evidence"
+  | _ -> Alcotest.fail "no challenge"
+
+(* --- forged evidence never convicts ------------------------------------- *)
+
+(* [contents] sealed into a fresh chain from genesis: what anyone
+   holding a node's log can build from it, every hash consistent. *)
+let rechain contents =
+  let prev = ref Log.genesis_hash in
+  List.mapi
+    (fun i c ->
+      let e = Entry.seal ~prev:!prev ~seq:(i + 1) c in
+      prev := e.Entry.hash;
+      e)
+    contents
+
+let from_genesis entries cover = { Evidence.start = None; prev_hash = Log.genesis_hash; entries; cover }
+let any_divergence =
+  { Replay.kind = Replay.Guest_fault; at = { Avm_machine.Landmark.icount = 0; pc = 0; branches = 0 }; entry_seq = None; detail = "" }
+
+let convicts ~ctx ~peers accused accusation =
+  Audit.check_evidence { Evidence.accused; accusation } ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ()
+
+(* Rewrite alice's first SEND and rechain, or swap one entry for a Note
+   and rechain: replay of the first diverges from boot, and the second
+   names an entry that is not alice's. Neither carries an authenticator
+   alice signed for the rechained hash, so neither convicts — whether
+   the forger attaches alice's genuine authenticator for that seq or
+   signs one itself. *)
+let test_rechained_forgeries_rejected () =
+  let a, _ = run_pair ~slices:30 () in
+  let log = Avmm.log a in
+  let honest = List.map (fun (e : Entry.t) -> e.content) (entries_of a) in
+  let ctx = Audit.ctx ~node_cert:(cert_of "alice") ~peer_certs:peer_certs_ab () in
+  let covers forged =
+    let n = List.length forged in
+    let last = List.nth forged (n - 1) and before = List.nth forged (n - 2) in
+    [
+      ("alice's own authenticator", auth_at alice log n);
+      ( "self-signed",
+        { (Auth.make bob ~entry:last ~prev_hash:before.Entry.hash) with Auth.node = "alice" } );
+    ]
+  in
+  let first_send =
+    Option.get (List.find_index (function Entry.Send _ -> true | _ -> false) honest)
+  in
+  let rewritten =
+    rechain
+      (List.mapi
+         (fun i c ->
+           match c with
+           | Entry.Send s when i = first_send -> Entry.Send { s with payload = "forged" }
+           | c -> c)
+         honest)
+  in
+  (match
+     Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_a ~entries:rewritten ()
+   with
+  | Replay.Diverged divergence ->
+    List.iter
+      (fun (how, cover) ->
+        Alcotest.(check bool) ("rewritten SEND, " ^ how) false
+          (convicts ~ctx ~peers:peers_a "alice"
+             (Evidence.Replay_divergence { divergence; chunk = from_genesis rewritten cover })))
+      (covers rewritten)
+  | Replay.Verified _ -> Alcotest.fail "the rewritten SEND replays clean");
+  let k = List.length honest / 2 in
+  let noted = rechain (List.mapi (fun i c -> if i = k - 1 then Entry.Note "planted" else c) honest) in
+  List.iter
+    (fun (how, cover) ->
+      Alcotest.(check bool) ("planted Note, " ^ how) false
+        (convicts ~ctx ~peers:peers_a "alice"
+           (Evidence.Tampered_log { entry_seq = k; reason = "planted"; chunk = from_genesis noted cover })))
+    (covers noted)
+
+(* Mutate bob's honest log — change an entry's payload or event, drop
+   an entry or insert one — and rechain it. Neither the auditor's own
+   evidence on the result nor any chunk a forger cuts from it (from
+   genesis, or from the last snapshot before the mutation with the
+   state bob committed to there) convicts bob under any of his
+   genuine authenticators: the auditor at most challenges, which the
+   honest log answers. *)
+let test_property_rechained_mutation_never_convicts =
+  let fixture =
+    lazy
+      (let b, auths = record_with_auths () in
+       (b, auths, List.map (fun (e : Entry.t) -> e.content) (entries_of b)))
+  in
+  let ctx = Audit.ctx ~node_cert:(cert_of "bob") ~peer_certs:peer_certs_ab () in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+    (QCheck2.Test.make ~count:30 ~name:"evidence: no rechained mutation of an honest log convicts"
+       QCheck2.Gen.(pair (int_range 0 2) (float_range 0.0 1.0))
+       (fun (op, where) ->
+         let b, auths, honest = Lazy.force fixture in
+         let n = List.length honest in
+         let k = 1 + int_of_float (where *. float_of_int (n - 1)) in
+         let forged =
+           rechain
+             (List.concat
+                (List.mapi
+                   (fun i c ->
+                     if i + 1 <> k then [ c ]
+                     else
+                       match op with
+                       | 0 -> [ mutate_content c ]
+                       | 1 -> []
+                       | _ -> [ Entry.Note "inserted"; c ])
+                   honest))
+         in
+         let by_auditor =
+           match
+             (Audit.full ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
+                ~peers:peers_b ~entries:forged ())
+               .Audit.evidence
+           with
+           | Some ({ Evidence.accusation = Evidence.Unanswered_challenge _; _ }) | None -> []
+           | Some ev -> [ ev.Evidence.accusation ]
+         in
+         let covers = List.filter (fun (a : Auth.t) -> a.Auth.seq >= k && a.Auth.seq <= List.length forged) auths in
+         let opening =
+           List.fold_left
+             (fun acc (bd : Spot_check.boundary) -> if bd.Spot_check.entry_seq < k then Some bd else acc)
+             None (Spot_check.boundaries (Avmm.log b))
+         in
+         let cut (cover : Auth.t) =
+           let upto = List.filteri (fun i _ -> i < cover.Auth.seq) forged in
+           let mid =
+             Option.map
+               (fun (bd : Spot_check.boundary) ->
+                 let state =
+                   match
+                     Avm_machine.Snapshot.materialize ~mem_words:4096 ~image:(guest_image ())
+                       (Avm_machine.Snapshot.chain_upto (Avmm.snapshots b) bd.snapshot_seq)
+                   with
+                   | Ok m -> Avm_machine.Snapshot.(of_image_diff (image_diff ~image:(guest_image ())) ~seq:bd.snapshot_seq m)
+                   | Error e -> failwith e
+                 in
+                 {
+                   Evidence.start = Some state;
+                   prev_hash = (List.nth forged (bd.entry_seq - 2)).Entry.hash;
+                   entries = List.filteri (fun i _ -> i >= bd.entry_seq - 1) upto;
+                   cover;
+                 })
+               opening
+           in
+           List.concat_map
+             (fun chunk ->
+               [
+                 Evidence.Replay_divergence { divergence = any_divergence; chunk };
+                 Evidence.Tampered_log { entry_seq = k; reason = "mutated"; chunk };
+               ])
+             (from_genesis upto cover :: Option.to_list mid)
+         in
+         List.for_all
+           (fun accusation -> not (convicts ~ctx ~peers:peers_b "bob" accusation))
+           (by_auditor @ List.concat_map cut covers)))
+
+(* Evidence.decode is total: any truncation or single-bit flip of real
+   evidence decodes or is an error, never an exception. *)
+let test_property_evidence_decode_total =
+  let blobs =
+    lazy
+      (let b, auths = record_with_auths ~poke_at:15 () in
+       let o =
+         Audit.full ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
+           ~entries:(entries_of b) ()
+       in
+       let ev = Option.get o.Audit.evidence in
+       let a = List.hd auths in
+       [|
+         Evidence.encode ev;
+         Evidence.encode { ev with Evidence.accusation = Evidence.Unanswered_challenge { auth = a } };
+         Evidence.encode { ev with Evidence.accusation = Evidence.Equivocation { a; b = a } };
+       |])
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+    (QCheck2.Test.make ~count:300 ~name:"evidence: decode never raises on truncation or bit flips"
+       QCheck2.Gen.(triple (int_range 0 2) (float_range 0.0 1.0) (int_range (-1) 7))
+       (fun (which, where, bit) ->
+         let blob = (Lazy.force blobs).(which) in
+         let at = int_of_float (where *. float_of_int (String.length blob - 1)) in
+         let mutated =
+           if bit < 0 then String.sub blob 0 at
+           else
+             String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor (1 lsl bit)) else c) blob
+         in
+         match Evidence.decode mutated with Ok _ | Error _ -> true))
 
 (* --- parallel audit = sequential audit --------------------------------------- *)
 
@@ -2158,51 +2428,60 @@ let test_online_audit_honest_keeps_up () =
   Alcotest.(check bool) "made progress" true
     ((Online_audit.Session.status s).Online_audit.replayed_instructions > 1000)
 
+(* The session tails bob's log while the game runs, and alice hands
+   it bob's authenticators as his envelopes arrive. The poke lands
+   after the first snapshot, so the evidence is the diverging chunk
+   from its opening Snapshot_ref, with the state the session verified
+   there, up to the authenticator that covers the divergence: one the
+   session may only receive after its verdict. *)
 let test_online_audit_catches_cheat_mid_game () =
   let a, b, a_out, b_out = make_pair () in
+  let addr = Avm_isa.Asm.symbol (Avm_mlang.Compile.compile ~stack_top:4096 guest_src) "g_quiet" in
   let s =
     Online_audit.Session.open_session ~ctx:(ctx_ab []) ~image:(guest_image ()) ~mem_words:4096
       ~replay_rate:1.0 ~peers:peers_b ()
   in
-  let addr = Avm_isa.Asm.symbol (Avm_mlang.Compile.compile ~stack_top:4096 guest_src) "g_quiet" in
-  let t = ref 0.0 in
-  let caught_at = ref None in
-  (try
-     for i = 1 to 40 do
-       t := !t +. 10_000.0;
-       ignore (Avmm.run_slice a ~until_us:!t);
-       ignore (Avmm.run_slice b ~until_us:!t);
-       if i = 10 then Avmm.poke b ~addr ~value:666;
-       ignore (shuttle a b a_out);
-       ignore (shuttle b a b_out);
-       ignore (Online_audit.Session.ingest s (Avmm.log b));
-       match Online_audit.Session.step s ~budget_instructions:1_000_000 with
-       | None -> ()
-       | Some (Online_audit.Diverged _) ->
-         caught_at := Some i;
-         raise Exit
-       | Some v -> Alcotest.failf "wrong verdict: %a" Online_audit.pp_verdict v
-     done
-   with Exit -> ());
-  match !caught_at with
+  let t = ref 0.0 and caught = ref None in
+  for i = 1 to 40 do
+    t := !t +. 10_000.0;
+    ignore (Avmm.run_slice a ~until_us:!t);
+    ignore (Avmm.run_slice b ~until_us:!t);
+    if i = 12 then Avmm.poke b ~addr ~value:666;
+    Queue.iter (fun env -> Online_audit.Session.add_auth s env.Wireformat.auth) b_out;
+    ignore (shuttle a b a_out);
+    ignore (shuttle b a b_out);
+    ignore (Online_audit.Session.ingest s (Avmm.log b));
+    match Online_audit.Session.step s ~budget_instructions:1_000_000 with
+    | None -> ()
+    | Some (Online_audit.Diverged _) -> if !caught = None then caught := Some i
+    | Some v -> Alcotest.failf "wrong verdict: %a" Online_audit.pp_verdict v
+  done;
+  match !caught with
   | None -> Alcotest.fail "cheat not caught online"
   | Some slice ->
-    (* detected while the game was still in progress, soon after the
-       poke's effect reached a snapshot or output *)
+    (* detected while the log was still growing, soon after the poke's
+       effect reached a snapshot or output *)
     Alcotest.(check bool) "caught mid-game" true (slice < 40);
     Alcotest.(check bool) "fault is terminal" true
       (match Online_audit.Session.step s ~budget_instructions:1_000_000 with
       | Some (Online_audit.Diverged _) -> true
       | _ -> false);
-    (* The mid-game evidence starts at genesis and convicts on its own. *)
     match (Online_audit.Session.outcome s).Audit.evidence with
     | Some
-        ({ Evidence.accusation = Evidence.Replay_divergence _; segment = first :: _; _ } as ev) ->
-      Alcotest.(check int) "evidence starts at entry 1" 1 first.Entry.seq;
+        ({
+           Evidence.accusation =
+             Evidence.Replay_divergence
+               { chunk = { Evidence.start = Some _; entries = first :: _; _ }; _ };
+           _;
+         } as ev) ->
+      Alcotest.(check bool) "evidence starts at a Snapshot_ref, not entry 1" true
+        (first.Entry.seq > 1
+        && match first.Entry.content with Entry.Snapshot_ref _ -> true | _ -> false);
       Alcotest.(check bool) "third party confirms" true
-        (Audit.check_evidence ev ~ctx:(ctx_ab []) ~image:(guest_image ()) ~mem_words:4096
-           ~peers:peers_b ())
-    | _ -> Alcotest.fail "no divergence evidence"
+        (Audit.check_evidence (decode_ok (Evidence.encode ev)) ~ctx:(ctx_ab [])
+           ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b ())
+    | Some ev -> Alcotest.failf "not a signed chunk: %s" (Evidence.describe ev)
+    | None -> Alcotest.fail "no divergence evidence"
 
 let test_online_audit_parallel_chain_check () =
   (* Every ingested entry runs through the chain check before replay
@@ -2522,8 +2801,13 @@ let () =
           Alcotest.test_case "evidence roundtrip + third party" `Quick
             test_evidence_roundtrip_and_check;
           Alcotest.test_case "unanswered challenge" `Quick test_unanswered_challenge_evidence;
+          Alcotest.test_case "unknown sender is no evidence" `Quick test_unknown_sender_is_no_evidence;
           Alcotest.test_case "honest mid-log chunk is no evidence" `Quick
             test_honest_chunk_is_no_evidence;
+          Alcotest.test_case "rechained forgeries rejected" `Quick
+            test_rechained_forgeries_rejected;
+          test_property_rechained_mutation_never_convicts;
+          test_property_evidence_decode_total;
         ] );
       ( "divergence-kinds",
         [

@@ -48,16 +48,10 @@ let test_conflicts_predicate () =
 let test_evidence_roundtrip_and_check () =
   let a = List.nth (honest_auths 2) 1 in
   let b = conflicting_auth a in
-  let ev =
-    {
-      Evidence.accused = "alice";
-      prev_hash = "";
-      segment = [];
-      auths = [];
-      accusation = Evidence.Equivocation { a; b };
-    }
+  let ev = { Evidence.accused = "alice"; accusation = Evidence.Equivocation { a; b } } in
+  let ev' =
+    match Evidence.decode (Evidence.encode ev) with Ok ev -> ev | Error e -> Alcotest.fail e
   in
-  let ev' = Evidence.decode (Evidence.encode ev) in
   (match ev'.Evidence.accusation with
   | Evidence.Equivocation { a = a'; b = b' } ->
     Alcotest.(check bool) "auths survive the wire" true (a = a' && b = b')
@@ -262,7 +256,7 @@ let test_daemon_offer_auth () =
     | Online_audit.Equivocated _ -> ()
     | _ -> Alcotest.fail "expected an Equivocated verdict");
     Alcotest.(check (option int)) "entry seq named" (Some a.Auth.seq) ev.Daemon.ev_entry_seq;
-    match (Lazy.force ev.Daemon.ev_outcome).Audit.evidence with
+    match ev.Daemon.ev_outcome.Audit.evidence with
     | None -> Alcotest.fail "outcome carries no evidence"
     | Some ev ->
       Alcotest.(check bool) "daemon evidence verifies standalone" true

@@ -135,53 +135,114 @@ let test_cheat_reported_before_close () =
   | Some (Online_audit.Tampered _) -> ()
   | _ -> Alcotest.fail "close must repeat the terminal verdict"
 
-(* --- daemon: evidence built when read ------------------------------------- *)
+(* --- daemon: evidence built at the verdict ---------------------------- *)
 
-(* A daemon verdict's evidence is cut when the event's outcome is
-   forced, from the producer's log as it stood at the verdict: a
-   producer that rewrites an entry inside the evidence prefix and keeps
-   appending afterwards changes nothing. Two identical runs: one forces
-   the outcome inside [on_verdict] (the eager build), the other only
-   after the producer has moved on. *)
+(* A daemon verdict's outcome is built when the verdict lands, from
+   what the session holds, and reads no log: a producer that rewrites
+   an earlier entry and keeps appending afterwards changes no evidence.
+   The verdict is a chain break, which unsigned entries cannot show a
+   third party, so the evidence is the challenge for carol's first
+   collected authenticator at or after the broken entry. *)
 let test_daemon_evidence_pinned_at_verdict () =
-  let run ~eager =
-    let log = recorded_log ~slices:40 () in
-    let n = Log.length log in
-    let events = ref [] in
-    let on_verdict (ev : Daemon.event) =
-      if eager then ignore (Lazy.force ev.Daemon.ev_outcome : Audit.outcome);
-      events := ev :: !events
-    in
-    let d = Daemon.create ~on_verdict () in
-    Daemon.attach d ~id:"carol" ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ();
-    let half = n / 2 in
-    let first_half = Log.fork log in
-    Log.tamper_truncate first_half half;
-    ignore (Daemon.ingest d ~id:"carol" first_half : [ `Accepted | `Backpressure of int ]);
-    ignore (Daemon.pump d ~budget_instructions:max_int () : int);
-    let tampered_seq = half + ((n - half) / 2) + 1 in
-    Log.tamper_replace log tampered_seq (Entry.Note "rewritten");
-    ignore (Daemon.ingest d ~id:"carol" log : [ `Accepted | `Backpressure of int ]);
-    let ev =
-      match !events with [ ev ] -> ev | l -> Alcotest.failf "expected one event, got %d" (List.length l)
-    in
-    Alcotest.(check (option int)) "verdict names the entry" (Some tampered_seq) ev.Daemon.ev_entry_seq;
-    if not eager then begin
-      Alcotest.(check bool) "outcome not built yet" false (Lazy.is_val ev.Daemon.ev_outcome);
-      Log.tamper_replace log 3 (Entry.Note "rewritten later");
-      for _ = 1 to 20 do
-        ignore (Log.append log (Entry.Note "after the verdict") : Entry.t)
-      done
-    end;
-    match (Lazy.force ev.Daemon.ev_outcome).Audit.evidence with
-    | Some e -> e
-    | None -> Alcotest.fail "a Tampered verdict carries evidence"
+  let log = recorded_log ~slices:40 () in
+  let n = Log.length log in
+  let auths =
+    List.filter_map
+      (fun seq ->
+        if seq mod 10 = 0 then
+          Some (Auth.make carol ~entry:(Log.entry log seq) ~prev_hash:(Log.prev_hash log seq))
+        else None)
+      (List.init n (fun i -> i + 1))
   in
-  let eager = run ~eager:true and late = run ~eager:false in
-  Alcotest.(check string) "forced late = built at the verdict" (Evidence.encode eager)
-    (Evidence.encode late);
-  Alcotest.(check bool) "the late evidence still convicts" true
-    (Audit.check_evidence late ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ())
+  let ctx = Audit.ctx ~node_cert:(Identity.certificate carol) ~auths () in
+  let events = ref [] and at_verdict = ref None in
+  let on_verdict (ev : Daemon.event) =
+    at_verdict := Option.map Evidence.encode ev.Daemon.ev_outcome.Audit.evidence;
+    events := ev :: !events
+  in
+  let d = Daemon.create ~on_verdict () in
+  Daemon.attach d ~id:"carol" ~ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ();
+  let half = n / 2 in
+  let first_half = Log.fork log in
+  Log.tamper_truncate first_half half;
+  ignore (Daemon.ingest d ~id:"carol" first_half : [ `Accepted | `Backpressure of int ]);
+  ignore (Daemon.pump d ~budget_instructions:max_int () : int);
+  let tampered_seq = half + ((n - half) / 2) + 1 in
+  Log.tamper_replace log tampered_seq (Entry.Note "rewritten");
+  ignore (Daemon.ingest d ~id:"carol" log : [ `Accepted | `Backpressure of int ]);
+  let ev =
+    match !events with [ ev ] -> ev | l -> Alcotest.failf "expected one event, got %d" (List.length l)
+  in
+  Alcotest.(check (option int)) "verdict names the entry" (Some tampered_seq) ev.Daemon.ev_entry_seq;
+  Log.tamper_replace log 3 (Entry.Note "rewritten later");
+  for _ = 1 to 20 do
+    ignore (Log.append log (Entry.Note "after the verdict") : Entry.t)
+  done;
+  ignore (Daemon.ingest d ~id:"carol" log : [ `Accepted | `Backpressure of int ]);
+  ignore (Daemon.detach d ~id:"carol" : Daemon.event option);
+  match ev.Daemon.ev_outcome.Audit.evidence with
+  | Some ({ Evidence.accusation = Evidence.Unanswered_challenge { auth }; _ } as e) ->
+    Alcotest.(check (option string)) "the producer's later tampering changes nothing" !at_verdict
+      (Some (Evidence.encode e));
+    Alcotest.(check int) "challenges the first authenticator from the broken entry"
+      (((tampered_seq + 9) / 10) * 10) auth.Auth.seq;
+    Alcotest.(check bool) "the challenge is genuine" true
+      (Evidence.challenge_genuine e ~node_cert:(Identity.certificate carol));
+    Alcotest.(check bool) "and proves nothing" false
+      (Audit.check_evidence e ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ())
+  | _ -> Alcotest.fail "a chain break with collected authenticators carries a challenge"
+
+(* A divergence found before any collected authenticator covers it
+   carries no evidence when the event fires. Once carol's authenticator
+   for a later entry is offered and the log ingested up to it, the
+   daemon's outcome is the signed chunk, which a third party confirms. *)
+let test_daemon_cover_after_verdict () =
+  let config = Config.make ~snapshot_every_us:(Some 50_000) Config.Avmm_rsa768 in
+  let m =
+    Avmm.create ~identity:carol ~config ~image:(guest_image ()) ~mem_words:4096 ~peers
+      ~on_send:(fun _ -> ()) ()
+  in
+  let addr = Avm_isa.Asm.symbol (Avm_mlang.Compile.compile ~stack_top:4096 guest_src) "g_n" in
+  let events = ref [] in
+  let d = Daemon.create ~on_verdict:(fun ev -> events := ev :: !events) () in
+  Daemon.attach d ~id:"carol" ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ();
+  let t = ref 0.0 in
+  let slice () =
+    t := !t +. 10_000.0;
+    ignore (Avmm.run_slice m ~until_us:!t);
+    ignore (Daemon.ingest d ~id:"carol" (Avmm.log m) : [ `Accepted | `Backpressure of int ]);
+    ignore (Daemon.pump d ~budget_instructions:max_int () : int)
+  in
+  for i = 1 to 30 do
+    if i = 8 then Avmm.poke m ~addr ~value:4242;
+    if !events = [] then slice ()
+  done;
+  let ev = match !events with [ ev ] -> ev | _ -> Alcotest.fail "expected one verdict" in
+  (match ev.Daemon.ev_verdict with
+  | Online_audit.Diverged _ -> ()
+  | v -> Alcotest.failf "expected a divergence, got %a" Online_audit.pp_verdict v);
+  Alcotest.(check bool) "no authenticator yet: no evidence" true
+    (ev.Daemon.ev_outcome.Audit.evidence = None);
+  for _ = 1 to 3 do
+    slice ()
+  done;
+  let log = Avmm.log m in
+  let n = Log.length log in
+  (match
+     Daemon.offer_auth d ~id:"carol"
+       (Auth.make carol ~entry:(Log.entry log n) ~prev_hash:(Log.prev_hash log n))
+   with
+  | Witness.Fresh -> ()
+  | _ -> Alcotest.fail "a genuine authenticator is fresh");
+  slice ();
+  Alcotest.(check int) "the verdict fired once" 1 (List.length !events);
+  match (Daemon.outcome d ~id:"carol").Audit.evidence with
+  | Some ({ Evidence.accusation = Evidence.Replay_divergence { chunk; _ }; _ } as e) ->
+    Alcotest.(check int) "covered by the offered authenticator" n chunk.Evidence.cover.Auth.seq;
+    Alcotest.(check bool) "third party confirms" true
+      (Audit.check_evidence e ~ctx:carol_ctx ~image:(guest_image ()) ~mem_words:4096 ~peers ())
+  | Some e -> Alcotest.failf "not a signed chunk: %s" (Evidence.describe e)
+  | None -> Alcotest.fail "no evidence after the cover arrived"
 
 (* --- daemon: bounded lag at steady state ---------------------------------- *)
 
@@ -257,6 +318,7 @@ let () =
         [
           Alcotest.test_case "evidence pinned at the verdict" `Quick
             test_daemon_evidence_pinned_at_verdict;
+          Alcotest.test_case "cover offered after the verdict" `Quick test_daemon_cover_after_verdict;
           Alcotest.test_case "lag bounded at steady state" `Slow test_lag_bounded_steady_state;
           Alcotest.test_case "cheats located by chunk and entry" `Slow test_cheats_located;
           Alcotest.test_case "verdicts invariant across jobs and cache" `Slow
