@@ -105,12 +105,13 @@ let () =
       ( "BENCH_crypto.json",
         [
           ("rsa_bits", Present);
+          (* Which SHA-256 kernel produced the rates (DESIGN.md §30). *)
+          ("sha256_kernel", Present);
           ("sha256_mb_per_sec", Num_pos);
-          (* Scalar and batch verification share one Montgomery
-             kernel (DESIGN.md §18), so batching no longer has a
-             speedup to hold a floor against; these single-shot rates
-             swing by up to 2x with host load, and the paired runs of
-             perfbench/ are what gate speed. *)
+          (* Batch verification is pointwise verification (DESIGN.md
+             §30), so batching has no speedup to hold a floor against;
+             these single-shot rates swing by up to 2x with host load,
+             and the paired runs of perfbench/ are what gate speed. *)
           ("rsa_signs_per_sec", Num_pos);
           ("rsa_verifies_per_sec", Num_pos);
           ("rsa_batch_verifies_per_sec", Num_pos);

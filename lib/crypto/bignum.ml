@@ -285,261 +285,98 @@ let mod_pow_classic b e m =
     !result
   end
 
-(* Montgomery-form modular arithmetic, the hot path behind RSA signing
-   and verification (DESIGN.md §12, §17). A context precomputes, per
-   odd modulus m of k limbs: n0' = -m^{-1} mod 2^26 and R^2 mod m where
-   R = 2^(26k). Every product of every exponentiation goes through one
-   product-scanning kernel ([mul_mont]/[sqr_mont]) computing
-   REDC(a*b) = a*b*R^{-1} mod m in a single pass — no Knuth long
-   division, no double-width temporary — into caller-provided scratch. *)
+(* Byte conversions are single-pass bit accumulators (no per-byte
+   shift/add over freshly allocated arrays): decoding packs 8 bits at a
+   time into the limb being built, encoding drains limbs 8 bits at a
+   time into the output buffer. Both are linear in the input size,
+   which matters because every RSA verification decodes a signature
+   and encodes a result. Both byte orders are needed: big-endian for
+   the wire, little-endian for the Montgomery kernel's limbs. *)
+let of_bytes ~le s =
+  let len = String.length s in
+  let r = Array.make (((len * 8) + bits_per_limb - 1) / bits_per_limb) 0 in
+  let acc = ref 0 and accbits = ref 0 and li = ref 0 in
+  for i = 0 to len - 1 do
+    let c = String.unsafe_get s (if le then i else len - 1 - i) in
+    acc := !acc lor (Char.code c lsl !accbits);
+    accbits := !accbits + 8;
+    if !accbits >= bits_per_limb then begin
+      r.(!li) <- !acc land limb_mask;
+      incr li;
+      acc := !acc lsr bits_per_limb;
+      accbits := !accbits - bits_per_limb
+    end
+  done;
+  if !accbits > 0 then r.(!li) <- !acc;
+  normalize r
+
+let of_bytes_be = of_bytes ~le:false
+
+(* Drain [a]'s limbs into [b.[0 .. out_len-1]], zero-padded at the
+   most significant end. *)
+let blit_bytes ~le a b out_len =
+  let nbytes = (bit_length a + 7) / 8 in
+  if nbytes > out_len then invalid_arg "Bignum.to_bytes_be: value too large";
+  Bytes.fill b (if le then nbytes else 0) (out_len - nbytes) '\000';
+  let acc = ref 0 and accbits = ref 0 and li = ref 0 in
+  let la = Array.length a in
+  for i = 0 to nbytes - 1 do
+    if !accbits < 8 && !li < la then begin
+      acc := !acc lor (Array.unsafe_get a !li lsl !accbits);
+      accbits := !accbits + bits_per_limb;
+      incr li
+    end;
+    Bytes.unsafe_set b (if le then i else out_len - 1 - i) (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    accbits := max 0 (!accbits - 8)
+  done
+
+let blit_bytes_be = blit_bytes ~le:false
+
+(* [a] as [n] little-endian bytes, the Montgomery kernel's format. *)
+let le_bytes a n =
+  let b = Bytes.create n in
+  blit_bytes ~le:true a b n;
+  b
+
+(* Montgomery exponentiation, the hot path behind RSA signing and
+   verification (DESIGN.md §30). The kernel is C (crypto_stubs.c) over
+   64-bit limbs; a context holds, per odd modulus m of k such limbs, m
+   and R^2 mod m (R = 2^(64k)) in the kernel's little-endian byte
+   format, so a call converts only its base and exponent in and its
+   result out. *)
 module Mont = struct
   type nonrec ctx = {
-    m : t; (* modulus, normalized, length k *)
-    k : int;
-    n0' : int; (* -m^{-1} mod base *)
-    r2 : int array; (* R^2 mod m, padded to k limbs *)
+    m : t;
+    m_le : Bytes.t; (* m, k limbs of 8 bytes *)
+    r2_le : Bytes.t; (* R^2 mod m, likewise *)
   }
 
   let modulus c = c.m
 
-  (* A column of [mul_mont]/[sqr_mont] sums up to 2k limb products
-     (each < 2^52) in one 63-bit int; 500 limbs keeps that under 2^62.
-     Wider moduli (over 13,000 bits) get no context and take the
-     classic ladder. *)
+  (* 13,000 bits: the C kernel keeps its scratch on the stack, sized
+     for at most 204 limbs of 64 bits. *)
   let max_limbs = 500
 
-  (* Inverse of the odd low limb mod 2^26 by Newton iteration
-     (x := x * (2 - m0*x) doubles the number of correct low bits;
-     x = m0 is correct mod 8), then negated. *)
-  let neg_inv_limb m0 =
-    let x = ref m0 in
-    for _ = 1 to 5 do
-      let d = (2 - (m0 * !x)) land limb_mask in
-      x := !x * d land limb_mask
-    done;
-    (base - !x) land limb_mask
-
-  let pad k a =
-    let r = Array.make k 0 in
-    Array.blit a 0 r 0 (Array.length a);
-    r
+  external kernel_pow : Bytes.t -> Bytes.t -> Bytes.t -> string -> unit = "avm_mont_pow"
+  [@@noalloc]
 
   let make m =
-    let k = Array.length m in
-    if k < 2 || k > max_limbs || is_even m then None
+    let n = Array.length m in
+    if n < 2 || n > max_limbs || is_even m then None
     else begin
-      let r2 = rem (shift_left one (2 * k * bits_per_limb)) m in
-      Some { m; k; n0' = neg_inv_limb m.(0); r2 = pad k r2 }
+      let bytes = 8 * ((bit_length m + 63) / 64) in
+      let r2 = rem (shift_left one (16 * bytes)) m in
+      Some { m; m_le = le_bytes m bytes; r2_le = le_bytes r2 bytes }
     end
 
-  (* Working storage for exponentiations under one context, allocated
-     once and reusable across a whole batch of them (DESIGN.md §17). *)
-  type scratch = {
-    s_q : int array; (* per-column reduction quotients *)
-    s_acc : int array; (* the accumulator *)
-    s_base : int array; (* the plain base, padded to k limbs *)
-    s_bm : int array; (* the base in Montgomery form *)
-  }
-
-  let scratch ctx =
-    let k = ctx.k in
-    {
-      s_q = Array.make k 0;
-      s_acc = Array.make k 0;
-      s_base = Array.make k 0;
-      s_bm = Array.make k 0;
-    }
-
-  (* Final step shared by the product-scanning routines below: [dest]
-     holds (x + q*m)/R < 2m split across k limbs plus an overflow bit
-     [hi]; bring it under m with at most one subtraction. *)
-  let final_sub ctx ~dest hi =
-    let k = ctx.k and n = ctx.m in
-    let ge =
-      hi <> 0
-      ||
-      let rec cmp i =
-        if i < 0 then true
-        else begin
-          let di = Array.unsafe_get dest i and ni = Array.unsafe_get n i in
-          if di <> ni then di > ni else cmp (i - 1)
-        end
-      in
-      cmp (k - 1)
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for i = 0 to k - 1 do
-        let d = Array.unsafe_get dest i - Array.unsafe_get n i - !borrow in
-        if d < 0 then begin
-          Array.unsafe_set dest i (d + base);
-          borrow := 1
-        end
-        else begin
-          Array.unsafe_set dest i d;
-          borrow := 0
-        end
-      done
-    end
-
-  (* Product-scanning (Comba) Montgomery multiply: one pass over the
-     2k-1 columns of a*b, interleaving the reduction — each low column
-     fixes its quotient limb q_col and is cancelled on the spot, each
-     high column emits a result limb. The running column sum lives in
-     one machine word (see [max_limbs]), so there is no double-width
-     temporary to fill, re-read and re-write; a*b and q*m share their
-     index range in every column and are summed in one loop. [a], [b]
-     and [dest] have k limbs, [a], [b] < m. [dest] may alias [a] or
-     [b]: limb [col-k] is dead in every later column by the time it is
-     overwritten. *)
-  let mul_mont ctx s ~dest a b =
-    let k = ctx.k and n = ctx.m and n0' = ctx.n0' in
-    let q = s.s_q in
-    let acc = ref 0 in
-    for col = 0 to k - 1 do
-      let sum = ref (!acc + (Array.unsafe_get a col * Array.unsafe_get b 0)) in
-      for i = 0 to col - 1 do
-        sum :=
-          !sum
-          + (Array.unsafe_get a i * Array.unsafe_get b (col - i))
-          + (Array.unsafe_get q i * Array.unsafe_get n (col - i))
-      done;
-      let qc = !sum * n0' land limb_mask in
-      Array.unsafe_set q col qc;
-      acc := (!sum + (qc * Array.unsafe_get n 0)) lsr bits_per_limb
-    done;
-    for col = k to (2 * k) - 2 do
-      let sum = ref !acc in
-      for i = col - k + 1 to k - 1 do
-        sum :=
-          !sum
-          + (Array.unsafe_get a i * Array.unsafe_get b (col - i))
-          + (Array.unsafe_get q i * Array.unsafe_get n (col - i))
-      done;
-      Array.unsafe_set dest (col - k) (!sum land limb_mask);
-      acc := !sum lsr bits_per_limb
-    done;
-    Array.unsafe_set dest (k - 1) (!acc land limb_mask);
-    final_sub ctx ~dest (!acc lsr bits_per_limb)
-
-  (* Product-scanning Montgomery squaring: as [mul_mont], but each
-     column sums only the distinct cross products a_i*a_j (i < j),
-     doubled in-register, plus the diagonal term — about half the
-     multiply work. Most of an exponentiation's products land here. *)
-  let sqr_mont ctx s ~dest a =
-    let k = ctx.k and n = ctx.m and n0' = ctx.n0' in
-    let q = s.s_q in
-    let acc = ref 0 in
-    for col = 0 to k - 1 do
-      let sum = ref 0 in
-      (* pairs i < col-i; [asr] so col = 0 gives an empty range, not 0/2 *)
-      for i = 0 to (col - 1) asr 1 do
-        sum := !sum + (Array.unsafe_get a i * Array.unsafe_get a (col - i))
-      done;
-      let sum = ref ((!sum lsl 1) + !acc) in
-      if col land 1 = 0 then begin
-        let d = Array.unsafe_get a (col / 2) in
-        sum := !sum + (d * d)
-      end;
-      for j = 0 to col - 1 do
-        sum := !sum + (Array.unsafe_get q j * Array.unsafe_get n (col - j))
-      done;
-      let qc = !sum * n0' land limb_mask in
-      Array.unsafe_set q col qc;
-      acc := (!sum + (qc * Array.unsafe_get n 0)) lsr bits_per_limb
-    done;
-    for col = k to (2 * k) - 2 do
-      let sum = ref 0 in
-      for i = col - k + 1 to (col - 1) / 2 do
-        sum := !sum + (Array.unsafe_get a i * Array.unsafe_get a (col - i))
-      done;
-      let sum = ref ((!sum lsl 1) + !acc) in
-      if col land 1 = 0 then begin
-        let d = Array.unsafe_get a (col / 2) in
-        sum := !sum + (d * d)
-      end;
-      for j = col - k + 1 to k - 1 do
-        sum := !sum + (Array.unsafe_get q j * Array.unsafe_get n (col - j))
-      done;
-      Array.unsafe_set dest (col - k) (!sum land limb_mask);
-      acc := !sum lsr bits_per_limb
-    done;
-    Array.unsafe_set dest (k - 1) (!acc land limb_mask);
-    final_sub ctx ~dest (!acc lsr bits_per_limb)
-
-  (* base^exp mod m, left to right over sliding windows: each window is
-     a run of at most [w] exponent bits ending in a set bit, so it
-     names an odd power of the base. Exponents up to 64 bits use w = 1
-     (square-and-multiply, no table); longer ones w = 5 (16 odd powers
-     precomputed) — a 384-bit CRT half-exponent then costs ~384
-     squarings and ~64 multiplies. When the last step multiplies by the
-     base itself it multiplies by the *plain* base instead:
-     REDC(x*R * b) = x*b mod m, so that one product also leaves
-     Montgomery form, and e = 65537 costs one conversion in, sixteen
-     squarings and one multiply. *)
-  let pow ?scratch:s ctx b e =
-    let k = ctx.k in
+  let pow ctx b e =
     if is_zero e then one
     else begin
-      let s = match s with Some s -> s | None -> scratch ctx in
-      let b = rem b ctx.m in
-      Array.fill s.s_base 0 k 0;
-      Array.blit b 0 s.s_base 0 (Array.length b);
-      mul_mont ctx s ~dest:s.s_bm s.s_base ctx.r2;
-      let nbits = bit_length e in
-      let w = if nbits <= 64 then 1 else 5 in
-      let odd = Array.make (1 lsl (w - 1)) s.s_bm in
-      if w > 1 then begin
-        let b2 = Array.make k 0 in
-        sqr_mont ctx s ~dest:b2 s.s_bm;
-        for j = 1 to Array.length odd - 1 do
-          let d = Array.make k 0 in
-          mul_mont ctx s ~dest:d odd.(j - 1) b2;
-          odd.(j) <- d
-        done
-      end;
-      let acc = s.s_acc in
-      let started = ref false and plain = ref false in
-      let i = ref (nbits - 1) in
-      while !i >= 0 do
-        if not (testbit e !i) then begin
-          (* [acc] is live: bit nbits-1 is set, so a window came first. *)
-          sqr_mont ctx s ~dest:acc acc;
-          decr i
-        end
-        else begin
-          let j = ref (max 0 (!i - w + 1)) in
-          while not (testbit e !j) do
-            incr j
-          done;
-          let v = ref 0 in
-          for bit = !i downto !j do
-            v := (!v lsl 1) lor if testbit e bit then 1 else 0;
-            if !started then sqr_mont ctx s ~dest:acc acc
-          done;
-          if not !started then begin
-            Array.blit odd.(!v lsr 1) 0 acc 0 k;
-            started := true
-          end
-          else if !j = 0 && !v = 1 then begin
-            mul_mont ctx s ~dest:acc acc s.s_base;
-            plain := true
-          end
-          else mul_mont ctx s ~dest:acc acc odd.(!v lsr 1);
-          i := !j - 1
-        end
-      done;
-      if not !plain then begin
-        (* Leave Montgomery form: REDC(acc * 1). *)
-        Array.fill s.s_base 0 k 0;
-        s.s_base.(0) <- 1;
-        mul_mont ctx s ~dest:acc acc s.s_base
-      end;
-      let n = ref k in
-      while !n > 0 && acc.(!n - 1) = 0 do
-        decr n
-      done;
-      Array.sub acc 0 !n
+      let acc = le_bytes (rem b ctx.m) (Bytes.length ctx.m_le) in
+      let e = Bytes.unsafe_to_string (le_bytes e ((bit_length e + 7) / 8)) in
+      kernel_pow ctx.m_le ctx.r2_le acc e;
+      of_bytes ~le:true (Bytes.unsafe_to_string acc)
     end
 end
 
@@ -594,52 +431,6 @@ let mod_inv a m =
     let v = rem x.mag m in
     Some (if x.neg && not (is_zero v) then sub m v else v)
   end
-
-(* Byte conversions are single-pass bit accumulators (no per-byte
-   shift/add over freshly allocated arrays): decoding packs 8 bits at a
-   time into the limb being built, encoding drains limbs 8 bits at a
-   time into the output buffer. Both are linear in the input size,
-   which matters because every RSA verification decodes a signature
-   and encodes a result. *)
-let of_bytes_be s =
-  let len = String.length s in
-  if len = 0 then zero
-  else begin
-    let r = Array.make (((len * 8) + bits_per_limb - 1) / bits_per_limb) 0 in
-    let acc = ref 0 and accbits = ref 0 and li = ref 0 in
-    for i = len - 1 downto 0 do
-      acc := !acc lor (Char.code (String.unsafe_get s i) lsl !accbits);
-      accbits := !accbits + 8;
-      if !accbits >= bits_per_limb then begin
-        r.(!li) <- !acc land limb_mask;
-        incr li;
-        acc := !acc lsr bits_per_limb;
-        accbits := !accbits - bits_per_limb
-      end
-    done;
-    if !accbits > 0 then r.(!li) <- !acc;
-    normalize r
-  end
-
-(* Drain [a]'s limbs big-endian into [b.[0 .. out_len-1]], zero-padded
-   on the left. Shared by [to_bytes_be] and the batch-verify path that
-   reuses one output buffer across a whole segment's signatures. *)
-let blit_bytes_be a b out_len =
-  let nbytes = (bit_length a + 7) / 8 in
-  if nbytes > out_len then invalid_arg "Bignum.to_bytes_be: value too large";
-  Bytes.fill b 0 (out_len - nbytes) '\000';
-  let acc = ref 0 and accbits = ref 0 and li = ref 0 in
-  let la = Array.length a in
-  for i = out_len - 1 downto out_len - nbytes do
-    if !accbits < 8 && !li < la then begin
-      acc := !acc lor (Array.unsafe_get a !li lsl !accbits);
-      accbits := !accbits + bits_per_limb;
-      incr li
-    end;
-    Bytes.unsafe_set b i (Char.unsafe_chr (!acc land 0xff));
-    acc := !acc lsr 8;
-    accbits := max 0 (!accbits - 8)
-  done
 
 let to_bytes_be ?len a =
   let nbytes = (bit_length a + 7) / 8 in

@@ -3,7 +3,9 @@
     Little-endian arrays of 26-bit limbs; all products of two limbs fit
     comfortably in OCaml's 63-bit native ints. This is the arithmetic
     substrate for {!Rsa}; no external bignum library is available in
-    this environment (see DESIGN.md §6).
+    this environment (see DESIGN.md §6). The one hot operation,
+    modular exponentiation ({!Mont}), runs in C over 64-bit limbs and
+    converts to and from them once per call (DESIGN.md §30).
 
     Values are non-negative. [sub a b] requires [a >= b]. *)
 
@@ -67,39 +69,30 @@ val mod_pow_classic : t -> t -> t -> t
     step. Kept as the oracle the Montgomery path is tested against.
     @raise Division_by_zero if [m] is zero. *)
 
-(** Montgomery-form modular exponentiation. A context precomputes
-    [-m^-1 mod 2^26] and [R^2 mod m] for one odd modulus; callers that
-    verify or sign repeatedly under the same key cache the context
-    (see {!Crypto_backend.mont_of}) so each exponentiation pays no
-    division at all. Every product runs through one single-pass
-    product-scanning multiply/square kernel. *)
+(** Montgomery-form modular exponentiation. The kernel is C over
+    64-bit limbs (DESIGN.md §30); a context precomputes, per odd
+    modulus, the modulus and [R^2 mod m] in the kernel's limb format,
+    and callers that verify or sign repeatedly under the same key cache
+    the context (see {!Crypto_backend.mont_of}), so each
+    exponentiation pays no division beyond reducing its base and only
+    converts its base, exponent and result. *)
 module Mont : sig
   type ctx
   (** Precomputed state for one odd modulus of 2 to 500 limbs. *)
 
   val make : t -> ctx option
   (** [make m] is [None] when [m] is even, fits in a single limb, or is
-      wider than 500 limbs (13,000 bits), where the kernel's one-word
-      column sums could overflow (callers should use
-      {!mod_pow_classic} there). *)
+      wider than 500 limbs (13,000 bits), the widest the kernel's stack
+      scratch holds (callers should use {!mod_pow_classic} there). *)
 
   val modulus : ctx -> t
   (** The modulus the context was built for. *)
 
-  type scratch
-  (** Reusable working storage for a run of exponentiations under one
-      context: the reduction quotients and the operands, allocated once
-      per batch instead of once per call. *)
-
-  val scratch : ctx -> scratch
-
-  val pow : ?scratch:scratch -> ctx -> t -> t -> t
+  val pow : ctx -> t -> t -> t
   (** [pow ctx base exp] is [base^exp mod (modulus ctx)], by sliding
       windows (square-and-multiply up to 64-bit exponents, so
-      e = 65537 costs sixteen squarings and one multiply). With
-      [~scratch] the intermediates live in that storage, which must
-      come from [scratch ctx] and must not be shared between domains;
-      otherwise a fresh one is allocated. *)
+      e = 65537 costs sixteen squarings and one multiply; 5-bit
+      windows above). *)
 end
 
 val mod_inv : t -> t -> t option
@@ -120,7 +113,7 @@ val blit_bytes_be : t -> Bytes.t -> int -> unit
 (** [blit_bytes_be a b len] writes the [len]-byte big-endian encoding
     of [a] into [b.[0 .. len-1]], zero-padding on the left — the
     allocation-free form of {!to_bytes_be} for callers that reuse one
-    output buffer across many encodings ({!Rsa.verify_batch}).
+    output buffer across many encodings ({!Rsa.verify}).
     @raise Invalid_argument if [a] does not fit in [len] bytes. *)
 
 val to_hex : t -> string

@@ -2,8 +2,8 @@
 
    The audit verdict depends on exactly two primitives: a hash and a
    modular exponentiation. This module pins that seam down as a module
-   type, provides the optimized production instance ([Default]: the
-   unrolled {!Sha256} core and Montgomery exponentiation with a
+   type, provides the optimized production instance ([Default]: the C
+   kernels of DESIGN.md §30 behind {!Sha256} and {!Bignum.Mont}, with a
    per-domain context cache) and a deliberately naive from-spec
    instance ([Reference]: textbook FIPS 180-4 rounds over a padded
    copy, classic square-and-multiply with a division per step). The
@@ -18,10 +18,11 @@
 (* Keyed by the physical identity of the modulus: a key's Bignum
    fields are stable for the key's lifetime, and audits verify
    thousands of signatures under a handful of keys, so a short
-   association list probed by [==] makes the precomputed n', R^2 pair
-   effectively "cached on the key" without widening the key types.
-   Each domain keeps its own list (no locks); a structural miss just
-   recomputes. Shared by the [Default] backend and by CRT signing. *)
+   association list probed by [==] makes the precomputed context (the
+   modulus and R^2 in the kernel's limb format) effectively "cached on
+   the key" without widening the key types. Each domain keeps its own
+   list (no locks); a structural miss just recomputes. Shared by the
+   [Default] backend and by CRT signing. *)
 let mont_cache : (Bignum.t * Bignum.Mont.ctx option) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
@@ -156,13 +157,11 @@ let default : (module S) = (module Default)
 let reference : (module S) = (module Reference)
 
 (* One process-global choice (an [Atomic] so audit workers on other
-   domains observe a switch); the fast paths test [is_default] by
-   physical identity and only then take their batched shortcuts. *)
+   domains observe a switch). *)
 let selected : (module S) Atomic.t = Atomic.make default
 
 let current () = Atomic.get selected
 let set b = Atomic.set selected b
-let is_default () = current () == default
 
 let name () =
   let module B = (val current ()) in

@@ -3,18 +3,17 @@
     An audit verdict depends on exactly two primitives — a hash and a
     modular exponentiation — and this seam pins them down as a module
     type so optimized implementations can be swapped in against a
-    standing oracle. {!Default} is the production instance (the
-    unrolled {!Sha256} core, Montgomery exponentiation with a
-    per-domain context cache); {!Reference} is a deliberately naive
-    from-spec instance (textbook FIPS 180-4 over a padded copy,
-    {!Bignum.mod_pow_classic}). The [backend-crosscheck] tool and the
-    QCheck properties in [test_crypto] require byte-identical audit
-    reports under both.
+    standing oracle. {!Default} is the production instance: the C
+    kernels of DESIGN.md §30, {!Sha256}'s block compressor (SHA-NI or
+    portable, picked at start-up) and {!Bignum.Mont}'s 64-bit-limb
+    exponentiation behind a per-domain context cache. {!Reference} is
+    a deliberately naive from-spec instance in OCaml (textbook FIPS
+    180-4 over a padded copy, {!Bignum.mod_pow_classic}). The
+    [backend-crosscheck] tool and the QCheck properties in
+    [test_crypto] require byte-identical audit reports under both.
 
-    {!Rsa.verify} routes through the selected backend; batch shortcuts
-    ({!Rsa.verify_batch}) only engage when {!is_default} holds, so a
-    non-default backend always sees one primitive call per
-    signature. *)
+    {!Rsa.verify} (and so {!Rsa.verify_batch}) routes through the
+    selected backend: one primitive call per signature. *)
 
 module type S = sig
   val name : string
@@ -38,10 +37,6 @@ val current : unit -> (module S)
 val set : (module S) -> unit
 (** Select a backend for the whole process. *)
 
-val is_default : unit -> bool
-(** Whether the selected backend is {!default} (by physical identity);
-    gates the batched fast paths. *)
-
 val name : unit -> string
 (** [name ()] is the selected backend's name. *)
 
@@ -54,12 +49,12 @@ val with_backend : (module S) -> (unit -> 'a) -> 'a
 (** {1 Shared precomputation}
 
     The per-domain Montgomery context cache, keyed by the physical
-    identity of the modulus. Used by the {!Default} backend, by CRT
-    signing, and by {!Rsa.verify_batch} to hoist the context lookup
-    out of its inner loop. *)
+    identity of the modulus. Used by the {!Default} backend and by CRT
+    signing. *)
 
 val mont_of : Bignum.t -> Bignum.Mont.ctx option
-(** Cached [Bignum.Mont.make] ([None] for even or single-limb moduli). *)
+(** Cached [Bignum.Mont.make] ([None] for even, single-limb or over-cap
+    moduli). *)
 
 val pow_mod : m:Bignum.t -> Bignum.t -> Bignum.t -> Bignum.t
 (** [pow_mod ~m b e] is [b^e mod m] through the cached context. *)

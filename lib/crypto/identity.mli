@@ -55,8 +55,7 @@ val verify : certificate -> msg:string -> signature:string -> bool
 
 val verify_batch : (certificate * string * string) array -> bool array
 (** [verify_batch [| (cert, msg, signature); ... |]] is elementwise
-    {!verify} through {!Rsa.verify_batch}, amortizing per-key setup
-    across signatures under the same certificate. *)
+    {!verify} through {!Rsa.verify_batch}. *)
 
 val cert_to_string : certificate -> string
 (** Wire encoding (name, public key, CA signature). *)

@@ -45,7 +45,7 @@ let pad_digest ~len digest =
   String.concat "" [ "\x00\x01"; String.make ff_len '\xff'; "\x00"; digest ]
 
 (* The Montgomery context cache lives in {!Crypto_backend} (it is
-   shared by the default backend, CRT signing and the batch path). *)
+   shared by the default backend and CRT signing). *)
 let pow_mod = Crypto_backend.pow_mod
 
 let public_to_string (key : public_key) =
@@ -156,79 +156,10 @@ let verify (key : public_key) ~msg ~signature =
 
 (* --- batch verification -------------------------------------------------- *)
 
-(* Verifying a chunk's signatures together amortizes everything that
-   [verify] pays per call: the Montgomery context and fingerprint
-   lookups are hoisted per group of triples sharing a modulus (probed
-   by physical identity, as in {!Crypto_backend.mont_of}), and one
-   [Bignum.Mont.scratch] allocation serves every exponentiation of the
-   group. Each signature is still verified
-   individually (a combined product check would be unsound without
-   random blinding: two wrong signatures can cancel), so the result
-   vector is byte-for-byte what per-signature [verify] returns and a
-   failing index is pinpointed exactly. *)
+(* Each signature is verified on its own: a combined product check
+   would be unsound without random blinding (two wrong signatures can
+   cancel), and with the per-domain context cache and the C kernel
+   there is no per-call setup left to share (DESIGN.md §18, §30). *)
 let verify_batch (items : (public_key * string * string) array) =
-  let n = Array.length items in
-  let results = Array.make n false in
-  if not (Crypto_backend.is_default ()) then begin
-    (* A non-default backend must see one primitive call per
-       signature; there is nothing sound to amortize on its behalf. *)
-    Array.iteri
-      (fun i (key, msg, signature) -> results.(i) <- verify key ~msg ~signature)
-      items;
-    results
-  end
-  else begin
-    (* Pass 1: digests and cache probes; collect the misses. *)
-    let misses = ref [] in
-    for i = n - 1 downto 0 do
-      let key, msg, signature = Array.unsafe_get items i in
-      let len = signature_length key in
-      if String.length signature = len then begin
-        let digest = Sha256.digest msg in
-        let fp = fingerprint key in
-        if Sigcache.check ~fingerprint:fp ~signature ~digest then results.(i) <- true
-        else misses := (i, key, digest, fp) :: !misses
-      end
-    done;
-    (* Pass 2: group misses by modulus (physical identity) and verify
-       each group under one hoisted context + scratch. *)
-    let groups : (Bignum.t * (int * public_key * string * string) list ref) list ref = ref [] in
-    List.iter
-      (fun ((_, (key : public_key), _, _) as miss) ->
-        let rec find = function
-          | [] -> None
-          | (m, cell) :: _ when m == key.n -> Some cell
-          | _ :: rest -> find rest
-        in
-        match find !groups with
-        | Some cell -> cell := miss :: !cell
-        | None -> groups := (key.n, ref [ miss ]) :: !groups)
-      (List.rev !misses);
-    List.iter
-      (fun ((modulus : Bignum.t), cell) ->
-        let group = List.rev !cell in
-        let len = (Bignum.bit_length modulus + 7) / 8 in
-        let buf = em_buf_for len in
-        let ctx = Crypto_backend.mont_of modulus in
-        let scratch = Option.map Bignum.Mont.scratch ctx in
-        List.iter
-          (fun (i, (key : public_key), digest, fp) ->
-            let _, _, signature = Array.unsafe_get items i in
-            let s = Bignum.of_bytes_be signature in
-            if Bignum.compare s modulus < 0 then begin
-              Metrics.incr "crypto.rsa_verifies";
-              let m =
-                match ctx with
-                | Some c -> Bignum.Mont.pow ?scratch c s key.e
-                | None -> Bignum.mod_pow s key.e modulus
-              in
-              if em_matches buf ~len ~digest m then begin
-                results.(i) <- true;
-                Sigcache.remember ~fingerprint:fp ~signature ~digest
-              end
-            end)
-          group)
-      (List.rev !groups);
-    Metrics.incr ~by:n "crypto.rsa_batched";
-    results
-  end
+  Metrics.incr ~by:(Array.length items) "crypto.rsa_batched";
+  Array.map (fun (key, msg, signature) -> verify key ~msg ~signature) items

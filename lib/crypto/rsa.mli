@@ -43,15 +43,10 @@ val verify : public_key -> msg:string -> signature:string -> bool
 
 val verify_batch : (public_key * string * string) array -> bool array
 (** [verify_batch [| (key, msg, signature); ... |]] is exactly
-    [Array.map (fun (k, m, s) -> verify k ~msg:m ~signature:s)] — each
-    signature is verified individually (a combined product check is
-    unsound without random blinding) — but amortizes the per-call
-    setup across triples sharing a modulus: one Montgomery context and
-    fingerprint lookup, one {!Bignum.Mont.scratch} allocation and one
-    output buffer per group. {!Sigcache} hits are honored before
-    any exponentiation, and successes are remembered, as in {!verify}.
-    Under a non-default {!Crypto_backend} every element falls back to
-    plain {!verify}. *)
+    [Array.map (fun (k, m, s) -> verify k ~msg:m ~signature:s)]: each
+    signature is verified on its own (a combined product check is
+    unsound without random blinding), so a failure is pinpointed to
+    its index. Counts the items under [crypto.rsa_batched]. *)
 
 val public_to_string : public_key -> string
 (** Wire encoding of a public key (for certificates and tests). *)

@@ -1,293 +1,98 @@
-(* SHA-256 over native ints; every 32-bit word is kept masked to
-   [mask32] so the implementation is correct on 63-bit OCaml ints.
+(* SHA-256 (DESIGN.md §12, §30). The block compression runs in C
+   (crypto_stubs.c): a [@@noalloc] external that compresses whole
+   64-byte blocks straight out of the caller's string or bytes. Which
+   C kernel it runs, SHA-NI or portable, is decided once when this
+   module initializes. OCaml keeps the streaming context: the partial
+   block, the byte count and the padding.
 
    The common path is allocation-free: contexts are resettable (the
    one-shot [digest]/[digest_list]/[digest_buffer] entry points reuse a
-   per-domain scratch context), whole input blocks are scheduled
-   straight from the caller's string/bytes without an intermediate
-   copy, and finalization pads with a single fill instead of repeated
-   feeds.
-
-   The compression core is text-unrolled eight rounds at a time with
-   the working variables rotating through fixed roles, so each round
-   performs exactly two stores instead of the eight-way shuffle of the
-   textbook loop. Rotations are expanded inline and left unmasked: the
-   garbage above bit 31 that [lsl] introduces only ever feeds
-   *additions*, whose carries propagate upward, so a single [land
-   mask32] on each round's two results is sufficient. Whole blocks are
-   consumed two per loop iteration in the feed drivers, which keeps
-   the per-block overhead to one schedule fill and one direct call. *)
+   per-domain scratch context), whole input blocks are compressed from
+   the caller's buffer without an intermediate copy, and finalization
+   pads with a single fill and one call. The state is eight big-endian
+   words, so the digest is a copy of it. *)
 
 module Metrics = Avm_obs.Metrics
 
-let mask32 = 0xffffffff
+type kernel = Portable | Sha_ni
 
-let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
+external has_sha_ni : unit -> bool = "avm_sha256_has_sha_ni"
+
+(* [compress k state src off n] compresses the [n] blocks at [src.[off]]
+   into [state] with kernel number [k]; the bounds are the caller's. *)
+external compress :
+  (int[@untagged]) -> Bytes.t -> string -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "avm_sha256_compress_byte" "avm_sha256_compress"
+[@@noalloc]
+
+let kernel = if has_sha_ni () then Sha_ni else Portable
+let kernel_name = function Portable -> "portable" | Sha_ni -> "sha-ni"
+let available = function Portable -> true | Sha_ni -> kernel = Sha_ni
+
+(* The kernel numbers crypto_stubs.c dispatches on. *)
+let kernel_id = function Portable -> 0 | Sha_ni -> 1
 
 type ctx = {
-  h : int array; (* 8 state words *)
-  block : Bytes.t; (* 64-byte input block being filled *)
+  h : Bytes.t; (* 8 state words, big-endian *)
+  block : Bytes.t; (* the partial block; 128 bytes, so padding fits *)
   mutable fill : int; (* bytes currently in [block] *)
   mutable total : int; (* total bytes absorbed *)
-  w : int array; (* 64-entry message schedule, reused *)
+  kernel : int;
 }
 
 let iv =
-  [|
-    0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
-    0x1f83d9ab; 0x5be0cd19;
-  |]
+  "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\
+   \x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
-let init () =
-  { h = Array.copy iv; block = Bytes.create 64; fill = 0; total = 0; w = Array.make 64 0 }
+let init_kernel k =
+  if not (available k) then invalid_arg "Sha256.init_kernel: kernel unavailable";
+  { h = Bytes.of_string iv; block = Bytes.create 128; fill = 0; total = 0; kernel = kernel_id k }
+
+let init () = init_kernel kernel
 
 let reset ctx =
-  Array.blit iv 0 ctx.h 0 8;
+  Bytes.blit_string iv 0 ctx.h 0 32;
   ctx.fill <- 0;
   ctx.total <- 0
 
-(* Fill the first 16 schedule words from 64 source bytes starting at
-   [off]; the variants differ only in the source container. *)
-let fill_w_bytes w (b : Bytes.t) off =
-  for i = 0 to 15 do
-    let p = off + (4 * i) in
-    Array.unsafe_set w i
-      ((Char.code (Bytes.unsafe_get b p) lsl 24)
-      lor (Char.code (Bytes.unsafe_get b (p + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get b (p + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get b (p + 3)))
-  done
+let compress_block ctx = compress ctx.kernel ctx.h (Bytes.unsafe_to_string ctx.block) 0 1
 
-let fill_w_string w (s : string) off =
-  for i = 0 to 15 do
-    let p = off + (4 * i) in
-    Array.unsafe_set w i
-      ((Char.code (String.unsafe_get s p) lsl 24)
-      lor (Char.code (String.unsafe_get s (p + 1)) lsl 16)
-      lor (Char.code (String.unsafe_get s (p + 2)) lsl 8)
-      lor Char.code (String.unsafe_get s (p + 3)))
-  done
-
-(* One compression over the already-filled schedule [ctx.w].
-
-   Round [r] of each unrolled group of eight assigns the textbook roles
-   A..H to the working variables rotated by [r]; only D (+= t1) and H
-   (:= t1 + t2) are written, so the group leaves the variables back in
-   their round-0 roles. *)
-let compress_core ctx =
-  let w = ctx.w in
-  for i = 16 to 63 do
-    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = ((w15 lsr 7) lor (w15 lsl 25)) lxor ((w15 lsr 18) lor (w15 lsl 14)) lxor (w15 lsr 3)
-    and s1 = ((w2 lsr 17) lor (w2 lsl 15)) lxor ((w2 lsr 19) lor (w2 lsl 13)) lxor (w2 lsr 10) in
-    Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask32)
-  done;
-  let h = ctx.h in
-  let a = ref (Array.unsafe_get h 0)
-  and b = ref (Array.unsafe_get h 1)
-  and c = ref (Array.unsafe_get h 2)
-  and d = ref (Array.unsafe_get h 3)
-  and e = ref (Array.unsafe_get h 4)
-  and f = ref (Array.unsafe_get h 5)
-  and g = ref (Array.unsafe_get h 6)
-  and hh = ref (Array.unsafe_get h 7) in
-  for t = 0 to 7 do
-    let i = t lsl 3 in
-    (* r=0: A..H = a b c d e f g hh *)
-    let x = !e in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!hh + s1 + (x land !f lxor (lnot x land !g)) + Array.unsafe_get k i + Array.unsafe_get w i)
-      land mask32
-    in
-    let y = !a in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    d := (!d + t1) land mask32;
-    hh := (t1 + s0 + (y land !b lxor (y land !c) lxor (!b land !c))) land mask32;
-    (* r=1: A..H = hh a b c d e f g *)
-    let x = !d in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!g + s1 + (x land !e lxor (lnot x land !f)) + Array.unsafe_get k (i + 1)
-      + Array.unsafe_get w (i + 1))
-      land mask32
-    in
-    let y = !hh in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    c := (!c + t1) land mask32;
-    g := (t1 + s0 + (y land !a lxor (y land !b) lxor (!a land !b))) land mask32;
-    (* r=2: A..H = g hh a b c d e f *)
-    let x = !c in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!f + s1 + (x land !d lxor (lnot x land !e)) + Array.unsafe_get k (i + 2)
-      + Array.unsafe_get w (i + 2))
-      land mask32
-    in
-    let y = !g in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    b := (!b + t1) land mask32;
-    f := (t1 + s0 + (y land !hh lxor (y land !a) lxor (!hh land !a))) land mask32;
-    (* r=3: A..H = f g hh a b c d e *)
-    let x = !b in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!e + s1 + (x land !c lxor (lnot x land !d)) + Array.unsafe_get k (i + 3)
-      + Array.unsafe_get w (i + 3))
-      land mask32
-    in
-    let y = !f in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    a := (!a + t1) land mask32;
-    e := (t1 + s0 + (y land !g lxor (y land !hh) lxor (!g land !hh))) land mask32;
-    (* r=4: A..H = e f g hh a b c d *)
-    let x = !a in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!d + s1 + (x land !b lxor (lnot x land !c)) + Array.unsafe_get k (i + 4)
-      + Array.unsafe_get w (i + 4))
-      land mask32
-    in
-    let y = !e in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    hh := (!hh + t1) land mask32;
-    d := (t1 + s0 + (y land !f lxor (y land !g) lxor (!f land !g))) land mask32;
-    (* r=5: A..H = d e f g hh a b c *)
-    let x = !hh in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!c + s1 + (x land !a lxor (lnot x land !b)) + Array.unsafe_get k (i + 5)
-      + Array.unsafe_get w (i + 5))
-      land mask32
-    in
-    let y = !d in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    g := (!g + t1) land mask32;
-    c := (t1 + s0 + (y land !e lxor (y land !f) lxor (!e land !f))) land mask32;
-    (* r=6: A..H = c d e f g hh a b *)
-    let x = !g in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!b + s1 + (x land !hh lxor (lnot x land !a)) + Array.unsafe_get k (i + 6)
-      + Array.unsafe_get w (i + 6))
-      land mask32
-    in
-    let y = !c in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    f := (!f + t1) land mask32;
-    b := (t1 + s0 + (y land !d lxor (y land !e) lxor (!d land !e))) land mask32;
-    (* r=7: A..H = b c d e f g hh a *)
-    let x = !f in
-    let s1 = ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21)) lxor ((x lsr 25) lor (x lsl 7)) in
-    let t1 =
-      (!a + s1 + (x land !g lxor (lnot x land !hh)) + Array.unsafe_get k (i + 7)
-      + Array.unsafe_get w (i + 7))
-      land mask32
-    in
-    let y = !b in
-    let s0 = ((y lsr 2) lor (y lsl 30)) lxor ((y lsr 13) lor (y lsl 19)) lxor ((y lsr 22) lor (y lsl 10)) in
-    e := (!e + t1) land mask32;
-    a := (t1 + s0 + (y land !c lxor (y land !d) lxor (!c land !d))) land mask32
-  done;
-  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask32);
-  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask32);
-  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask32);
-  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask32);
-  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask32);
-  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask32);
-  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask32);
-  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask32)
-
-let compress ctx =
-  fill_w_bytes ctx.w ctx.block 0;
-  compress_core ctx
-
-let feed_sub ctx s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Sha256.feed_sub";
+(* [s.[pos .. pos+len-1]], already bounds-checked. *)
+let absorb ctx s pos len =
   ctx.total <- ctx.total + len;
-  let p = ref pos in
-  let stop = pos + len in
+  let p = ref pos and stop = pos + len in
   (* Top up a partial block first. *)
   if ctx.fill > 0 then begin
-    let take = min (64 - ctx.fill) (stop - !p) in
-    Bytes.blit_string s !p ctx.block ctx.fill take;
+    let take = min (64 - ctx.fill) len in
+    Bytes.blit_string s pos ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
-    p := !p + take;
+    p := pos + take;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress_block ctx;
       ctx.fill <- 0
     end
   end;
-  (* Whole blocks are scheduled straight from the source string, two
-     per iteration on long inputs. *)
-  let w = ctx.w in
-  while stop - !p >= 128 do
-    fill_w_string w s !p;
-    compress_core ctx;
-    fill_w_string w s (!p + 64);
-    compress_core ctx;
-    p := !p + 128
-  done;
-  if stop - !p >= 64 then begin
-    fill_w_string w s !p;
-    compress_core ctx;
-    p := !p + 64
+  let blocks = (stop - !p) / 64 in
+  if blocks > 0 then begin
+    compress ctx.kernel ctx.h s !p blocks;
+    p := !p + (64 * blocks)
   end;
-  if stop - !p > 0 then begin
+  if stop > !p then begin
     Bytes.blit_string s !p ctx.block 0 (stop - !p);
     ctx.fill <- stop - !p
   end
 
-let feed ctx s = feed_sub ctx s ~pos:0 ~len:(String.length s)
+let feed_sub ctx s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Sha256.feed_sub";
+  absorb ctx s pos len
 
+let feed ctx s = absorb ctx s 0 (String.length s)
+
+(* The kernel reads the bytes before the call returns, so viewing them
+   as a string for its duration is safe. *)
 let feed_bytes ctx b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then
-    invalid_arg "Sha256.feed_bytes";
-  ctx.total <- ctx.total + len;
-  let p = ref pos in
-  let stop = pos + len in
-  if ctx.fill > 0 then begin
-    let take = min (64 - ctx.fill) (stop - !p) in
-    Bytes.blit b !p ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    p := !p + take;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
-    end
-  end;
-  let w = ctx.w in
-  while stop - !p >= 128 do
-    fill_w_bytes w b !p;
-    compress_core ctx;
-    fill_w_bytes w b (!p + 64);
-    compress_core ctx;
-    p := !p + 128
-  done;
-  if stop - !p >= 64 then begin
-    fill_w_bytes w b !p;
-    compress_core ctx;
-    p := !p + 64
-  end;
-  if stop - !p > 0 then begin
-    Bytes.blit b !p ctx.block 0 (stop - !p);
-    ctx.fill <- stop - !p
-  end
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Sha256.feed_bytes";
+  absorb ctx (Bytes.unsafe_to_string b) pos len
 
 (* Absorb a [Buffer.t] (e.g. a wire writer's accumulator) without
    materializing its contents: blocks are blitted straight from the
@@ -302,7 +107,7 @@ let feed_buffer ctx b =
     ctx.fill <- ctx.fill + take;
     p := !p + take;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress_block ctx;
       ctx.fill <- 0
     end
   done
@@ -315,41 +120,28 @@ let meters =
       (Metrics.counter_ref "crypto.digest_bytes", Metrics.counter_ref "crypto.digests"))
 
 let finalize ctx =
+  let fill = ctx.fill and block = ctx.block in
+  (* Padding: 0x80, zeros, 64-bit big-endian bit length, in one or two
+     blocks compressed by one call. *)
+  let blocks = if fill < 56 then 1 else 2 in
+  let len_at = (64 * blocks) - 8 in
+  Bytes.unsafe_set block fill '\x80';
+  Bytes.fill block (fill + 1) (len_at - fill - 1) '\000';
   let bit_len = ctx.total * 8 in
-  let fill = ctx.fill in
-  (* Padding: 0x80, zeros, 64-bit big-endian bit length — written with
-     single fills, not byte-at-a-time feeds. *)
-  Bytes.unsafe_set ctx.block fill '\x80';
-  if fill >= 56 then begin
-    if fill < 63 then Bytes.fill ctx.block (fill + 1) (63 - fill) '\000';
-    compress ctx;
-    Bytes.fill ctx.block 0 56 '\000'
-  end
-  else if fill < 55 then Bytes.fill ctx.block (fill + 1) (55 - fill) '\000';
   for i = 0 to 7 do
-    Bytes.unsafe_set ctx.block (56 + i)
-      (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xff))
+    Bytes.unsafe_set block (len_at + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xff))
   done;
-  compress ctx;
+  compress ctx.kernel ctx.h (Bytes.unsafe_to_string block) 0 blocks;
   ctx.fill <- 0;
   let byte_meter, digest_meter = Domain.DLS.get meters in
   byte_meter := !byte_meter + ctx.total;
   incr digest_meter;
-  let out = Bytes.create 32 in
-  let h = ctx.h in
-  for i = 0 to 7 do
-    let v = Array.unsafe_get h i in
-    Bytes.unsafe_set out (4 * i) (Char.unsafe_chr ((v lsr 24) land 0xff));
-    Bytes.unsafe_set out ((4 * i) + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-    Bytes.unsafe_set out ((4 * i) + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-    Bytes.unsafe_set out ((4 * i) + 3) (Char.unsafe_chr (v land 0xff))
-  done;
-  Bytes.unsafe_to_string out
+  Bytes.sub_string ctx.h 0 32
 
 (* One scratch context per domain: the one-shot helpers below never
    run user code between [reset] and [finalize], so reuse is safe even
    though the helpers are called from every audit worker. *)
-let scratch = Domain.DLS.new_key (fun () -> init ())
+let scratch = Domain.DLS.new_key init
 
 let digest s =
   let ctx = Domain.DLS.get scratch in

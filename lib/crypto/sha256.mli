@@ -1,15 +1,17 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch.
+(** SHA-256 (FIPS 180-4).
 
     The AVMM design assumes a hash function that is pre-image,
     second-pre-image and collision resistant (paper §4.1, assumption 2).
     Hash chains, authenticators, Merkle snapshot trees and message
     digests all use this module.
 
-    The module is engineered as an audit-side hot path (DESIGN.md §12):
-    contexts are resettable and reusable, whole blocks are compressed
-    straight from caller buffers, and the one-shot helpers run on a
-    per-domain scratch context so the common case allocates nothing but
-    the 32-byte result. Total input volume is recorded under the
+    The module is engineered as an audit-side hot path (DESIGN.md §12,
+    §30): whole 64-byte blocks are compressed in C, straight from the
+    caller's buffer, by a kernel picked once at start-up (SHA-NI where
+    the CPU has it, portable C otherwise). Contexts are resettable and
+    reusable, and the one-shot helpers run on a per-domain scratch
+    context, so the common case allocates nothing but the 32-byte
+    result. Total input volume is recorded under the
     [crypto.digest_bytes] / [crypto.digests] metrics. *)
 
 type ctx
@@ -60,3 +62,25 @@ val hex : string -> string
 
 val digest_length : int
 (** 32. *)
+
+(** {1 Kernels}
+
+    Every context compresses with {!kernel} unless a test pins it to
+    the other one with {!init_kernel}, to check both against
+    {!Crypto_backend.Reference}. *)
+
+type kernel = Portable | Sha_ni
+
+val kernel : kernel
+(** The kernel picked at start-up: [Sha_ni] when the CPU has the SHA
+    extensions, else [Portable]. *)
+
+val kernel_name : kernel -> string
+(** ["portable"] or ["sha-ni"]. *)
+
+val available : kernel -> bool
+(** Whether this host can run the kernel. *)
+
+val init_kernel : kernel -> ctx
+(** A fresh context that compresses with the given kernel.
+    @raise Invalid_argument if the kernel is not {!available}. *)

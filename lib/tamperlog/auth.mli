@@ -29,8 +29,8 @@ val verify : Avm_crypto.Identity.certificate -> t -> bool
 
 val verify_batch : (Avm_crypto.Identity.certificate * t) array -> bool array
 (** Elementwise {!verify} with the signature checks routed through
-    {!Avm_crypto.Rsa.verify_batch} — the auditor verifies a chunk's
-    collected authenticators in one amortized pass. *)
+    {!Avm_crypto.Rsa.verify_batch}, which checks each one on its
+    own. *)
 
 val matches_content : t -> Entry.content -> bool
 (** [matches_content a c]: does [a] commit to an entry with exactly

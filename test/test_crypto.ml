@@ -106,6 +106,44 @@ let test_sha_length () =
   Alcotest.(check int) "32 bytes" 32 (String.length (Sha256.digest "x"));
   Alcotest.(check int) "digest_length" 32 Sha256.digest_length
 
+(* Each compressor this host can run, against the from-spec oracle:
+   every length across the padding boundaries, then random inputs fed
+   through all four entry points at random split points. A kernel the
+   host lacks is reported as skipped, not passed. *)
+let test_sha_kernel kernel () =
+  if not (Sha256.available kernel) then Alcotest.skip ();
+  let oracle = Crypto_backend.Reference.digest in
+  let ctx = Sha256.init_kernel kernel in
+  for len = 0 to 300 do
+    let s = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
+    Sha256.reset ctx;
+    Sha256.feed ctx s;
+    Alcotest.(check string) (Printf.sprintf "length %d" len) (Avm_util.Hex.encode (oracle s))
+      (Avm_util.Hex.encode (Sha256.finalize ctx))
+  done;
+  let rng = Rng.create 0x5a256L in
+  for round = 1 to 200 do
+    let len = Rng.int rng 4097 in
+    let s = Rng.bytes rng len in
+    Sha256.reset ctx;
+    let pos = ref 0 in
+    while !pos < len do
+      let take = min (len - !pos) (Rng.int rng 200) in
+      (match Rng.int rng 4 with
+      | 0 -> Sha256.feed ctx (String.sub s !pos take)
+      | 1 -> Sha256.feed_sub ctx s ~pos:!pos ~len:take
+      | 2 -> Sha256.feed_bytes ctx (Bytes.of_string s) ~pos:!pos ~len:take
+      | _ ->
+        let b = Buffer.create take in
+        Buffer.add_substring b s !pos take;
+        Sha256.feed_buffer ctx b);
+      pos := !pos + take
+    done;
+    Alcotest.(check string) (Printf.sprintf "round %d, %d bytes" round len)
+      (Avm_util.Hex.encode (oracle s))
+      (Avm_util.Hex.encode (Sha256.finalize ctx))
+  done
+
 (* --- Bignum ------------------------------------------------------------------ *)
 
 let small_pair = QCheck2.Gen.(pair (int_range 0 1_000_000_000) (int_range 0 1_000_000_000))
@@ -268,31 +306,35 @@ let prop_mont_matches_classic =
       let e = Bignum.random_bits rng ebits in
       Bignum.equal (Bignum.mod_pow b e m) (Bignum.mod_pow_classic b e m))
 
-let prop_mont_pow_scratch =
-  qtest ~count:60 "bignum: Mont.pow reused scratch"
-    QCheck2.Gen.(pair (int_range 60 512) (int_range 0 1_000_000))
-    (fun (mbits, seed) ->
-      let rng = Rng.create (Int64.of_int ((mbits * 999_983) + seed)) in
+(* The C kernel against the classic ladder at fixed widths from two
+   limbs to the cap, including the 64-bit limb boundaries, with the
+   edge bases (0, 1, m-1) and exponents (0, 1, 65537 and one long
+   enough for 5-bit windows). *)
+let test_mont_kernel_edges () =
+  let rng = Rng.create 0x30d7L in
+  List.iter
+    (fun mbits ->
       let m =
-        let c = Bignum.random_bits rng mbits in
-        if Bignum.is_even c then Bignum.add_int c 1 else c
+        Bignum.add
+          (Bignum.shift_left Bignum.one (mbits - 1))
+          (Bignum.random_bits rng (mbits - 1))
       in
+      let m = if Bignum.is_even m then Bignum.add_int m 1 else m in
       match Bignum.Mont.make m with
-      | None -> QCheck2.assume_fail ()
+      | None -> Alcotest.failf "%d-bit odd modulus refused" mbits
       | Some ctx ->
-        let scratch = Bignum.Mont.scratch ctx in
-        let e = Bignum.of_int 65537 in
-        (* Several bases through the same scratch, interleaved with a
-           windowed exponent: reuse must not leak state between
-           exponentiations. *)
-        let long_e = Bignum.random_bits rng 200 in
-        List.for_all
-          (fun b ->
-            Bignum.equal (Bignum.Mont.pow ~scratch ctx b e) (Bignum.mod_pow_classic b e m)
-            && Bignum.equal
-                 (Bignum.Mont.pow ~scratch ctx b long_e)
-                 (Bignum.mod_pow_classic b long_e m))
-          [ Bignum.random_below rng m; Bignum.random_below rng m; Bignum.zero; Bignum.one ])
+        let long_e = Bignum.random_bits rng (min 300 (2 * mbits)) in
+        List.iter
+          (fun base ->
+            List.iter
+              (fun e ->
+                if not (Bignum.equal (Bignum.Mont.pow ctx base e) (Bignum.mod_pow_classic base e m))
+                then
+                  Alcotest.failf "%d-bit modulus, base %s, exponent %s" mbits (Bignum.to_hex base)
+                    (Bignum.to_hex e))
+              [ Bignum.zero; Bignum.one; Bignum.of_int 65537; long_e ])
+          [ Bignum.zero; Bignum.one; Bignum.sub_int m 1; Bignum.random_below rng m ])
+    [ 27; 52; 63; 64; 65; 127; 128; 129; 383; 384; 385; 768; 1024; 2048; 4096; 13_000 ]
 
 let test_mont_make_guards () =
   let odd = Bignum.of_hex "deadbeefdeadbeefdeadbeefdeadbeefdeadbeef" in
@@ -583,17 +625,18 @@ let test_batch_sigcache_interaction () =
 (* --- Backend seam ------------------------------------------------------------------ *)
 
 let test_backend_selection () =
-  Alcotest.(check bool) "default selected" true (Crypto_backend.is_default ());
+  let is_default () = Crypto_backend.current () == Crypto_backend.default in
+  Alcotest.(check bool) "default selected" true (is_default ());
   Alcotest.(check string) "default name" "default" (Crypto_backend.name ());
   Crypto_backend.with_backend Crypto_backend.reference (fun () ->
-      Alcotest.(check bool) "reference not default" false (Crypto_backend.is_default ());
+      Alcotest.(check bool) "reference not default" false (is_default ());
       Alcotest.(check string) "reference name" "reference" (Crypto_backend.name ()));
-  Alcotest.(check bool) "restored" true (Crypto_backend.is_default ());
+  Alcotest.(check bool) "restored" true (is_default ());
   (* with_backend must restore even when the thunk raises. *)
   (try
      Crypto_backend.with_backend Crypto_backend.reference (fun () -> failwith "boom")
    with Failure _ -> ());
-  Alcotest.(check bool) "restored after raise" true (Crypto_backend.is_default ())
+  Alcotest.(check bool) "restored after raise" true (is_default ())
 
 let prop_backend_digest_agree =
   qtest ~count:80 "backend: reference digest = default digest"
@@ -722,6 +765,8 @@ let () =
           Alcotest.test_case "digest_buffer" `Quick test_sha_feed_buffer;
           Alcotest.test_case "reset reuse" `Quick test_sha_reset_reuse;
           Alcotest.test_case "output length" `Quick test_sha_length;
+          Alcotest.test_case "portable kernel = reference" `Quick (test_sha_kernel Sha256.Portable);
+          Alcotest.test_case "sha-ni kernel = reference" `Quick (test_sha_kernel Sha256.Sha_ni);
           prop_sha_digest_list;
         ] );
       ( "bignum",
@@ -752,7 +797,7 @@ let () =
         [
           Alcotest.test_case "make guards" `Quick test_mont_make_guards;
           prop_mont_matches_classic;
-          prop_mont_pow_scratch;
+          Alcotest.test_case "C kernel = classic at edges" `Quick test_mont_kernel_edges;
         ] );
       ( "rsa",
         [
