@@ -37,6 +37,8 @@ bench:
 # state digest through the page-hash cache (memory.pages_hashed).
 # replay.kernel_stops shows replay ran on the run-to-event kernel, and
 # replay.instructions that the kernel executed guest instructions.
+# audit.recv_signatures_verified shows that both the sequential and
+# the stitched parallel pass verify RECV signatures in the stream.
 # Both job counts must reach the same (clean) verdict.
 obs-smoke:
 	dune exec bin/avm_run.exe -- --players 2 --seconds 12 --seed 5 --out obs_smoke_recordings
@@ -46,11 +48,13 @@ obs-smoke:
 	  --counter audit.entries_checked --counter log.segments_sealed \
 	  --counter replay.entries_fed --counter memory.pages_hashed \
 	  --counter audit.links_trusted --counter replay.kernel_stops --counter replay.instructions \
+	  --counter audit.recv_signatures_verified \
 	  --span audit.chunk --span audit.semantic
 	dune exec bin/avm_obs_check.exe -- obs_smoke_j4.json \
 	  --counter audit.entries_checked --counter log.segments_sealed \
 	  --counter replay.entries_fed --counter memory.pages_hashed \
 	  --counter audit.links_trusted --counter replay.kernel_stops --counter replay.instructions \
+	  --counter audit.recv_signatures_verified \
 	  --span audit.chunk --span audit.semantic
 	rm -rf obs_smoke_recordings obs_smoke_j1.json obs_smoke_j4.json
 

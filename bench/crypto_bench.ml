@@ -154,28 +154,6 @@ let () =
   Printf.printf "rsa-768: %.0f signs/s, %.0f verifies/s cold, %.0f/s cached (%.4f hit rate)\n%!"
     sign_rate verify_cold verify_cached hit_rate;
 
-  (* --- RSA batch verify --------------------------------------------------- *)
-  (* The audit shape: one chunk's worth of signatures under a shared
-     modulus. [verify_batch] is pointwise [verify], so the speedup
-     should read about 1. Rate counts signatures, not batches, so it
-     compares directly against [verify_cold]. *)
-  let batch_n = 32 in
-  let batch_items =
-    Array.init batch_n (fun i ->
-        let m = Printf.sprintf "batch payload %d" i in
-        (kp.Rsa.public, m, Rsa.sign kp.Rsa.private_ m))
-  in
-  Sigcache.set_enabled false;
-  let batch_rate =
-    float_of_int batch_n
-    *. per_sec ~min_seconds (fun () ->
-           if not (Array.for_all Fun.id (Rsa.verify_batch batch_items)) then exit 1)
-  in
-  Sigcache.set_enabled true;
-  let batch_speedup = batch_rate /. Float.max 1.0 verify_cold in
-  Printf.printf "rsa-768 batch: %.0f verifies/s in batches of %d (%.2fx per-signature)\n%!"
-    batch_rate batch_n batch_speedup;
-
   (* --- Verdict cross-check: cache x jobs on a tampered log ---------------- *)
   let slices = if !smoke then 40 else 120 in
   let avmm, node_cert, peer_certs, auths = record_session ~slices in
@@ -216,14 +194,11 @@ let () =
     \  \"rsa_signs_per_sec\": %.1f,\n\
     \  \"rsa_verifies_per_sec\": %.1f,\n\
     \  \"rsa_verifies_cached_per_sec\": %.1f,\n\
-    \  \"rsa_batch_verifies_per_sec\": %.1f,\n\
-    \  \"rsa_batch_size\": %d,\n\
-    \  \"batch_speedup\": %.2f,\n\
     \  \"sig_cache_hit_rate\": %.4f,\n\
     \  \"crosscheck_entries\": %d,\n\
     \  \"crosscheck_ok\": %b\n\
      }\n"
-    sha_kernel sha_oneshot sha_streamed sign_rate verify_cold verify_cached batch_rate batch_n
-    batch_speedup hit_rate n crosscheck_ok;
+    sha_kernel sha_oneshot sha_streamed sign_rate verify_cold verify_cached hit_rate n
+    crosscheck_ok;
   close_out oc;
   Printf.printf "wrote %s\n%!" !out

@@ -1,8 +1,8 @@
 (* Backend cross-check (DESIGN.md §17): the audit verdict must not
    depend on which crypto backend computed it. Builds a set of signed
    logs — honest and tampered in assorted ways — and runs the full
-   syntactic audit under the optimized Default backend (batched
-   verification engaged, decoder-marked chain links trusted) and the
+   syntactic audit under the optimized Default backend (C kernels and
+   signature cache engaged, decoder-marked chain links trusted) and the
    naive from-spec Reference backend (one textbook primitive call per
    signature, every chain link rehashed). Any difference between
    the two reports, byte for byte, is a bug in an optimization and
@@ -82,8 +82,8 @@ let tamper rng log =
     Log.tamper_reseal log (1 + Avm_util.Rng.int rng n) (Entry.Note "resealed");
     "reseal"
   | _ ->
-    (* corrupt one RECV signature without touching the chain: forces
-       the deferred signature batch to pinpoint the failing index *)
+    (* corrupt one RECV signature without touching the chain: the
+       report must name exactly that entry *)
     let seqs =
       List.filter
         (fun s ->

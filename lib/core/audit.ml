@@ -52,11 +52,6 @@ module Syn = struct
      failing entry. *)
   type cell =
     | Msg of int * string
-    | Sig of int
-        (* a deferred RECV signature check, index into the pending batch:
-           one that verifies is dropped when the batch settles, one that
-           fails becomes its message in exactly the position an immediate
-           check would have put it *)
     | Chain of int * string
         (* a chain failure; the stitcher drops it when an earlier segment
            already broke, reproducing the single "first break only" flag *)
@@ -64,10 +59,6 @@ module Syn = struct
         (* (entry seq, msg seq): an rx read of an entry that is not a RECV
            of this segment — the stitcher resolves it against the RECVs
            the live stream has already seen *)
-
-  (* Settle once this many signature checks are queued; bounds both the
-     placeholder scan and the batch array. *)
-  let sig_batch_cap = 512
 
   type t = {
     node : string;
@@ -80,10 +71,6 @@ module Syn = struct
     mutable entries_checked : int;
     mutable auths_matched : int;
     mutable recv_sigs : int;
-    (* Deferred RECV signature checks: (seq, cert, body, signature),
-       newest first, batched through [Identity.verify_batch]. *)
-    mutable sig_pending : (int * Avm_crypto.Identity.certificate * string * string) list;
-    mutable sig_npending : int;
     (* Hash-chain state; only the first break is reported, matching
        [Log.verify_segment]. *)
     mutable prev : string;
@@ -107,45 +94,16 @@ module Syn = struct
   let xref_failure seq msg =
     Printf.sprintf "entry #%d: rx read references non-RECV entry %d" seq msg
 
-  (* Resolve every queued signature check: one batched verification,
-     then placeholders collapse in place. *)
-  let settle s =
-    if s.sig_npending > 0 then begin
-      let pending = Array.of_list (List.rev s.sig_pending) in
-      s.sig_pending <- [];
-      s.sig_npending <- 0;
-      let verdicts =
-        Avm_crypto.Identity.verify_batch
-          (Array.map (fun (_, cert, body, signature) -> (cert, body, signature)) pending)
-      in
-      s.cells <-
-        List.filter_map
-          (function
-            | Sig i ->
-              if verdicts.(i) then begin
-                s.recv_sigs <- s.recv_sigs + 1;
-                None
-              end
-              else begin
-                let seq, _, _, _ = pending.(i) in
-                s.nfail <- s.nfail + 1;
-                Some
-                  (Msg (seq, Printf.sprintf "entry #%d: forged RECV — sender signature invalid" seq))
-              end
-            | c -> Some c)
-          s.cells
-    end
-
-  (* Authenticator signature checks share the one node key, so a slice
-     goes through one batched verification; with a pool, one slice per
-     lane verifies in parallel. Order is preserved so both the failure
-     list and the [Hashtbl.add] order (which [find_all] reflects) match
-     one pass. *)
+  (* Authenticator signature checks: with a pool, one slice per lane
+     verifies in parallel. Order is preserved so both the failure list
+     and the [Hashtbl.add] order (which [find_all] reflects) match one
+     pass. *)
   let verify_auths ?pool ~node ~node_cert auths =
     let verify slice =
-      let mine = Array.of_list (List.filter (fun (a : Auth.t) -> String.equal a.node node) slice) in
-      let verdicts = Auth.verify_batch (Array.map (fun a -> (node_cert, a)) mine) in
-      Array.to_list (Array.mapi (fun i a -> (a, verdicts.(i))) mine)
+      List.filter_map
+        (fun (a : Auth.t) ->
+          if String.equal a.node node then Some (a, Auth.verify node_cert a) else None)
+        slice
     in
     match pool with
     | None -> verify auths
@@ -171,8 +129,6 @@ module Syn = struct
       entries_checked = 0;
       auths_matched = 0;
       recv_sigs = 0;
-      sig_pending = [];
-      sig_npending = 0;
       prev;
       expected_seq;
       chain_broken = false;
@@ -232,18 +188,16 @@ module Syn = struct
           fail s e.seq "authenticator #%d does not match the log (forked or rewritten log)" a.seq)
       (Hashtbl.find_all s.auth_by_seq e.seq);
     match e.content with
-    (* 3. RECV sender signatures, deferred into the signature batch. *)
+    (* 3. RECV sender signatures. *)
     | Entry.Recv { src; nonce; payload; signature } ->
       Hashtbl.replace s.recv_seqs e.seq ();
       if signature <> "" then begin
         match List.assoc_opt src s.peer_certs with
         | None -> fail s e.seq "entry #%d: no certificate for sender %s" e.seq src
         | Some cert ->
-          let body = Wireformat.message_body ~src ~dest:s.node ~nonce ~payload in
-          s.cells <- Sig s.sig_npending :: s.cells;
-          s.sig_pending <- (e.seq, cert, body, signature) :: s.sig_pending;
-          s.sig_npending <- s.sig_npending + 1;
-          if s.sig_npending >= sig_batch_cap then settle s
+          let msg = Wireformat.message_body ~src ~dest:s.node ~nonce ~payload in
+          if Avm_crypto.Identity.verify cert ~msg ~signature then s.recv_sigs <- s.recv_sigs + 1
+          else fail s e.seq "entry #%d: forged RECV — sender signature invalid" e.seq
       end
     (* 4. Send acknowledgement bookkeeping, settled at end of stream. *)
     | Entry.Ack { acked_seq; _ } -> Hashtbl.replace s.acked acked_seq ()
@@ -261,7 +215,7 @@ module Syn = struct
 
   let resolved = function
     | Msg (seq, m) | Chain (seq, m) -> (seq, m)
-    | Sig _ | Xref _ -> assert false (* settled; xrefs defer only in segment streams *)
+    | Xref _ -> assert false (* xrefs defer only in segment streams *)
 
   let failures_after s n =
     let rec take k cells acc =
@@ -270,7 +224,6 @@ module Syn = struct
     take (s.nfail - n) s.cells []
 
   let report s =
-    settle s;
     {
       entries_checked = s.entries_checked;
       auths_matched = s.auths_matched;
@@ -279,7 +232,6 @@ module Syn = struct
     }
 
   let finish s =
-    settle s;
     (* Every send acknowledged, modulo the in-flight tail. *)
     List.iter
       (fun seq ->
@@ -297,7 +249,7 @@ module Syn = struct
 
   (* --- pushing segments, sequentially or on a pool ------------------------ *)
 
-  (* Fold settled segment streams, in log order, into the live stream
+  (* Fold finished segment streams, in log order, into the live stream
      [out]: its state after the fold is the state one pass over the same
      entries would have left. A worker can run the chain checks of a
      later segment without knowing whether an earlier one broke, because
@@ -349,11 +301,9 @@ module Syn = struct
                 in
                 let entries = spec.spec_load () in
                 List.iter (push c) entries;
-                settle c;
                 (c, entries)))
           (List.mapi (fun i spec -> (i, spec)) specs)
       in
-      settle s;
       stitch s (List.map fst checked);
       List.iter (fun (_, entries) -> List.iter each entries) checked
     | _ ->
@@ -365,8 +315,7 @@ module Syn = struct
                   push s e;
                   each e)
                 (spec.spec_load ())))
-        specs);
-    settle s
+        specs)
 end
 
 let syntactic_of_log ~ctx ~log ?(from = 1) ?upto ?par () =
@@ -617,11 +566,9 @@ module Session = struct
     | _ -> ()
 
   (* Check [specs] through the syntactic stream and buffer their
-     entries for replay. The RECV signature batch settles once, at the
-     end of the call; the verdict is then the failures of the first
-     failing entry — what checking each entry on its own push would
-     give. Entries after it are buffered too, but a session with a
-     verdict replays nothing. *)
+     entries for replay. The verdict is the failures of the first
+     failing entry of the call. Entries after it are buffered too, but
+     a session with a verdict replays nothing. *)
   let pull ?pool t specs =
     let t0 = Clock.now_s () in
     Syn.push_specs ?pool t.syn specs (buffer t);

@@ -186,8 +186,7 @@ module Session : sig
   val ingest : ?upto:int -> t -> Avm_tamperlog.Log.t -> [ `Accepted | `Backpressure of int ]
   (** Pull any entries appended since the last call ([?upto] caps the
       observed sequence number — the producer offering a partial
-      segment). Every pulled entry is syntactically checked; the RECV
-      signature batch settles once, at the end of the call, and a
+      segment). Every pulled entry is syntactically checked, and a
       failure sets the session verdict for the first failing entry
       before the call returns. [`Backpressure lag] means the watermark
       is exceeded: nothing was pulled, the entries stay in the

@@ -220,26 +220,6 @@ let offer store ~cert (a : Auth.t) =
     end
   end
 
-let scan_log store ~node ~(log : Log.t) =
-  (* Corroboration for the "authenticator vs downloaded prefix" route:
-     a stored commitment that names an in-range seq but does not match
-     the served log means the node showed this witness set one history
-     and signed another. The syntactic audit already fails the target
-     for it when the auth is in the auditor's collected set; here it is
-     counted from the exchange store's viewpoint. A lone mismatch is
-     suspicion, not transferable proof — the served prefix is unsigned;
-     the proof (when one exists) comes from the matching authenticator
-     another witness collected, via {!offer}. *)
-  let n = Log.length log in
-  let mismatches = ref 0 in
-  Hashtbl.iter
-    (fun (owner, seq) (a : Auth.t) ->
-      if String.equal owner node && seq >= 1 && seq <= n then
-        if not (Auth.matches_entry a (Log.entry log seq)) then incr mismatches)
-    store.eq_auths;
-  if !mismatches > 0 then Avm_obs.Metrics.incr ~by:!mismatches "witness.equiv.log_mismatches";
-  !mismatches
-
 type exchange_stats = {
   ex_messages : int;
   ex_auths : int;

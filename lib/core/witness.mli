@@ -160,14 +160,6 @@ val equiv_proofs : equiv_store -> Evidence.t list
 (** All proofs this store has derived, at most one per accused, sorted
     by accused name. *)
 
-val scan_log : equiv_store -> node:string -> log:Avm_tamperlog.Log.t -> int
-(** Count stored commitments for [node] that name an in-range seq of
-    the served [log] but fail {!Avm_tamperlog.Auth.matches_entry}
-    against it (bumped into [witness.equiv.log_mismatches]). Such a
-    mismatch corroborates a fork but is not by itself transferable —
-    the served prefix is unsigned; the proof pair comes from
-    {!offer}. *)
-
 type exchange_stats = {
   ex_messages : int;  (** gossip messages (ordered witness pairs) *)
   ex_auths : int;  (** authenticators carried by those messages *)

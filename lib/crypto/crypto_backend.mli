@@ -12,8 +12,8 @@
     [backend-crosscheck] tool and the QCheck properties in
     [test_crypto] require byte-identical audit reports under both.
 
-    {!Rsa.verify} (and so {!Rsa.verify_batch}) routes through the
-    selected backend: one primitive call per signature. *)
+    {!Rsa.verify} routes through the selected backend: one primitive
+    call per signature. *)
 
 module type S = sig
   val name : string

@@ -33,10 +33,6 @@ let check_certificate ca_key cert =
 
 let verify cert ~msg ~signature = Rsa.verify cert.ckey ~msg ~signature
 
-let verify_batch items =
-  Rsa.verify_batch
-    (Array.map (fun (cert, msg, signature) -> (cert.ckey, msg, signature)) items)
-
 let cert_to_string c =
   let w = Avm_util.Wire.writer () in
   Avm_util.Wire.bytes w c.cname;

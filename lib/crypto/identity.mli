@@ -53,10 +53,6 @@ val verify : certificate -> msg:string -> signature:string -> bool
     certified public key (the certificate itself should be checked
     once with {!check_certificate}). *)
 
-val verify_batch : (certificate * string * string) array -> bool array
-(** [verify_batch [| (cert, msg, signature); ... |]] is elementwise
-    {!verify} through {!Rsa.verify_batch}. *)
-
 val cert_to_string : certificate -> string
 (** Wire encoding (name, public key, CA signature). *)
 

@@ -153,13 +153,3 @@ let verify (key : public_key) ~msg ~signature =
       end
     end
   end
-
-(* --- batch verification -------------------------------------------------- *)
-
-(* Each signature is verified on its own: a combined product check
-   would be unsound without random blinding (two wrong signatures can
-   cancel), and with the per-domain context cache and the C kernel
-   there is no per-call setup left to share (DESIGN.md §18, §30). *)
-let verify_batch (items : (public_key * string * string) array) =
-  Metrics.incr ~by:(Array.length items) "crypto.rsa_batched";
-  Array.map (fun (key, msg, signature) -> verify key ~msg ~signature) items

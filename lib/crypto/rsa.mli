@@ -41,13 +41,6 @@ val verify : public_key -> msg:string -> signature:string -> bool
     {!sign}, through the selected {!Crypto_backend}. Malformed input
     verifies as [false], never raises. *)
 
-val verify_batch : (public_key * string * string) array -> bool array
-(** [verify_batch [| (key, msg, signature); ... |]] is exactly
-    [Array.map (fun (k, m, s) -> verify k ~msg:m ~signature:s)]: each
-    signature is verified on its own (a combined product check is
-    unsound without random blinding), so a failure is pinpointed to
-    its index. Counts the items under [crypto.rsa_batched]. *)
-
 val public_to_string : public_key -> string
 (** Wire encoding of a public key (for certificates and tests). *)
 

@@ -41,24 +41,6 @@ let verify cert a =
        ~msg:(signed_payload ~node:a.node ~seq:a.seq ~hash:a.hash)
        ~signature:a.signature
 
-let verify_batch items =
-  (* The cheap structural checks run up front; only authenticators
-     that pass them contribute a signature to the RSA batch. *)
-  let n = Array.length items in
-  let results = Array.make n false in
-  let sigs = ref [] in
-  Array.iteri
-    (fun i (cert, a) ->
-      if String.equal (Avm_crypto.Identity.cert_name cert) a.node && hash_consistent a then
-        sigs :=
-          (i, (cert, signed_payload ~node:a.node ~seq:a.seq ~hash:a.hash, a.signature))
-          :: !sigs)
-    items;
-  let pending = Array.of_list (List.rev !sigs) in
-  let verdicts = Avm_crypto.Identity.verify_batch (Array.map snd pending) in
-  Array.iteri (fun j (i, _) -> results.(i) <- verdicts.(j)) pending;
-  results
-
 let matches_content a content =
   a.tag = Entry.type_tag content
   && String.equal a.content_digest (Entry.content_digest content)

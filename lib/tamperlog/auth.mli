@@ -27,11 +27,6 @@ val verify : Avm_crypto.Identity.certificate -> t -> bool
 (** Checks the signature and that [hash] is consistent with
     [(prev_hash, seq, tag, content_digest)]. *)
 
-val verify_batch : (Avm_crypto.Identity.certificate * t) array -> bool array
-(** Elementwise {!verify} with the signature checks routed through
-    {!Avm_crypto.Rsa.verify_batch}, which checks each one on its
-    own. *)
-
 val matches_content : t -> Entry.content -> bool
 (** [matches_content a c]: does [a] commit to an entry with exactly
     content [c]? (Checks type tag, content digest and hash-chain

@@ -339,82 +339,6 @@ let verify_segment ~prev entries =
   | [] -> Ok ()
   | first :: _ -> go prev first.Entry.seq entries
 
-(* --- parallel at-rest conversion ---------------------------------------- *)
-
-(* The codec work dominates conversion, so both directions fan the
-   per-segment encode/decode out over a pool when one is given; the
-   [t.sealed] writes happen on the calling domain only, after every
-   job has settled. Entry identity is preserved, so cache slots keyed
-   by [t.id] stay valid and the id is not bumped; the newest segment's
-   kept entries stay valid too, as the entries themselves are
-   unchanged. *)
-
-let map_jobs pool f xs =
-  match pool with
-  | Some p when Avm_util.Domain_pool.jobs p > 1 -> Avm_util.Domain_pool.map_list p f xs
-  | _ -> List.map f xs
-
-(* Compressing an inconsistent segment would silently repair tamper
-   evidence (the Compressed form recomputes hashes from [prev_hash]),
-   so a segment is converted only if its stored chain verifies end to
-   end, including the index endpoints. *)
-let seg_compressible (seg : Segment_store.seg) entries =
-  let info = seg.Segment_store.info in
-  match verify_segment ~prev:info.prev_hash entries with
-  | Error _ -> false
-  | Ok () -> (
-    match (entries, List.rev entries) with
-    | first :: _, last :: _ ->
-      first.Entry.seq = info.first_seq
-      && last.Entry.seq = info.last_seq
-      && String.equal last.Entry.hash info.head_hash
-    | _ -> false)
-
-let compress_sealed ?pool t =
-  let pending = ref [] in
-  for i = t.nsealed - 1 downto 0 do
-    match t.sealed.(i).Segment_store.repr with
-    | Segment_store.Entries _ -> pending := i :: !pending
-    | Segment_store.Blob _ -> ()
-  done;
-  let converted =
-    map_jobs pool
-      (fun i ->
-        let seg = t.sealed.(i) in
-        let entries = Array.to_list (Segment_store.inflate seg) in
-        if not (seg_compressible seg entries) then None
-        else
-          Some
-            ( i,
-              Segment_store.seal Segment_store.Compressed ~info:seg.Segment_store.info
-                (Segment_store.inflate seg) ))
-      !pending
-  in
-  List.fold_left
-    (fun n -> function
-      | None -> n
-      | Some (i, seg) ->
-        t.sealed.(i) <- seg;
-        n + 1)
-    0 converted
-
-let inflate_sealed ?pool t =
-  let pending = ref [] in
-  for i = t.nsealed - 1 downto 0 do
-    match t.sealed.(i).Segment_store.repr with
-    | Segment_store.Blob _ -> pending := i :: !pending
-    | Segment_store.Entries _ -> ()
-  done;
-  let converted =
-    map_jobs pool
-      (fun i ->
-        let seg = t.sealed.(i) in
-        (i, { seg with Segment_store.repr = Segment_store.Entries (Segment_store.inflate seg) }))
-      !pending
-  in
-  List.iter (fun (i, seg) -> t.sealed.(i) <- seg) converted;
-  List.length converted
-
 (* --- storage accounting ------------------------------------------------- *)
 
 let stored_bytes t =

@@ -20,9 +20,8 @@
     the same {!Entry.t} values, decoder marks included, it would have
     read from the tail. The array is RAM, like the inflate cache, not
     stored data ({!stored_bytes} and {!transfer_bytes} ignore it), and
-    holds one segment at most. Tamper operations drop it; {!fork},
-    {!compress_sealed} and {!inflate_sealed} keep it. Reads it serves
-    count as [log.newest_segment_hits]. *)
+    holds one segment at most. Tamper operations drop it; {!fork}
+    keeps it. Reads it serves count as [log.newest_segment_hits]. *)
 
 type t
 
@@ -121,22 +120,6 @@ val transfer_bytes : t -> from:int -> upto:int -> int
 (** Compressed bytes an auditor downloads to stream [from..upto]:
     resident blobs ship whole (segment granularity), memory segments
     and the tail are compressed transiently. *)
-
-val compress_sealed : ?pool:Avm_util.Domain_pool.t -> t -> int
-(** Re-seal resident [Memory] segments in the [Compressed] form,
-    fanning the per-segment codec work out over [pool] when given.
-    Only segments whose {e stored} chain verifies end to end are
-    converted — the compressed encoding recomputes hashes on
-    inflation, so converting an inconsistent segment would silently
-    repair tamper evidence; such segments stay verbatim. Returns the
-    number of segments converted. Not safe to run concurrently with
-    readers of the same log. *)
-
-val inflate_sealed : ?pool:Avm_util.Domain_pool.t -> t -> int
-(** The reverse migration: decompress every [Compressed] segment back
-    to resident entries (in parallel when [pool] is given), e.g. before
-    a burst of random access. Returns the number converted. Not safe to
-    run concurrently with readers of the same log. *)
 
 (** {1 Wire form} *)
 

@@ -1804,7 +1804,49 @@ let test_parallel_syntactic_honest_and_tampered () =
   | Some seq ->
     Log.tamper_reseal (Avmm.log b) seq
       (Entry.Recv { src = "alice"; nonce = 9; payload = "gift"; signature = "forged" }));
-  check_parallel_syntactic ~name:"forged-recv" (entries_of b) auths
+  check_parallel_syntactic ~name:"forged-recv" (entries_of b) auths;
+  (* Forged RECV signatures in the first and the last sealed segment
+     holding a RECV, plus one collected authenticator with a bad
+     signature: each check fails where the stream meets it, so the
+     report lists the authenticator, then the two RECVs in entry
+     order, at every job count. Only authenticators before the first
+     forgery are collected, so the rechained tail adds no mismatch. *)
+  let b, auths = record_with_auths () in
+  let flip s = String.mapi (fun i c -> if i = 7 then Char.chr (Char.code c lxor 1) else c) s in
+  let recvs =
+    List.filter_map
+      (fun (e : Entry.t) -> match e.content with Entry.Recv _ -> Some e | _ -> None)
+      (entries_of b)
+  in
+  let segments = Log.segments (Log.of_entries ~seal_every:50 (entries_of b)) in
+  let segment_of (e : Entry.t) =
+    List.find_opt
+      (fun (i : Segment_store.info) -> i.first_seq <= e.seq && e.seq <= i.last_seq)
+      segments
+  in
+  let r1 = List.hd recvs in
+  let r2 = List.find (fun e -> Option.is_some (segment_of e)) (List.rev recvs) in
+  Alcotest.(check bool) "RECVs in two sealed segments" true
+    (Option.is_some (segment_of r1) && segment_of r1 <> segment_of r2);
+  List.iter
+    (fun (e : Entry.t) ->
+      match e.content with
+      | Entry.Recv r ->
+        Log.tamper_reseal (Avmm.log b) e.seq (Entry.Recv { r with signature = flip r.signature })
+      | _ -> ())
+    [ r1; r2 ];
+  let early = List.filter (fun (a : Auth.t) -> a.seq < r1.seq) auths in
+  let bad = List.hd early in
+  let auths = { bad with Auth.signature = flip bad.signature } :: List.tl early in
+  check_parallel_syntactic ~name:"forged sigs in two segments" (entries_of b) auths;
+  Alcotest.(check (list string)) "failures in entry order"
+    [
+      Printf.sprintf "authenticator #%d: bad signature or inconsistent hash" bad.seq;
+      Printf.sprintf "entry #%d: forged RECV — sender signature invalid" r1.seq;
+      Printf.sprintf "entry #%d: forged RECV — sender signature invalid" r2.seq;
+    ]
+    (Audit.syntactic_of_log ~ctx:(ctx_ab auths) ~log:(Log.of_entries (entries_of b)) ())
+      .Audit.failures
 
 (* Decoder marks change how much is hashed, never an answer: every
    audit runs on the entries as produced (marked wherever a sealer or
@@ -2521,10 +2563,9 @@ let test_online_audit_parallel_chain_check () =
   | _ -> Alcotest.fail "in-place rewrite not caught on ingest");
   ignore (Online_audit.Session.close s)
 
-(* RECV signatures settle once per ingest call, yet the verdict is the
-   one checking each entry on its own push gives: the first failing
-   entry's failures, even when a later entry of the same call fails
-   structurally (and is reported) first. *)
+(* One ingest call checks many entries, yet the verdict is the first
+   failing entry's failures alone: a forged RECV signature, even when
+   a later entry of the same call also fails. *)
 let test_online_signature_settle_per_ingest () =
   let b, _ = record_with_auths () in
   let log = Log.fork (Avmm.log b) in

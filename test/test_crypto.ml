@@ -209,7 +209,8 @@ let prop_bignum_modpow_small =
   qtest ~count:100 "bignum: mod_pow matches naive"
     QCheck2.Gen.(triple (int_range 0 100) (int_range 0 12) (int_range 1 1000))
     (fun (b, e, m) ->
-      let naive = ref 1 in
+      (* b^0 mod 1 is 0, not 1 *)
+      let naive = ref (1 mod m) in
       for _ = 1 to e do
         naive := !naive * b mod m
       done;
@@ -496,7 +497,13 @@ let test_sigcache_rsa_verdicts () =
   let kp = Rsa.generate rng ~bits:512 in
   let other = Rsa.generate rng ~bits:512 in
   let s = Rsa.sign kp.Rsa.private_ "m" in
+  (* Only a signature proved valid is remembered. *)
+  let forged = String.mapi (fun i c -> if i = 11 then Char.chr (Char.code c lxor 1) else c) s in
+  let size0 = Sigcache.size () in
+  Alcotest.(check bool) "forged (cold)" false (Rsa.verify kp.Rsa.public ~msg:"m" ~signature:forged);
+  Alcotest.(check int) "failed verify not remembered" size0 (Sigcache.size ());
   Alcotest.(check bool) "first (cold)" true (Rsa.verify kp.Rsa.public ~msg:"m" ~signature:s);
+  Alcotest.(check int) "valid verify remembered" (size0 + 1) (Sigcache.size ());
   Alcotest.(check bool) "second (cached)" true (Rsa.verify kp.Rsa.public ~msg:"m" ~signature:s);
   Alcotest.(check bool) "cached sig, other msg" false
     (Rsa.verify kp.Rsa.public ~msg:"m2" ~signature:s);
@@ -507,122 +514,16 @@ let test_sigcache_rsa_verdicts () =
     (Rsa.verify kp.Rsa.public ~msg:"m" ~signature:s);
   Sigcache.set_enabled true
 
-(* --- Batch verification ------------------------------------------------------------ *)
+(* --- Backend seam ------------------------------------------------------------------ *)
 
-(* Two fixed keypairs so batches can mix moduli; generated once, not
-   per QCheck case (512-bit keygen dominates otherwise). *)
-let batch_keys =
-  lazy
-    (let rng = Rng.create 89L in
-     [| Rsa.generate rng ~bits:512; Rsa.generate rng ~bits:512 |])
+(* One fixed keypair, generated once rather than per QCheck case
+   (512-bit keygen dominates otherwise). *)
+let fixed_key = lazy (Rsa.generate (Rng.create 89L) ~bits:512)
 
 let flip_byte s i mask =
   let b = Bytes.of_string s in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
   Bytes.to_string b
-
-let without_sigcache f =
-  Sigcache.set_enabled false;
-  Fun.protect ~finally:(fun () -> Sigcache.set_enabled true) f
-
-let prop_verify_batch_matches_verify =
-  (* The whole contract of the batched path: for any mix of keys and
-     per-item corruption, [verify_batch] must agree index by index
-     with the scalar [verify] — including which byte was flipped,
-     since PKCS#1 padding bytes and digest bytes fail differently. *)
-  qtest ~count:40 "rsa: verify_batch = pointwise verify"
-    QCheck2.Gen.(list_size (int_range 0 10) (pair (int_range 0 1) (option (int_range 0 63))))
-    (fun spec ->
-      let keys = Lazy.force batch_keys in
-      without_sigcache @@ fun () ->
-      let items =
-        Array.of_list
-          (List.mapi
-             (fun i (k, tampered) ->
-               let kp = keys.(k) in
-               let msg = Printf.sprintf "batch item %d" i in
-               let s = Rsa.sign kp.Rsa.private_ msg in
-               let s = match tampered with None -> s | Some byte -> flip_byte s byte 1 in
-               (kp.Rsa.public, msg, s))
-             spec)
-      in
-      let batch = Rsa.verify_batch items in
-      let pointwise =
-        Array.map (fun (pk, msg, signature) -> Rsa.verify pk ~msg ~signature) items
-      in
-      batch = pointwise)
-
-let test_batch_tampered_each_position () =
-  (* A failure anywhere in the batch must be pinpointed to exactly its
-     own index — no neighbor may be dragged down or rescued. *)
-  let keys = Lazy.force batch_keys in
-  without_sigcache @@ fun () ->
-  let n = 6 in
-  let items =
-    Array.init n (fun i ->
-        let kp = keys.(i mod 2) in
-        let msg = Printf.sprintf "pos %d" i in
-        (kp.Rsa.public, msg, Rsa.sign kp.Rsa.private_ msg))
-  in
-  Alcotest.(check (array bool)) "all valid" (Array.make n true) (Rsa.verify_batch items);
-  for bad = 0 to n - 1 do
-    let tampered =
-      Array.mapi
-        (fun i (pk, msg, s) -> if i = bad then (pk, msg, flip_byte s 20 0x40) else (pk, msg, s))
-        items
-    in
-    Alcotest.(check (array bool))
-      (Printf.sprintf "tampered at %d" bad)
-      (Array.init n (fun i -> i <> bad))
-      (Rsa.verify_batch tampered)
-  done
-
-let test_batch_empty_and_malformed () =
-  let keys = Lazy.force batch_keys in
-  without_sigcache @@ fun () ->
-  Alcotest.(check (array bool)) "empty batch" [||] (Rsa.verify_batch [||]);
-  let kp = keys.(0) in
-  let good = Rsa.sign kp.Rsa.private_ "ok" in
-  let verdicts =
-    Rsa.verify_batch
-      [|
-        (kp.Rsa.public, "ok", good);
-        (kp.Rsa.public, "ok", "xx");
-        (kp.Rsa.public, "ok", String.make 64 '\xff');
-      |]
-  in
-  Alcotest.(check (array bool)) "malformed rejected in batch" [| true; false; false |] verdicts
-
-let test_batch_sigcache_interaction () =
-  Sigcache.set_enabled true;
-  Sigcache.clear ();
-  let rng = Rng.create 97L in
-  let kp = Rsa.generate rng ~bits:512 in
-  let msg i = Printf.sprintf "cached %d" i in
-  let items = Array.init 5 (fun i -> (kp.Rsa.public, msg i, Rsa.sign kp.Rsa.private_ (msg i))) in
-  let tampered =
-    Array.mapi (fun i (pk, m, s) -> if i = 4 then (pk, m, flip_byte s 11 1) else (pk, m, s)) items
-  in
-  let expected = [| true; true; true; true; false |] in
-  (* Pre-warm two entries through the scalar path; the batch must mix
-     cache hits and real verifications without changing any verdict. *)
-  List.iter
-    (fun i ->
-      let pk, m, s = items.(i) in
-      Alcotest.(check bool) "warmup" true (Rsa.verify pk ~msg:m ~signature:s))
-    [ 0; 2 ];
-  Alcotest.(check (array bool)) "warm-cache batch" expected (Rsa.verify_batch tampered);
-  (* Cold cache: same verdicts, and the batch itself must populate the
-     cache for the signatures it proved valid. *)
-  Sigcache.clear ();
-  Alcotest.(check (array bool)) "cold-cache batch" expected (Rsa.verify_batch tampered);
-  Alcotest.(check bool) "batch populated cache" true (Sigcache.size () >= 4);
-  (* And with the cache disabled entirely, nothing changes. *)
-  Alcotest.(check (array bool)) "no-cache batch" expected
-    (without_sigcache (fun () -> Rsa.verify_batch tampered));
-  Sigcache.clear ()
-
-(* --- Backend seam ------------------------------------------------------------------ *)
 
 let test_backend_selection () =
   let is_default () = Crypto_backend.current () == Crypto_backend.default in
@@ -670,8 +571,7 @@ let prop_backend_verify_verdicts_agree =
   qtest ~count:25 "backend: verify verdicts agree on tampered input"
     QCheck2.Gen.(pair (option (int_range 0 63)) bool)
     (fun (tampered, wrong_msg) ->
-      let keys = Lazy.force batch_keys in
-      let kp = keys.(0) in
+      let kp = Lazy.force fixed_key in
       let s = Rsa.sign kp.Rsa.private_ "msg" in
       let s = match tampered with None -> s | Some byte -> flip_byte s byte 1 in
       let msg = if wrong_msg then "other" else "msg" in
@@ -815,13 +715,6 @@ let () =
           Alcotest.test_case "hit/miss/guards" `Quick test_sigcache_basic;
           Alcotest.test_case "FIFO eviction" `Quick test_sigcache_eviction;
           Alcotest.test_case "verdicts unchanged" `Quick test_sigcache_rsa_verdicts;
-        ] );
-      ( "batch",
-        [
-          prop_verify_batch_matches_verify;
-          Alcotest.test_case "tampered at each position" `Quick test_batch_tampered_each_position;
-          Alcotest.test_case "empty and malformed" `Quick test_batch_empty_and_malformed;
-          Alcotest.test_case "sigcache interaction" `Quick test_batch_sigcache_interaction;
         ] );
       ( "backend",
         [

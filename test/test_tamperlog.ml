@@ -426,17 +426,9 @@ let test_newest_segment_kept () =
   Alcotest.(check int) "nothing inflated" misses0 (counter "log.inflate_cache_misses");
   ignore (Log.entry log 1 : Entry.t);
   Alcotest.(check int) "an older segment inflates" (misses0 + 1) (counter "log.inflate_cache_misses");
-  (* Kept across fork and the at-rest conversions. *)
+  (* Kept across fork. *)
   Alcotest.(check bool) "fork shares it" true
     (match Log.newest_segment (Log.fork log) with Some b -> b == a | None -> false);
-  let mem = build_backed Segment_store.Memory contents in
-  let m = Option.get (Log.newest_segment mem) in
-  ignore (Log.compress_sealed mem : int);
-  Alcotest.(check bool) "compress_sealed keeps it" true
-    (match Log.newest_segment mem with Some b -> b == m | None -> false);
-  ignore (Log.inflate_sealed mem : int);
-  Alcotest.(check bool) "inflate_sealed keeps it" true
-    (match Log.newest_segment mem with Some b -> b == m | None -> false);
   (* The next seal replaces it. *)
   for _ = 1 to 16 do
     ignore (Log.append log (Entry.Note "more") : Entry.t)
@@ -642,55 +634,6 @@ let test_chunk_specs_partition () =
            (Log.chunk_specs log ~from:5 ~upto:4)))
     [ Segment_store.Memory; Segment_store.Compressed ]
 
-let test_compress_sealed_roundtrip () =
-  let entries_of l = Log.segment l ~from:1 ~upto:(Log.length l) in
-  let make () =
-    let log = build_backed Segment_store.Memory (many_notes 60) in
-    Log.seal_active log;
-    log
-  in
-  let log = make () in
-  let before = entries_of log in
-  let resident = Log.stored_bytes log in
-  let converted = Log.compress_sealed log in
-  Alcotest.(check bool) "segments converted" true (converted > 0);
-  Alcotest.(check bool) "smaller at rest" true (Log.stored_bytes log < resident);
-  Alcotest.(check bool) "entries unchanged" true (entries_of log = before);
-  Alcotest.(check int) "idempotent" 0 (Log.compress_sealed log);
-  let compressed_at_rest = Log.stored_bytes log in
-  Alcotest.(check int) "inflate reverses" converted (Log.inflate_sealed log);
-  Alcotest.(check bool) "entries unchanged after round trip" true (entries_of log = before);
-  (* the pooled variant converts the same segments to the same bytes *)
-  Avm_util.Domain_pool.with_pool ~jobs:3 (fun pool ->
-      let par = make () in
-      Alcotest.(check int) "parallel converts equally" converted
-        (Log.compress_sealed ~pool par);
-      Alcotest.(check int) "parallel stored bytes" compressed_at_rest (Log.stored_bytes par);
-      Alcotest.(check bool) "parallel entries equal" true (entries_of par = before);
-      Alcotest.(check int) "parallel inflate" converted (Log.inflate_sealed ~pool par))
-
-let test_compress_sealed_skips_tampered () =
-  (* A broken chain must never be "repaired" by re-encoding: the
-     Compressed form recomputes hashes on inflation, so a segment that
-     does not verify stays verbatim. *)
-  let honest = build_log (many_notes 40) in
-  let tampered =
-    List.map
-      (fun (e : Entry.t) ->
-        if e.Entry.seq = 20 then Entry.forge ~content:(Entry.Note "evil") e else e)
-      (full_segment honest)
-  in
-  let log = Log.of_entries ~seal_every:8 tampered in
-  Log.seal_active log;
-  let nsegs = List.length (Log.segments log) in
-  let converted = Log.compress_sealed log in
-  Alcotest.(check int) "all but the broken segment" (nsegs - 1) converted;
-  Alcotest.(check bool) "tamper evidence survives" true
-    (Log.segment log ~from:1 ~upto:(Log.length log) = tampered);
-  match Log.verify_segment ~prev:Log.genesis_hash (Log.segment log ~from:1 ~upto:(Log.length log)) with
-  | Ok () -> Alcotest.fail "tampering was silently repaired"
-  | Error _ -> ()
-
 let () =
   Alcotest.run "tamperlog"
     [
@@ -726,10 +669,6 @@ let () =
           Alcotest.test_case "snapshot boundaries seal segments" `Quick
             test_snapshot_boundary_seals;
           Alcotest.test_case "chunk specs tile the log" `Quick test_chunk_specs_partition;
-          Alcotest.test_case "compress/inflate sealed round trip" `Quick
-            test_compress_sealed_roundtrip;
-          Alcotest.test_case "broken segment never re-encoded" `Quick
-            test_compress_sealed_skips_tampered;
           Alcotest.test_case "tamper ops on sealed logs" `Quick test_tamper_on_sealed;
           Alcotest.test_case "fork with sealed segments" `Quick test_fork_with_sealed_segments;
           Alcotest.test_case "compression accounting" `Quick test_compression_accounting;
